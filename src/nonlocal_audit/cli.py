@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal numeric failure, 2 usage or input error.
 The worker count for the planar grid scan is capped by the environment
-variable NONLOCAL_AUDIT_THREADS (0 = auto).
+variable NONLOCAL_AUDIT_THREADS (0 = auto; anything but a non-negative
+integer is a usage error).
 """
 
 from __future__ import annotations
@@ -17,12 +18,20 @@ from .errors import (
     NotPlanarApplicableError,
     NotSquareError,
     ParseError,
+    SettingError,
     TooLargeError,
     UnknownGameError,
     ValidationError,
 )
 from .games import catalog, swap_parties
-from .quantum import cglmp_strategy, closed_form_optimum, optimize_planar, quantum_game_value
+from .quantum import (
+    GRID_MAX,
+    GRID_MIN,
+    cglmp_strategy,
+    closed_form_optimum,
+    optimize_planar,
+    quantum_game_value,
+)
 from .report import (
     CLOSED_FORM_IDS,
     AnalysisOptions,
@@ -41,6 +50,7 @@ USAGE_ERRORS = (
     ValidationError,
     TooLargeError,
     NotPlanarApplicableError,
+    SettingError,
 )
 
 
@@ -174,6 +184,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _grid_points(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not GRID_MIN <= n <= GRID_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [{GRID_MIN}, {GRID_MAX}], got {n}")
+    return n
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid", type=_grid_points, default=721,
+                   help=f"grid points per angle axis, {GRID_MIN} to {GRID_MAX} (default 721)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocal-audit",
@@ -195,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="quantum value (planar grid or closed form)")
     p.add_argument("game")
-    p.add_argument("--grid", type=int, default=721, help="grid points per angle axis")
+    _add_grid(p)
     p.add_argument("--closed-form", action="store_true", help="use the exact closed form")
     p.set_defaults(func=_cmd_quantum)
 
@@ -203,19 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--side", choices=("alice", "bob"), required=True,
                    help="which party steers (relations live on the other system)")
-    p.add_argument("--grid", type=int, default=721)
+    _add_grid(p)
     p.set_defaults(func=_cmd_uncertainty)
 
     p = sub.add_parser("steer", help="saturation verdicts and no-signaling check")
     p.add_argument("game")
-    p.add_argument("--grid", type=int, default=721)
+    _add_grid(p)
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("analyze", help="full report (classical, quantum, steering, verdict)")
     p.add_argument("game")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file")
-    p.add_argument("--grid", type=int, default=721)
+    _add_grid(p)
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction, default=None,
                    help="force the closed form on or off (default: auto)")
     p.set_defaults(func=_cmd_analyze)

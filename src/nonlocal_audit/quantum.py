@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NotPlanarApplicableError,
+    SettingError,
     UnknownGameError,
 )
 from .games import GameSpec, builtin_game
@@ -35,6 +36,9 @@ STATE_NORM_ATOL = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_CHUNK_ROWS = 16
+# Grid points per angle axis: the scan costs (grid_points / 2)^2 4x4 solves.
+GRID_MIN = 64
+GRID_MAX = 4097
 
 
 @dataclass(frozen=True)
@@ -282,78 +286,70 @@ def closed_form_optimum(game_id: str) -> OptimalSolution:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("NONLOCAL_AUDIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
+    raw = os.environ.get("NONLOCAL_AUDIT_THREADS") or "0"
+    if not raw.strip().isdigit():
+        raise SettingError(
+            f"NONLOCAL_AUDIT_THREADS must be a non-negative integer (0 = auto), got {raw!r}"
+        )
+    return int(raw) or min(os.cpu_count() or 1, 8)
 
 
-def _planar_projector_stacks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked rank-1 projectors (G,2,2) for outputs 0 and 1 at each angle."""
-    g = thetas.shape[0]
-    phase = np.exp(1j * thetas)
-    plus = np.stack([phase, np.ones(g)], axis=1) / math.sqrt(2.0)
-    minus = np.stack([phase, -np.ones(g)], axis=1) / math.sqrt(2.0)
-    p0 = np.einsum("gi,gj->gij", plus, plus.conj())
-    p1 = np.einsum("gi,gj->gij", minus, minus.conj())
-    return p0, p1
+def _planar_kernel(spec: GameSpec) -> np.ndarray:
+    """Real symmetric M[u, v], shape (3, 3, 4, 4), with B(alpha1, beta1) unitarily
+    equivalent to sum_{u,v} f_u(alpha1) f_v(beta1) M[u, v], f = (1, cos, sin).
+
+    A planar projector is (I +- (cos t X - sin t Y))/2; both qubits are taken
+    in the frame rotated by exp(-i pi X/4), which keeps X and maps Y to Z.
+    """
+    eye, pauli_x, pauli_z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    coeffs = np.zeros((2, 2, 3, 2, 2))  # [input, output, term u, row, column]
+    for a, sign in enumerate((1.0, -1.0)):
+        coeffs[0, a, 0] = 0.5 * (eye + sign * pauli_x)
+        coeffs[1, a] = 0.5 * np.stack([eye, sign * pauli_x, -sign * pauli_z])
+    weights = spec.input_dist[:, :, None, None] * spec.predicate
+    kernel = np.einsum("xyab,xauij,ybvkl->uvikjl", weights, coeffs, coeffs)
+    return kernel.reshape(3, 3, 4, 4)
+
+
+def _trig(t: float) -> np.ndarray:
+    return np.array([1.0, math.cos(t), math.sin(t)])
 
 
 def _grid_lambda_max(spec: GameSpec, thetas: np.ndarray, workers: int) -> np.ndarray:
-    """lambda_max(B(alpha1, beta1)) on the full angle grid, shape (G, G).
+    """lambda_max(B(alpha1, beta1)) with both angles on ``thetas``, shape (G, G).
 
-    Uses LAPACK's batched Hermitian eigenvalues as a fast path; the final
-    reported solution is recomputed with the cyclic Jacobi kernel. Results
-    are independent of the worker count: the grid is split into fixed row
-    chunks and each cell is solved in isolation.
+    B comes from the real trigonometric kernel of ``_planar_kernel``: a chunk
+    of rows is two small matmuls of the (1, cos, sin) features against the
+    kernel and one batched real ``eigvalsh``; the final reported solution is
+    recomputed with the cyclic Jacobi kernel. Results are independent of the
+    worker count, which is capped at the number of chunks: the grid is split
+    into fixed row chunks and each cell is solved in isolation.
     """
     g = thetas.shape[0]
-    zero0, zero1 = _planar_projector_stacks(np.zeros(1))
-    fixed = (np.broadcast_to(zero0[0], (g, 2, 2)), np.broadcast_to(zero1[0], (g, 2, 2)))
-    varying = _planar_projector_stacks(thetas)
-    proj_a = {0: fixed, 1: varying}
-    proj_b = {0: fixed, 1: varying}
+    kernel = _planar_kernel(spec).reshape(3, 48)
+    trig = np.stack([np.ones(g), np.cos(thetas), np.sin(thetas)], axis=1)
+    row_chunks = [slice(start, start + _GRID_CHUNK_ROWS) for start in range(0, g, _GRID_CHUNK_ROWS)]
 
-    terms = [
-        (x, y, a, b, spec.input_dist[x, y] * spec.predicate[x, y, a, b])
-        for x, y, a, b in product(range(2), range(2), range(2), range(2))
-        if spec.input_dist[x, y] * spec.predicate[x, y, a, b] != 0.0
-    ]
+    def solve_rows(rows: slice) -> np.ndarray:
+        ops = trig @ (trig[rows] @ kernel).reshape(-1, 3, 16)  # (rows, G, 16)
+        return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1].reshape(-1, g)
 
-    row_chunks = [
-        np.arange(start, min(start + _GRID_CHUNK_ROWS, g))
-        for start in range(0, g, _GRID_CHUNK_ROWS)
-    ]
-
-    def solve_rows(rows: np.ndarray) -> np.ndarray:
-        ops = np.zeros((rows.shape[0], g, 2, 2, 2, 2), dtype=complex)
-        for x, y, a, b, w in terms:
-            pa = proj_a[x][a][rows]
-            pb = proj_b[y][b]
-            ops += w * np.einsum("gij,hkl->ghikjl", pa, pb)
-        flat = ops.reshape(rows.shape[0] * g, 4, 4)
-        return np.linalg.eigvalsh(flat)[:, -1].reshape(rows.shape[0], g)
-
-    values = np.empty((g, g))
+    workers = min(workers, len(row_chunks))
     if workers <= 1:
-        for rows in row_chunks:
-            values[rows[0] : rows[-1] + 1] = solve_rows(rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rows, block in zip(row_chunks, pool.map(solve_rows, row_chunks)):
-                values[rows[0] : rows[-1] + 1] = block
-    return values
+        return np.concatenate([solve_rows(rows) for rows in row_chunks])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(solve_rows, row_chunks)))
+
+
+def _kernel_lambda_max(kernel: np.ndarray, alpha1: float, beta1: float) -> float:
+    """lambda_max of B(alpha1, beta1) from a kernel reshaped to (3, 48)."""
+    op = _trig(beta1) @ (_trig(alpha1) @ kernel).reshape(3, 16)
+    return float(np.linalg.eigvalsh(op.reshape(4, 4))[-1])
 
 
 def _lambda_max_fast(spec: GameSpec, alpha1: float, beta1: float) -> float:
     """Objective for the local refinement; matches the Jacobi kernel to 1e-12."""
-    meas_a = (planar_measurement(0.0), planar_measurement(alpha1))
-    meas_b = (planar_measurement(0.0), planar_measurement(beta1))
-    return float(np.linalg.eigvalsh(bell_operator(spec, meas_a, meas_b))[-1])
+    return _kernel_lambda_max(_planar_kernel(spec).reshape(3, 48), alpha1, beta1)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -387,14 +383,15 @@ def refine_planar(
     Alternates one golden search per coordinate until neither angle moves by
     more than ``step_tol``. Returns (alpha1, beta1, value).
     """
-    value = _lambda_max_fast(spec, alpha1, beta1)
+    kernel = _planar_kernel(spec).reshape(3, 48)
+    value = _kernel_lambda_max(kernel, alpha1, beta1)
     width = halfwidth
     for _ in range(max_rounds):
         new_a, _ = _golden_max(
-            lambda t: _lambda_max_fast(spec, t, beta1), alpha1 - width, alpha1 + width, step_tol
+            lambda t: _kernel_lambda_max(kernel, t, beta1), alpha1 - width, alpha1 + width, step_tol
         )
         new_b, value = _golden_max(
-            lambda t: _lambda_max_fast(spec, new_a, t), beta1 - width, beta1 + width, step_tol
+            lambda t: _kernel_lambda_max(kernel, new_a, t), beta1 - width, beta1 + width, step_tol
         )
         moved = max(abs(new_a - alpha1), abs(new_b - beta1))
         alpha1, beta1 = new_a, new_b
@@ -418,38 +415,35 @@ def optimize_planar(
 ) -> OptimalSolution:
     """Grid-plus-golden-section maximization of lambda_max over (alpha1, beta1).
 
-    Scans a uniform ``grid_points`` x ``grid_points`` grid over [-pi, pi]^2,
-    then refines the best cell by alternating golden-section searches.
     Flipping the sign of either party's angle conjugates that party by the
     X gate and preserves the spectrum, so optima come in sign quadruples;
-    the representative with alpha1 >= 0 and beta1 >= 0 is reported. Only
-    2-input/2-output games are supported.
+    the representative with alpha1 >= 0 and beta1 >= 0 is reported. So of
+    the uniform ``grid_points``^2 grid over [-pi, pi]^2 (GRID_MIN to GRID_MAX
+    points per axis) only the quarter from index ``grid_points // 2`` on is
+    scanned, on the real trigonometric kernel of ``_planar_kernel``; the best
+    cell is refined by alternating golden-section searches on that kernel.
+    Only 2-input/2-output games are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
         raise NotPlanarApplicableError(
             f"game {spec.id!r} is {spec.n_x}x{spec.n_y} inputs / "
             f"{spec.n_a}x{spec.n_b} outputs; the planar family covers 2x2x2x2"
         )
-    if grid_points < 64:
-        raise ValueError("grid_points must be at least 64")
+    if not GRID_MIN <= grid_points <= GRID_MAX:
+        raise ValueError(f"grid_points must lie in [{GRID_MIN}, {GRID_MAX}], got {grid_points}")
 
-    thetas = np.linspace(-math.pi, math.pi, grid_points)
+    thetas = np.linspace(-math.pi, math.pi, grid_points)[grid_points // 2 :]
     values = _grid_lambda_max(spec, thetas, _worker_count())
     flat_index = int(np.argmax(values))  # first occurrence = lexicographic tie-break
-    i, j = divmod(flat_index, grid_points)
+    i, j = divmod(flat_index, thetas.shape[0])
     step = 2.0 * math.pi / (grid_points - 1)
 
     alpha1, beta1, _ = refine_planar(
         spec, float(thetas[i]), float(thetas[j]), halfwidth=step, max_rounds=refine_iters
     )
-    alpha1 = _wrap_angle(alpha1)
-    beta1 = _wrap_angle(beta1)
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
-    if alpha1 < 0.0:
-        alpha1 = -alpha1
-    if beta1 < 0.0:
-        beta1 = -beta1
+    alpha1, beta1 = abs(_wrap_angle(alpha1)), abs(_wrap_angle(beta1))
 
     strategy, value, _ = _planar_solution(spec, alpha1, beta1)
     charpoly = _CHARPOLYS.get(spec.id)

@@ -1,17 +1,27 @@
 """Planar strategies, Bell operators, closed forms, and the two-angle optimizer."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import nonlocal_audit as na
+from nonlocal_audit import quantum
 from nonlocal_audit.errors import (
     DimensionMismatchError,
     NotPlanarApplicableError,
+    SettingError,
     UnknownGameError,
 )
-from nonlocal_audit.quantum import _lambda_max_fast
+from nonlocal_audit.quantum import (
+    GRID_MAX,
+    _grid_lambda_max,
+    _lambda_max_fast,
+    _planar_kernel,
+    _trig,
+    _worker_count,
+)
 
 from conftest import (
     CGLMP_RAW_QUANTUM,
@@ -185,8 +195,9 @@ class TestOptimizePlanar:
     def test_guards(self, cglmp_spec, g1_spec):
         with pytest.raises(NotPlanarApplicableError):
             na.optimize_planar(cglmp_spec)
-        with pytest.raises(ValueError):
-            na.optimize_planar(g1_spec, grid_points=32)
+        for grid_points in (32, 0, -5, GRID_MAX + 1):
+            with pytest.raises(ValueError, match="grid_points"):
+                na.optimize_planar(g1_spec, grid_points=grid_points)
 
     def test_fast_path_matches_jacobi(self, g1_spec):
         rng = np.random.default_rng(51)
@@ -210,6 +221,100 @@ class TestOptimizePlanar:
         assert serial.value == threaded.value
         assert serial.angles == threaded.angles
         assert np.array_equal(serial.strategy.state, threaded.strategy.state)
+
+
+def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
+    """Weighted 2x2x2x2 games with uniform-random predicates and non-uniform pi."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        pi = rng.uniform(0.1, 1.0, size=(2, 2))
+        games.append(na.GameSpec(
+            id=f"weighted-{k}", n_x=2, n_y=2, n_a=2, n_b=2,
+            predicate=rng.uniform(size=(2, 2, 2, 2)), input_dist=pi / pi.sum(),
+        ))
+    return games
+
+
+def kernel_spectrum(kernel: np.ndarray, alpha1: float, beta1: float) -> np.ndarray:
+    return np.linalg.eigvalsh(np.einsum("u,v,uvij->ij", _trig(alpha1), _trig(beta1), kernel))
+
+
+class TestPlanarKernel:
+    GAMES = random_weighted_games(61)
+
+    def test_real_symmetric(self):
+        for spec in self.GAMES:
+            kernel = _planar_kernel(spec)
+            assert kernel.dtype == np.float64 and kernel.shape == (3, 3, 4, 4)
+            assert np.array_equal(kernel, kernel.swapaxes(-1, -2))
+
+    def test_spectrum_matches_bell_operator(self):
+        rng = np.random.default_rng(62)
+        for spec in self.GAMES:
+            kernel = _planar_kernel(spec)
+            for a1, b1 in rng.uniform(-math.pi, math.pi, (10, 2)):
+                strat = planar_strategy(spec, a1, b1)
+                reference = np.linalg.eigvalsh(na.bell_operator(spec, strat.meas_a, strat.meas_b))
+                assert np.abs(kernel_spectrum(kernel, a1, b1) - reference).max() <= 1e-12
+
+    def test_sign_symmetry(self):
+        rng = np.random.default_rng(63)
+        for spec in self.GAMES:
+            kernel = _planar_kernel(spec)
+            for a1, b1 in rng.uniform(-math.pi, math.pi, (10, 2)):
+                spectrum = kernel_spectrum(kernel, a1, b1)
+                for flipped in ((-a1, b1), (a1, -b1), (-a1, -b1)):
+                    assert np.abs(kernel_spectrum(kernel, *flipped) - spectrum).max() <= 1e-12
+
+    def test_grid_cells_match_objective(self):
+        thetas = np.linspace(-math.pi, math.pi, 70)
+        rng = np.random.default_rng(64)
+        for spec in self.GAMES:
+            values = _grid_lambda_max(spec, thetas, workers=1)
+            for i, j in rng.integers(0, 70, (10, 2)):
+                assert abs(values[i, j] - _lambda_max_fast(spec, thetas[i], thetas[j])) <= 1e-12
+
+    def test_quarter_grid_holds_full_maximum(self):
+        thetas = np.linspace(-math.pi, math.pi, 121)
+        for spec in self.GAMES:
+            full = _grid_lambda_max(spec, thetas, workers=1)
+            quarter = _grid_lambda_max(spec, thetas[121 // 2 :], workers=1)
+            assert quarter.shape == (61, 61)
+            assert abs(quarter.max() - full.max()) <= 1e-12
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", ["abc", "-3", "1.5", " "])
+    def test_bad_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", raw)
+        with pytest.raises(SettingError, match="NONLOCAL_AUDIT_THREADS"):
+            _worker_count()
+
+    def test_explicit_and_auto(self, monkeypatch):
+        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "2")
+        assert _worker_count() == 2
+        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "0")
+        auto = _worker_count()
+        assert 1 <= auto <= 8
+        monkeypatch.delenv("NONLOCAL_AUDIT_THREADS")
+        assert _worker_count() == auto
+
+    def test_capped_at_row_chunks(self, monkeypatch, chsh_spec):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(quantum, "ThreadPoolExecutor", RecordingPool)
+        two_chunks = np.linspace(0.0, math.pi, quantum._GRID_CHUNK_ROWS + 4)
+        threaded = _grid_lambda_max(chsh_spec, two_chunks, workers=3)
+        assert pools == [2]
+        assert np.array_equal(threaded, _grid_lambda_max(chsh_spec, two_chunks, workers=1))
+        _grid_lambda_max(chsh_spec, two_chunks[: quantum._GRID_CHUNK_ROWS], workers=3)
+        assert pools == [2]  # one chunk runs without a pool
 
 
 class TestCglmpStrategy:

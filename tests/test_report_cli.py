@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.cli import main
+from nonlocal_audit.cli import build_parser, main
+from nonlocal_audit.quantum import GRID_MAX
 from nonlocal_audit.report import AnalysisOptions, run_document
 
 from conftest import OMEGA_Q_G1
@@ -203,3 +204,24 @@ class TestCli:
     def test_bad_usage_exit_code(self, capsys):
         assert main(["uncertainty", "g1"]) == 2  # missing --side
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["32", "0", "-5", str(GRID_MAX + 1)])
+    @pytest.mark.parametrize("command", [
+        ["quantum", "chsh"],
+        ["uncertainty", "chsh", "--side", "alice"],
+        ["steer", "chsh"],
+        ["analyze", "chsh"],
+    ])
+    def test_grid_out_of_range_exit_code(self, capsys, command, grid):
+        assert main([*command, "--grid", grid]) == 2
+        assert "argument --grid" in capsys.readouterr().err
+
+    def test_grid_cap_accepted_at_parse_time(self):
+        args = build_parser().parse_args(["analyze", "chsh", "--grid", str(GRID_MAX)])
+        assert args.grid == GRID_MAX
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_bad_thread_setting_exit_code(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", raw)
+        assert main(["quantum", "chsh", "--grid", "64"]) == 2
+        assert "NONLOCAL_AUDIT_THREADS" in capsys.readouterr().err
