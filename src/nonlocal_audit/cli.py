@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 usage or input error.
+Exit codes: 0 success, 1 internal numeric failure or standard output closed
+by its reader, 2 usage or input error.
 The worker count for the planar grid scan is capped by the environment
 variable NONLOCAL_AUDIT_THREADS (0 = auto; anything but a non-negative
 integer is a usage error).
@@ -9,6 +10,7 @@ integer is a usage error).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .classical import classical_value
@@ -24,19 +26,12 @@ from .errors import (
     ValidationError,
 )
 from .games import catalog, swap_parties
-from .quantum import (
-    GRID_MAX,
-    GRID_MIN,
-    cglmp_strategy,
-    closed_form_optimum,
-    optimize_planar,
-    quantum_game_value,
-)
+from .quantum import GRID_MAX, GRID_MIN
 from .report import (
-    CLOSED_FORM_IDS,
     AnalysisOptions,
+    _verdict_table,
     best_known_solution,
-    matches_catalog,
+    closed_form_available,
     render_report,
     resolve_game,
     run_analyze,
@@ -76,23 +71,13 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     spec, _ = resolve_game(args.game)
-    if args.closed_form:
-        if not (spec.id in CLOSED_FORM_IDS and matches_catalog(spec, spec.id)):
-            raise UnknownGameError(
-                f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
-            )
-        solution = closed_form_optimum(spec.id)
-        method = "closed_form"
-    elif matches_catalog(spec, "cglmp"):
-        strategy = cglmp_strategy()
-        value = quantum_game_value(spec, strategy)
-        print(f"game 'cglmp': fixed catalog strategy, value = {value:.12g} (normalized), "
-              f"raw sum = {4 * value:.12g}")
-        _print_state(strategy.state)
-        return 0
-    else:
-        solution = optimize_planar(spec, grid_points=args.grid)
-        method = "planar_grid"
+    if args.closed_form and not closed_form_available(spec):
+        raise UnknownGameError(
+            f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
+        )
+    method, solution = best_known_solution(
+        spec, AnalysisOptions(grid_points=args.grid, closed_form=args.closed_form)
+    )
     print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
@@ -148,18 +133,10 @@ def _cmd_steer(args) -> int:
     options = AnalysisOptions(grid_points=args.grid)
     _, solution = best_known_solution(spec, options)
     report = correspondence_verdict(spec, solution.strategy)
-    for title, verdicts in (
-        ("Alice steers Bob:", report.verdicts_alice),
-        ("Bob steers Alice:", report.verdicts_bob),
-    ):
-        print(title)
-        print("  pair    p           xi          achieved    gap         verdict")
-        for v in verdicts:
-            status = "vacuous" if v.vacuous else ("saturated" if v.saturated else "not saturated")
-            print(
-                f"  ({v.pair[0]},{v.pair[1]})   {v.probability:.6f}    {v.xi:.6f}    "
-                f"{v.achieved:.6f}    {v.gap:.6f}    {status}"
-            )
+    print("\n".join([
+        *_verdict_table("Alice steers Bob:", report.verdicts_alice),
+        *_verdict_table("Bob steers Alice:", report.verdicts_bob),
+    ]))
     print(
         f"certain-state assemblage deviation: {report.ns_deviation:.6f} "
         f"({'passes' if report.ns_passes else 'fails'} no-signaling)"
@@ -261,6 +238,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NotHermitianError, NotSquareError, NonlocalAuditError) as exc:
         print(f"internal numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does): not a usage error. Send
+        # the rest, and the flush at interpreter exit, to the null device.
+        sys.stdout = open(os.devnull, "w")
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

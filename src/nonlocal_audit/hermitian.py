@@ -1,9 +1,10 @@
 """Dense complex-matrix primitives: tensor product, Hermitian eigensolver, partial trace.
 
 Everything here works on plain ``numpy`` arrays of ``complex128``. The
-eigensolver is a cyclic complex Jacobi iteration, which is robust and
-accurate for the small dimensions (d <= 9) this package needs; all
-operations are pure functions with no shared mutable state.
+eigensolver is LAPACK's ``eigh`` followed by a fixed eigenvector phase
+gauge, so reports built from its eigenvectors do not depend on the
+solver's arbitrary phases; all operations are pure functions with no
+shared mutable state.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
-# Off-diagonal Frobenius mass, relative to ||H||_F, at which sweeps stop.
-JACOBI_SWEEP_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 # Eigenvalues closer than this (relative to max(1, |lambda_max|)) are one eigenspace.
 DEGENERACY_RTOL = 1e-8
 
@@ -82,10 +80,10 @@ class EigenSystem:
 
 
 def eig_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenSystem:
-    """Full eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Full eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    ``JACOBI_SWEEP_TOL * ||H||_F`` (at most ``JACOBI_MAX_SWEEPS`` sweeps).
+    Eigenvectors are put in a fixed phase gauge: the largest-magnitude
+    component of each (the first, on ties) is real and positive.
 
     Raises ``NotSquareError`` / ``NotHermitianError`` when the input fails
     the preconditions.
@@ -96,61 +94,15 @@ def eig_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenSystem:
     if not is_hermitian(h, rtol):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
 
-    n = h.shape[0]
-    # Symmetrize away representation noise so the iteration sees an exactly
+    # Symmetrize away representation noise so the solver sees an exactly
     # Hermitian matrix; this stays within the acceptance tolerance above.
-    a = (h + h.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    hnorm = frobenius(a)
-    if hnorm == 0.0 or n == 1:
-        return EigenSystem(np.real(np.diag(a)).copy(), v)
-
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Off-diagonal mass must be measured directly from the entries; the
-        # difference ||A||^2 - ||diag||^2 cancels catastrophically near
-        # convergence and would stall around sqrt(eps) * ||H||.
-        off = np.sqrt(np.sum(np.abs(a[off_mask]) ** 2))
-        if off <= JACOBI_SWEEP_TOL * hnorm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                phase = apq / r
-                # Inner rotation angle: the classical stable tangent root,
-                # |t| <= 1, after factoring the phase out of the pivot.
-                zeta = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + np.sqrt(zeta * zeta + 1.0))
-                else:
-                    t = 1.0 / (zeta - np.sqrt(zeta * zeta + 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # J differs from identity only at (p,p)=(q,q)=c,
-                # (p,q) = -phase*s, (q,p) = conj(phase)*s; apply A <- J^H A J.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + np.conj(phase) * s * col_q
-                a[:, q] = -phase * s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + phase * s * row_q
-                a[q, :] = -np.conj(phase) * s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + np.conj(phase) * s * vq
-                v[:, q] = -phase * s * vp + c * vq
-
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], v[:, order])
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    columns = np.arange(v.shape[1])
+    pivot_rows = np.argmax(np.abs(v), axis=0)
+    pivots = v[pivot_rows, columns]
+    v = v * (pivots.conj() / np.abs(pivots))
+    v[pivot_rows, columns] = np.abs(pivots)  # exactly real, not real up to rounding
+    return EigenSystem(w, v)
 
 
 def max_eigenvalue(h: np.ndarray) -> float:

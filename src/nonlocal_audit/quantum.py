@@ -18,7 +18,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
     UnknownGameError,
 )
 from .games import GameSpec, builtin_game
-from .hermitian import EigenSystem, eig_hermitian, kron
+from .hermitian import EigenSystem, eig_hermitian
 
 PROJECTOR_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
@@ -163,6 +162,11 @@ def planar_measurements(
     return meas_a, meas_b
 
 
+def projector_stack(measurements: tuple[ProjectiveMeasurement, ...]) -> np.ndarray:
+    """The projectors of a measurement set as one array indexed [input, output, row, column]."""
+    return np.array([m.projectors for m in measurements], dtype=complex)
+
+
 def bell_operator(
     spec: GameSpec,
     meas_a: tuple[ProjectiveMeasurement, ...],
@@ -176,24 +180,23 @@ def bell_operator(
     ):
         raise DimensionMismatchError("measurement outcome counts do not match the game")
     d = meas_a[0].dim * meas_b[0].dim
-    op = np.zeros((d, d), dtype=complex)
-    for x, y, a, b in product(range(spec.n_x), range(spec.n_y), range(spec.n_a), range(spec.n_b)):
-        w = spec.input_dist[x, y] * spec.predicate[x, y, a, b]
-        if w != 0.0:
-            op += w * kron(meas_a[x].projectors[a], meas_b[y].projectors[b])
-    return op
+    weights = spec.input_dist[:, :, None, None] * spec.predicate
+    op = np.einsum(
+        "xyab,xaij,ybkl->ikjl", weights, projector_stack(meas_a), projector_stack(meas_b)
+    )
+    return op.reshape(d, d)
 
 
 def correlation_table(spec: GameSpec, strategy: QuantumStrategy) -> np.ndarray:
     """P(a,b|x,y) = <psi| Pi^x_a (x) Pi^y_b |psi>, indexed [x, y, a, b]."""
     if len(strategy.meas_a) != spec.n_x or len(strategy.meas_b) != spec.n_y:
         raise DimensionMismatchError("one measurement per input is required")
-    psi = strategy.state
-    table = np.zeros((spec.n_x, spec.n_y, spec.n_a, spec.n_b))
-    for x, y, a, b in product(range(spec.n_x), range(spec.n_y), range(spec.n_a), range(spec.n_b)):
-        op = kron(strategy.meas_a[x].projectors[a], strategy.meas_b[y].projectors[b])
-        table[x, y, a, b] = float(np.real(psi.conj() @ op @ psi))
-    return table
+    psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
+    table = np.einsum(
+        "ik,xaij,ybkl,jl->xyab",
+        psi.conj(), projector_stack(strategy.meas_a), projector_stack(strategy.meas_b), psi,
+    )
+    return table.real
 
 
 def quantum_game_value(spec: GameSpec, strategy: QuantumStrategy) -> float:
@@ -321,9 +324,9 @@ def _grid_lambda_max(spec: GameSpec, thetas: np.ndarray, workers: int) -> np.nda
     B comes from the real trigonometric kernel of ``_planar_kernel``: a chunk
     of rows is two small matmuls of the (1, cos, sin) features against the
     kernel and one batched real ``eigvalsh``; the final reported solution is
-    recomputed with the cyclic Jacobi kernel. Results are independent of the
-    worker count, which is capped at the number of chunks: the grid is split
-    into fixed row chunks and each cell is solved in isolation.
+    recomputed from the complex ``bell_operator``. Results are independent of
+    the worker count, which is capped at the number of chunks: the grid is
+    split into fixed row chunks and each cell is solved in isolation.
     """
     g = thetas.shape[0]
     kernel = _planar_kernel(spec).reshape(3, 48)
@@ -348,7 +351,7 @@ def _kernel_lambda_max(kernel: np.ndarray, alpha1: float, beta1: float) -> float
 
 
 def _lambda_max_fast(spec: GameSpec, alpha1: float, beta1: float) -> float:
-    """Objective for the local refinement; matches the Jacobi kernel to 1e-12."""
+    """Objective for the local refinement; matches lambda_max of ``bell_operator`` to 1e-12."""
     return _kernel_lambda_max(_planar_kernel(spec).reshape(3, 48), alpha1, beta1)
 
 

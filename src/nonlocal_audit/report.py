@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import DeterministicStrategy, classical_value
+from .classical import DeterministicStrategy
 from .errors import NotPlanarApplicableError, UnknownGameError
 from .games import GAME_IDS, GameSpec, builtin_game, load_game
 from .quantum import (
@@ -28,7 +28,7 @@ from .quantum import (
     quantum_game_value,
 )
 from .steering import CorrespondenceReport, SteeringVerdict, correspondence_verdict
-from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
+from .uncertainty import FineGrainedRelation
 
 CLOSED_FORM_IDS = ("g1", "g2")
 
@@ -83,6 +83,11 @@ def matches_catalog(spec: GameSpec, game_id: str) -> bool:
     return spec.id == game_id and spec.equals(builtin_game(game_id))
 
 
+def closed_form_available(spec: GameSpec) -> bool:
+    """True when the spec's tables are those of a catalog game with a closed-form optimum."""
+    return spec.id in CLOSED_FORM_IDS and matches_catalog(spec, spec.id)
+
+
 def best_known_solution(spec: GameSpec, options: AnalysisOptions) -> tuple[str, OptimalSolution]:
     """Pick the strategy source: closed form, planar optimizer, or fixed catalog strategy.
 
@@ -90,7 +95,7 @@ def best_known_solution(spec: GameSpec, options: AnalysisOptions) -> tuple[str, 
     tables match the catalog entry; a file-loaded variant that merely
     reuses a catalog id goes through the optimizer.
     """
-    closed_available = spec.id in CLOSED_FORM_IDS and matches_catalog(spec, spec.id)
+    closed_available = closed_form_available(spec)
     use_closed = options.closed_form
     if use_closed is None:
         use_closed = closed_available
@@ -115,23 +120,19 @@ def run_analyze(game_ref: str, options: AnalysisOptions | None = None) -> Analys
     options = options or AnalysisOptions()
     started = time.perf_counter()
     spec, source = resolve_game(game_ref)
-    omega_c, maximizers = classical_value(spec)
     method, solution = best_known_solution(spec, options)
-    strategy = solution.strategy
-    relations_alice = fine_grained_relations(spec, Side.ALICE_STEERS_BOB, strategy.meas_b)
-    relations_bob = fine_grained_relations(spec, Side.BOB_STEERS_ALICE, strategy.meas_a)
-    report = correspondence_verdict(spec, strategy)
+    report = correspondence_verdict(spec, solution.strategy)
     return AnalysisRun(
         game_ref=game_ref,
         source=source,
         spec=spec,
         options=options,
         method=method,
-        omega_c=omega_c,
-        classical_maximizers=maximizers,
+        omega_c=report.omega_c,
+        classical_maximizers=report.classical_maximizers,
         solution=solution,
-        relations_alice=relations_alice,
-        relations_bob=relations_bob,
+        relations_alice=report.relations_alice,
+        relations_bob=report.relations_bob,
         report=report,
         version=__version__,
         wall_time_seconds=time.perf_counter() - started,
@@ -165,8 +166,9 @@ def tagged_values(spec: GameSpec, normalized: float) -> list[dict]:
 
 def _fmt_real(v: float) -> str:
     # 12 significant digits; repr-parse keeps the document a fixed point of
-    # render(parse(render(...))).
-    return format(float(v), ".12g")
+    # render(parse(render(...))). Adding 0.0 turns -0.0 into 0.0: "-0" would
+    # re-parse as the integer 0 and re-serialize as "0".
+    return format(float(v) + 0.0, ".12g")
 
 
 def _write_json(obj, out: list[str]) -> None:

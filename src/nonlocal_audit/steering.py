@@ -17,18 +17,18 @@ can steer to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .classical import classical_value
+from .classical import DeterministicStrategy, classical_value
 from .errors import (
     AmbiguousDegenerateError,
     DimensionMismatchError,
     InvalidDistributionError,
 )
 from .games import GameSpec
-from .hermitian import kron, partial_trace_first
-from .quantum import QuantumStrategy, quantum_game_value, swap_strategy
+from .quantum import QuantumStrategy, projector_stack, quantum_game_value, swap_strategy
 from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
 
 SATURATION_ATOL = 1e-6
@@ -65,12 +65,14 @@ class Assemblage:
 
     def no_signaling_deviation(self) -> float:
         """max over input pairs of ||avg_state(x) - avg_state(x')||_F."""
-        worst = 0.0
-        for x in range(self.n_inputs):
-            for xp in range(x + 1, self.n_inputs):
-                dev = float(np.linalg.norm(self.average_state(x) - self.average_state(xp)))
-                worst = max(worst, dev)
-        return worst
+        return _worst_distance([self.average_state(x) for x in range(self.n_inputs)])
+
+
+def _worst_distance(averages: list[np.ndarray]) -> float:
+    """Largest Frobenius distance between any two of the averages (0 for fewer than two)."""
+    return max(
+        (float(np.linalg.norm(p - q)) for p, q in combinations(averages, 2)), default=0.0
+    )
 
 
 def steer_assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
@@ -83,19 +85,12 @@ def steer_assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assembl
     violations = strategy.validate()
     if violations:
         raise DimensionMismatchError("invalid strategy: " + "; ".join(violations))
-    rho = strategy.density()
-    n_inputs = len(strategy.meas_a)
-    n_outcomes = strategy.meas_a[0].n_outcomes
-    identity = np.eye(strategy.d_b, dtype=complex)
-    probabilities = np.zeros((n_inputs, n_outcomes))
-    sigmas = np.zeros((n_inputs, n_outcomes, strategy.d_b, strategy.d_b), dtype=complex)
-    for x, meas in enumerate(strategy.meas_a):
-        for a, proj in enumerate(meas.projectors):
-            sigma = partial_trace_first(
-                kron(proj, identity) @ rho, strategy.d_a, strategy.d_b
-            )
-            sigmas[x, a] = sigma
-            probabilities[x, a] = float(np.real(np.trace(sigma)))
+    psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
+    projectors = projector_stack(strategy.meas_a)
+    n_inputs, n_outcomes = projectors.shape[:2]
+    # sigma[x, a][k, l] = sum_{i,j} Pi^x_a[i, j] psi[j, k] conj(psi[i, l])
+    sigmas = np.einsum("xaij,jk,il->xakl", projectors, psi, psi.conj())
+    probabilities = np.einsum("xakk->xa", sigmas).real
     return Assemblage(
         n_inputs=n_inputs,
         n_outcomes=n_outcomes,
@@ -240,17 +235,11 @@ def ns_assemblage_check(
             f"conditional probabilities sum to {sums!r}, expected 1 per input"
         )
     n_inputs, n_outcomes = probabilities.shape
-    averages = []
-    for x in range(n_inputs):
-        total = None
-        for a in range(n_outcomes):
-            sigma = certain_states[(x, a)] * probabilities[x, a]
-            total = sigma if total is None else total + sigma
-        averages.append(total)
-    deviation = 0.0
-    for x in range(n_inputs):
-        for xp in range(x + 1, n_inputs):
-            deviation = max(deviation, float(np.linalg.norm(averages[x] - averages[xp])))
+    averages = [
+        sum(probabilities[x, a] * certain_states[(x, a)] for a in range(n_outcomes))
+        for x in range(n_inputs)
+    ]
+    deviation = _worst_distance(averages)
     return deviation, deviation <= NS_ATOL
 
 
@@ -261,12 +250,17 @@ class CorrespondenceReport:
     ``up_bound`` is sum_{x,a} pi_A(x) p(a|x) xi(x,a) with the canonical
     (pi-weighted) xi; it upper-bounds the achieved value, with equality
     exactly when every non-vacuous pair saturates. ``correspondence_holds``
-    requires full saturation on at least one steering side.
+    requires full saturation on at least one steering side. The classical
+    maximizers and both sides' relations are the ones the verdict was
+    computed from.
     """
 
     game_id: str
     omega_c: float
+    classical_maximizers: list[DeterministicStrategy]
     omega_q: float
+    relations_alice: list[FineGrainedRelation]
+    relations_bob: list[FineGrainedRelation]
     verdicts_alice: list[SteeringVerdict]
     verdicts_bob: list[SteeringVerdict]
     ns_deviation: float
@@ -286,13 +280,14 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     The report records the value this strategy achieves; optimality of the
     strategy is the caller's responsibility.
     """
-    omega_c, _ = classical_value(spec)
+    omega_c, maximizers = classical_value(spec)
     omega_q = quantum_game_value(spec, strategy)
 
     relations_ab = fine_grained_relations(spec, Side.ALICE_STEERS_BOB, strategy.meas_b)
+    relations_ba = fine_grained_relations(spec, Side.BOB_STEERS_ALICE, strategy.meas_a)
     assemblage_ab = steer_assemblage(strategy, Side.ALICE_STEERS_BOB)
     verdicts_alice = _verdicts(relations_ab, assemblage_ab)
-    verdicts_bob = saturation_report(spec, strategy, Side.BOB_STEERS_ALICE)
+    verdicts_bob = _verdicts(relations_ba, steer_assemblage(strategy, Side.BOB_STEERS_ALICE))
 
     certain = certain_state_assemblage(relations_ab, reference=assemblage_ab)
     ns_deviation, ns_passes = ns_assemblage_check(assemblage_ab.probabilities, certain)
@@ -307,7 +302,10 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     return CorrespondenceReport(
         game_id=spec.id,
         omega_c=omega_c,
+        classical_maximizers=maximizers,
         omega_q=omega_q,
+        relations_alice=relations_ab,
+        relations_bob=relations_ba,
         verdicts_alice=verdicts_alice,
         verdicts_bob=verdicts_bob,
         ns_deviation=ns_deviation,

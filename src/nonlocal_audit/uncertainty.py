@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .games import GameSpec, swap_parties
 from .hermitian import eig_hermitian
-from .quantum import ProjectiveMeasurement
+from .quantum import ProjectiveMeasurement, projector_stack
 
 TRIVIAL_ATOL = 1e-9
 
@@ -73,24 +72,19 @@ def _relations_steered_side(
             raise DimensionMismatchError(
                 f"measurement has {m.n_outcomes} outcomes, game expects {spec.n_b}"
             )
-    dim = remote_meas[0].dim
+    pi_b = np.array([spec.pi_b_given_x(x) for x in range(spec.n_x)])  # [x, y]
+    weights = pi_b[:, :, None, None] * spec.predicate
+    operators = np.einsum("xyab,ybij->xaij", weights, projector_stack(remote_meas))
+    # pi-mass of the inputs y whose predicate row (x, y, a, .) is non-zero
+    participates = spec.predicate.max(axis=3) > 0.0  # [x, y, a]
+    masses = np.einsum("xy,xya->xa", pi_b, participates)
     relations = []
-    for x, a in product(range(spec.n_x), range(spec.n_a)):
-        pi_y = spec.pi_b_given_x(x)
-        op = np.zeros((dim, dim), dtype=complex)
-        mass = 0.0
-        for y in range(spec.n_y):
-            row = spec.predicate[x, y, a, :]
-            if row.max() > 0.0:
-                mass += pi_y[y]
-            for b in range(spec.n_b):
-                w = pi_y[y] * row[b]
-                if w != 0.0:
-                    op += w * remote_meas[y].projectors[b]
+    for x, a in np.ndindex(spec.n_x, spec.n_a):
+        op = operators[x, a]
         eig = eig_hermitian(op)
         xi = eig.max_eigenvalue
         basis, degenerate = eig.top_eigenspace()
-        mass = float(mass)
+        mass = float(masses[x, a])
         xi_norm = float(xi / mass) if mass > 0.0 else 0.0
         trivial = (
             bool(abs(xi_norm - 1.0) <= TRIVIAL_ATOL) if spec.binary_predicate else None

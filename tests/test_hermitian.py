@@ -1,4 +1,4 @@
-"""Tensor product, Jacobi eigensolver, and partial trace."""
+"""Tensor product, Hermitian eigensolver and its phase gauge, and partial trace."""
 
 import math
 
@@ -101,6 +101,10 @@ class TestEigHermitian:
                         - eig.eigenvalues[k] * eig.eigenvectors[:, k]
                     )
                     assert res <= 1e-10 * max(1.0, hnorm)
+                # phase gauge: the largest-magnitude component is real and positive
+                vecs = eig.eigenvectors
+                pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+                assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
 
     def test_zero_matrix(self):
         eig = na.eig_hermitian(np.zeros((3, 3)))

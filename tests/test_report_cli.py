@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +38,27 @@ class TestRunAnalyze:
         assert cglmp_run.method == "fixed_catalog_strategy"
         assert cglmp_run.report.correspondence_holds
         assert 4.0 * cglmp_run.omega_c == 6.0
+
+    def test_each_stage_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("classical_value", "fine_grained_relations"):
+            original = getattr(na, name)
+
+            def counted(spec, *args, _name=name, _original=original):
+                calls.append((_name, *args[:1]))
+                return _original(spec, *args)
+
+            # patch every module of the package that imported the function
+            for module in list(sys.modules.values()):
+                in_package = getattr(module, "__name__", "").startswith("nonlocal_audit")
+                if in_package and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        na.run_analyze("g1")
+        assert sorted(calls, key=str) == [
+            ("classical_value",),
+            ("fine_grained_relations", na.Side.ALICE_STEERS_BOB),
+            ("fine_grained_relations", na.Side.BOB_STEERS_ALICE),
+        ]
 
     def test_unknown_game_raises(self):
         from nonlocal_audit.errors import UnknownGameError
@@ -97,6 +120,13 @@ class TestJsonReport:
 
         again = canonical_json(doc) + "\n"
         assert again == text
+
+    def test_round_trip_negative_zero(self):
+        from nonlocal_audit.report import canonical_json
+
+        text = canonical_json({"re": [-0.0, 0.5], "im": [-0.0, 0.0]})
+        assert text == '{"re":[0,0.5],"im":[0,0]}'
+        assert canonical_json(json.loads(text)) == text
 
     def test_round_trip_matches_run_values(self, g1_run):
         doc = json.loads(na.render_report(g1_run, "json"))
@@ -171,6 +201,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.544598646541" in out
         assert "residual" in out
+
+    def test_quantum_cglmp_fixed_strategy(self, capsys):
+        assert main(["quantum", "cglmp"]) == 0
+        assert "[fixed_catalog_strategy]" in capsys.readouterr().out
+
+    def test_closed_form_refused_for_other_games(self, capsys):
+        assert main(["quantum", "cglmp", "--closed-form"]) == 2
+        assert "--closed-form" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["list-games"]) == 1
+        with sys.stdout as switched:
+            assert switched.name == os.devnull
+        assert "error" not in capsys.readouterr().err
 
     def test_uncertainty(self, capsys):
         assert main(["uncertainty", "g2", "--side", "alice"]) == 0
