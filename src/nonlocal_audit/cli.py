@@ -25,19 +25,17 @@ from .errors import (
     UnknownGameError,
     ValidationError,
 )
-from .games import catalog, swap_parties
+from .games import catalog
 from .quantum import GRID_MAX, GRID_MIN
 from .report import (
     AnalysisOptions,
-    _verdict_table,
     best_known_solution,
     closed_form_available,
     render_report,
     resolve_game,
     run_analyze,
+    steering_lines,
 )
-from .steering import correspondence_verdict
-from .uncertainty import Side, fine_grained_relations
 
 USAGE_ERRORS = (
     UnknownGameError,
@@ -97,24 +95,20 @@ def _print_state(state) -> None:
 
 
 def _cmd_uncertainty(args) -> int:
-    spec, _ = resolve_game(args.game)
-    options = AnalysisOptions(grid_points=args.grid)
-    _, solution = best_known_solution(spec, options)
-    side = Side.ALICE_STEERS_BOB if args.side == "alice" else Side.BOB_STEERS_ALICE
-    meas = solution.strategy.meas_b if side is Side.ALICE_STEERS_BOB else solution.strategy.meas_a
-    relations = fine_grained_relations(spec, side, meas)
-    steered = "Bob" if side is Side.ALICE_STEERS_BOB else "Alice"
-    print(f"game {spec.id!r}, side {side.value}: relations on {steered}'s system")
-    oriented = spec if side is Side.ALICE_STEERS_BOB else swap_parties(spec)
+    report = run_analyze(args.game, AnalysisOptions(grid_points=args.grid)).report
+    if args.side == "alice":
+        relations, steering, steered = report.relations_alice, "alice_steers_bob", "Bob"
+    else:
+        relations, steering, steered = report.relations_bob, "bob_steers_alice", "Alice"
+    print(f"game {report.game_id!r}, side {steering}: relations on {steered}'s system")
     for rel in relations:
         x, a = rel.pair
-        weights = []
-        pi_y = oriented.pi_b_given_x(x)
-        for y in range(oriented.n_y):
-            for b in range(oriented.n_b):
-                w = pi_y[y] * oriented.predicate[x, y, a, b]
-                if w != 0.0:
-                    weights.append(f"{w:.6g}*P({b}|{y})")
+        weights = [
+            f"{w:.6g}*P({b}|{y})"
+            for y, row in enumerate(rel.weights)
+            for b, w in enumerate(row)
+            if w != 0.0
+        ]
         flag = " [trivial]" if rel.trivial else ""
         print(f"  pair ({x},{a}): sum = {' + '.join(weights) if weights else '0'}")
         print(
@@ -129,27 +123,13 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _cmd_steer(args) -> int:
-    spec, _ = resolve_game(args.game)
-    options = AnalysisOptions(grid_points=args.grid)
-    _, solution = best_known_solution(spec, options)
-    report = correspondence_verdict(spec, solution.strategy)
-    print("\n".join([
-        *_verdict_table("Alice steers Bob:", report.verdicts_alice),
-        *_verdict_table("Bob steers Alice:", report.verdicts_bob),
-    ]))
-    print(
-        f"certain-state assemblage deviation: {report.ns_deviation:.6f} "
-        f"({'passes' if report.ns_passes else 'fails'} no-signaling)"
-    )
-    print(f"correspondence_holds: {report.correspondence_holds}")
+    run = run_analyze(args.game, AnalysisOptions(grid_points=args.grid))
+    print("\n".join(steering_lines(run.report)))
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    options = AnalysisOptions(
-        grid_points=args.grid,
-        closed_form=None if args.closed_form is None else args.closed_form,
-    )
+    options = AnalysisOptions(grid_points=args.grid, closed_form=args.closed_form)
     run = run_analyze(args.game, options)
     text = render_report(run, args.format)
     if args.out:

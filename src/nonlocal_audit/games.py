@@ -195,6 +195,11 @@ def builtin_game(game_id: str) -> GameSpec:
         ) from None
 
 
+def matches_catalog(spec: GameSpec, game_id: str) -> bool:
+    """True when the spec's tables equal the catalog game of that id."""
+    return spec.id == game_id and spec.equals(builtin_game(game_id))
+
+
 def catalog() -> dict[str, GameCatalogEntry]:
     """All built-in games with their known values and conventions."""
     sqrt13 = math.sqrt(13.0)
@@ -263,7 +268,9 @@ def validate_game(spec: GameSpec) -> list[str]:
     else:
         for x in range(spec.n_x):
             for y in range(spec.n_y):
-                if spec.input_dist[x, y] < 0.0:
+                if not math.isfinite(spec.input_dist[x, y]):
+                    violations.append(f"pi[{x}][{y}]: not a finite number")
+                elif spec.input_dist[x, y] < 0.0:
                     violations.append(f"pi[{x}][{y}]: negative probability")
         total = float(spec.input_dist.sum())
         if abs(total - 1.0) > PI_SUM_ATOL:
@@ -278,7 +285,9 @@ def validate_game(spec: GameSpec) -> list[str]:
     for idx in np.ndindex(*expected):
         v = spec.predicate[idx]
         x, y, a, b = idx
-        if v < 0.0:
+        if not math.isfinite(v):
+            violations.append(f"predicate[x={x},y={y},a={a},b={b}]: weight {float(v)} is not finite")
+        elif v < 0.0:
             violations.append(f"predicate[x={x},y={y},a={a},b={b}]: negative weight")
         elif spec.binary_predicate and v not in (0.0, 1.0):
             violations.append(
@@ -304,14 +313,42 @@ def game_to_dict(spec: GameSpec) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _sizes(data: dict, field: str) -> tuple[int, int]:
+    first, second = data[field]
+    for k, v in enumerate((first, second)):
+        if not _is_int(v):
+            raise ValidationError([f"{field}[{k}]: {v!r} is not an integer"])
+    return first, second
+
+
+def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]:
+    index = tuple(entry[key] for key in "xyab")
+    for key, i, n in zip("xyab", index, shape):
+        if not (_is_int(i) and 0 <= i < n):
+            raise ValidationError([f"predicate[{k}].{key}: {i!r} is not an index in [0, {n})"])
+    return index
+
+
 def game_from_dict(data: dict) -> GameSpec:
+    """Build and validate a game from its JSON document; bad fields raise with their path."""
     try:
-        n_x, n_y = (int(v) for v in data["inputs"])
-        n_a, n_b = (int(v) for v in data["outputs"])
+        n_x, n_y = _sizes(data, "inputs")
+        n_a, n_b = _sizes(data, "outputs")
         pi = np.array(data["pi"], dtype=float)
         pred = np.zeros((max(n_x, 1), max(n_y, 1), max(n_a, 1), max(n_b, 1)))
-        for entry in data["predicate"]:
-            pred[entry["x"], entry["y"], entry["a"], entry["b"]] = float(entry["v"])
+        first_entry: dict[tuple[int, ...], int] = {}
+        for k, entry in enumerate(data["predicate"]):
+            index = _entry_index(k, entry, (n_x, n_y, n_a, n_b))
+            earlier = first_entry.setdefault(index, k)
+            if earlier != k:
+                raise ValidationError(
+                    [f"predicate[{k}]: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"]
+                )
+            pred[index] = float(entry["v"])
         spec = GameSpec(
             id=str(data["id"]),
             n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
@@ -319,7 +356,7 @@ def game_from_dict(data: dict) -> GameSpec:
             input_dist=pi,
             binary_predicate=bool(data.get("binary_predicate", True)),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed game document: {exc!r}") from exc
     violations = validate_game(spec)
     if violations:

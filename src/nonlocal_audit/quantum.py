@@ -27,8 +27,8 @@ from .errors import (
     SettingError,
     UnknownGameError,
 )
-from .games import GameSpec, builtin_game
-from .hermitian import EigenSystem, eig_hermitian
+from .games import GameSpec, builtin_game, matches_catalog
+from .hermitian import eig_hermitian
 
 PROJECTOR_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
@@ -121,7 +121,8 @@ class OptimalSolution:
     """Best strategy found for a game, with the value and diagnostics.
 
     ``residual`` is the value of the game's closed-form characteristic
-    polynomial at the solution (only for games that have one, else None).
+    polynomial at the solution (only for the catalog tables of a game that
+    has one, else None).
     """
 
     strategy: QuantumStrategy
@@ -253,34 +254,34 @@ def closed_form_angles(game_id: str) -> tuple[float, float]:
     raise UnknownGameError(f"no closed-form optimum for {game_id!r}")
 
 
-def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> tuple[QuantumStrategy, float, EigenSystem]:
+def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolution:
+    """The top eigenvector of the Bell operator at planar angles (0, alpha1), (0, beta1).
+
+    The residual is the closed-form characteristic polynomial at 4x the value
+    (the scaled operator's eigenvalue), set only when the tables are those of
+    the catalog game that has one.
+    """
     angles = PlanarAngles(alpha=(0.0, alpha1), beta=(0.0, beta1))
     meas_a, meas_b = planar_measurements(angles)
-    op = bell_operator(spec, meas_a, meas_b)
-    eig = eig_hermitian(op)
-    strategy = QuantumStrategy(
-        d_a=2, d_b=2, state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b
+    eig = eig_hermitian(bell_operator(spec, meas_a, meas_b))
+    value = eig.max_eigenvalue
+    charpoly = _CHARPOLYS.get(spec.id)
+    residual = None
+    if charpoly is not None and matches_catalog(spec, spec.id):
+        residual = float(charpoly(4.0 * value, alpha1, beta1))
+    return OptimalSolution(
+        strategy=QuantumStrategy(
+            d_a=2, d_b=2, state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b
+        ),
+        value=value,
+        angles=angles,
+        residual=residual,
     )
-    return strategy, eig.max_eigenvalue, eig
 
 
 def closed_form_optimum(game_id: str) -> OptimalSolution:
-    """Exact-radical optimal strategy for g1 or g2.
-
-    The state is the top eigenvector of the resulting Bell operator and the
-    residual is the closed-form characteristic polynomial evaluated at
-    4x the value (the scaled operator's eigenvalue).
-    """
-    alpha1, beta1 = closed_form_angles(game_id)
-    spec = builtin_game(game_id)
-    strategy, value, _ = _planar_solution(spec, alpha1, beta1)
-    residual = _CHARPOLYS[game_id](4.0 * value, alpha1, beta1)
-    return OptimalSolution(
-        strategy=strategy,
-        value=value,
-        angles=PlanarAngles(alpha=(0.0, alpha1), beta=(0.0, beta1)),
-        residual=float(residual),
-    )
+    """Exact-radical optimal strategy for g1 or g2, with its charpoly residual."""
+    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,9 @@ def refine_planar(
         alpha1, beta1 = new_a, new_b
         if moved < step_tol:
             break
-        width = max(2.0 * moved, 1e-8)
+        # the objective is 2 pi-periodic; an unbounded bracket could outgrow the
+        # golden-section tolerance in ulps and never close
+        width = min(max(2.0 * moved, 1e-8), math.pi)
     return alpha1, beta1, value
 
 
@@ -448,15 +451,7 @@ def optimize_planar(
     # non-negative representative of each
     alpha1, beta1 = abs(_wrap_angle(alpha1)), abs(_wrap_angle(beta1))
 
-    strategy, value, _ = _planar_solution(spec, alpha1, beta1)
-    charpoly = _CHARPOLYS.get(spec.id)
-    residual = float(charpoly(4.0 * value, alpha1, beta1)) if charpoly else None
-    return OptimalSolution(
-        strategy=strategy,
-        value=value,
-        angles=PlanarAngles(alpha=(0.0, alpha1), beta=(0.0, beta1)),
-        residual=residual,
-    )
+    return _planar_solution(spec, alpha1, beta1)
 
 
 # ---------------------------------------------------------------------------

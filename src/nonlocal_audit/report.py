@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classical import DeterministicStrategy
 from .errors import NotPlanarApplicableError, UnknownGameError
-from .games import GAME_IDS, GameSpec, builtin_game, load_game
+from .games import GAME_IDS, GameSpec, builtin_game, load_game, matches_catalog
 from .quantum import (
     OptimalSolution,
     cglmp_strategy,
@@ -37,30 +36,18 @@ CLOSED_FORM_IDS = ("g1", "g2")
 class AnalysisOptions:
     grid_points: int = 721
     closed_form: bool | None = None  # None = use a closed form when one exists
-    sides: tuple[str, ...] = ("alice", "bob")
-
-    def as_dict(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "closed_form": self.closed_form,
-            "sides": list(self.sides),
-        }
 
 
 @dataclass(frozen=True)
 class AnalysisRun:
-    """Everything one ``analyze`` invocation computed."""
+    """Everything one ``analyze`` invocation computed; the audit itself is ``report``."""
 
     game_ref: str
     source: str
     spec: GameSpec
     options: AnalysisOptions
     method: str
-    omega_c: float
-    classical_maximizers: list[DeterministicStrategy]
     solution: OptimalSolution
-    relations_alice: list[FineGrainedRelation]
-    relations_bob: list[FineGrainedRelation]
     report: CorrespondenceReport
     version: str
     wall_time_seconds: float
@@ -76,11 +63,6 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     raise UnknownGameError(
         f"{game_ref!r} is neither a catalog id ({', '.join(GAME_IDS)}) nor a game file"
     )
-
-
-def matches_catalog(spec: GameSpec, game_id: str) -> bool:
-    """True when the spec's tables equal the catalog game of that id."""
-    return spec.id == game_id and spec.equals(builtin_game(game_id))
 
 
 def closed_form_available(spec: GameSpec) -> bool:
@@ -128,11 +110,7 @@ def run_analyze(game_ref: str, options: AnalysisOptions | None = None) -> Analys
         spec=spec,
         options=options,
         method=method,
-        omega_c=report.omega_c,
-        classical_maximizers=report.classical_maximizers,
         solution=solution,
-        relations_alice=report.relations_alice,
-        relations_bob=report.relations_bob,
         report=report,
         version=__version__,
         wall_time_seconds=time.perf_counter() - started,
@@ -244,6 +222,7 @@ def run_document(run: AnalysisRun) -> dict:
     spec = run.spec
     solution = run.solution
     angles = solution.angles
+    report = run.report
     doc = {
         "tool": {"name": "nonlocal-audit", "version": run.version},
         "game": {
@@ -254,12 +233,12 @@ def run_document(run: AnalysisRun) -> dict:
             "outputs": [spec.n_a, spec.n_b],
             "binary_predicate": spec.binary_predicate,
         },
-        "options": run.options.as_dict(),
+        "options": asdict(run.options),
         "classical": {
-            "value": tagged_values(spec, run.omega_c),
-            "maximizer_count": len(run.classical_maximizers),
+            "value": tagged_values(spec, report.omega_c),
+            "maximizer_count": len(report.classical_maximizers),
             "maximizers": [
-                {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in run.classical_maximizers
+                {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in report.classical_maximizers
             ],
         },
         "quantum": {
@@ -272,22 +251,22 @@ def run_document(run: AnalysisRun) -> dict:
             "state": _state_doc(solution.strategy.state),
         },
         "uncertainty": {
-            "alice_steers_bob": [_relation_doc(r) for r in run.relations_alice],
-            "bob_steers_alice": [_relation_doc(r) for r in run.relations_bob],
+            "alice_steers_bob": [_relation_doc(r) for r in report.relations_alice],
+            "bob_steers_alice": [_relation_doc(r) for r in report.relations_bob],
         },
         "steering": {
-            "alice_steers_bob": [_verdict_doc(v) for v in run.report.verdicts_alice],
-            "bob_steers_alice": [_verdict_doc(v) for v in run.report.verdicts_bob],
+            "alice_steers_bob": [_verdict_doc(v) for v in report.verdicts_alice],
+            "bob_steers_alice": [_verdict_doc(v) for v in report.verdicts_bob],
         },
         "no_signaling_certain_states": {
-            "deviation": run.report.ns_deviation,
-            "passes": run.report.ns_passes,
+            "deviation": report.ns_deviation,
+            "passes": report.ns_passes,
         },
         "verdict": {
-            "omega_c": tagged_values(spec, run.report.omega_c),
-            "omega_q": tagged_values(spec, run.report.omega_q),
-            "up_bound": run.report.up_bound,
-            "correspondence_holds": run.report.correspondence_holds,
+            "omega_c": tagged_values(spec, report.omega_c),
+            "omega_q": tagged_values(spec, report.omega_q),
+            "up_bound": report.up_bound,
+            "correspondence_holds": report.correspondence_holds,
         },
     }
     return doc
@@ -324,11 +303,24 @@ def _verdict_table(title: str, verdicts: list[SteeringVerdict]) -> list[str]:
     return lines
 
 
+def steering_lines(report: CorrespondenceReport) -> list[str]:
+    """Both verdict tables, the no-signaling line and the verdict."""
+    return [
+        *_verdict_table("Alice steers Bob:", report.verdicts_alice),
+        "",
+        *_verdict_table("Bob steers Alice:", report.verdicts_bob),
+        "",
+        "certain-state assemblage no-signaling deviation: "
+        f"{report.ns_deviation:.6f} ({'passes' if report.ns_passes else 'fails'})",
+        f"correspondence_holds: {report.correspondence_holds}",
+    ]
+
+
 def render_text(run: AnalysisRun) -> str:
     report = run.report
     lines = [
         f"nonlocal-audit {run.version}: analysis of game {run.spec.id!r} ({run.source})",
-        f"classical value  : {_values_line(tagged_values(run.spec, run.omega_c))}",
+        f"classical value  : {_values_line(tagged_values(run.spec, report.omega_c))}",
         f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value))}"
         f"  [method: {run.method}]",
     ]
@@ -342,17 +334,7 @@ def render_text(run: AnalysisRun) -> str:
         lines.append(f"charpoly residual: {run.solution.residual:.3e}")
     lines.append(f"uncertainty bound: {report.up_bound:.9g} (normalized)")
     lines.append("")
-    lines.extend(_verdict_table("Alice steers Bob:", report.verdicts_alice))
-    lines.append("")
-    lines.extend(_verdict_table("Bob steers Alice:", report.verdicts_bob))
-    lines.append("")
-    lines.append(
-        "certain-state assemblage no-signaling deviation: "
-        f"{report.ns_deviation:.6f} ({'passes' if report.ns_passes else 'fails'})"
-    )
-    lines.append(
-        f"correspondence_holds: {report.correspondence_holds}"
-    )
+    lines.extend(steering_lines(report))
     lines.append(f"wall time: {run.wall_time_seconds:.2f} s")
     return "\n".join(lines) + "\n"
 

@@ -158,6 +158,16 @@ def _verdicts(
     return verdicts
 
 
+def _side_audit(
+    spec: GameSpec, strategy: QuantumStrategy, side: Side
+) -> tuple[list[FineGrainedRelation], Assemblage, list[SteeringVerdict]]:
+    """Relations on the steered party, the steered assemblage, and their verdicts."""
+    remote = strategy.meas_b if side is Side.ALICE_STEERS_BOB else strategy.meas_a
+    relations = fine_grained_relations(spec, side, remote)
+    assemblage = steer_assemblage(strategy, side)
+    return relations, assemblage, _verdicts(relations, assemblage)
+
+
 def saturation_report(
     spec: GameSpec, strategy: QuantumStrategy, side: Side
 ) -> list[SteeringVerdict]:
@@ -166,12 +176,7 @@ def saturation_report(
     Ordered lexicographically by pair; ``achieved`` is the steered state's
     value in the matching relation.
     """
-    if side is Side.ALICE_STEERS_BOB:
-        relations = fine_grained_relations(spec, side, strategy.meas_b)
-    else:
-        relations = fine_grained_relations(spec, side, strategy.meas_a)
-    assemblage = steer_assemblage(strategy, side)
-    return _verdicts(relations, assemblage)
+    return _side_audit(spec, strategy, side)[2]
 
 
 def certain_state_assemblage(
@@ -183,25 +188,25 @@ def certain_state_assemblage(
     Non-degenerate relations contribute their unique top eigenvector.
     Degenerate ones use the projection of the actually-steered state onto
     the eigenspace when a reference assemblage is supplied; otherwise the
-    choice is ambiguous and an error is raised.
+    choice is ambiguous and an error is raised. A degenerate pair the
+    reference never produces (p <= 1e-9) carries no weight in the
+    no-signaling average and takes the first certain-space column, which
+    the eigensolver's phase gauge fixes.
     """
     states: dict[tuple[int, int], np.ndarray] = {}
     for rel in relations:
         basis = rel.certain_space
-        if basis.shape[1] == 1:
+        steered = None
+        if basis.shape[1] > 1:
+            if reference is None:
+                raise AmbiguousDegenerateError(
+                    f"relation {rel.pair} has a degenerate certain space and no reference state"
+                )
+            steered = reference.normalized_state(*rel.pair)
+        if steered is None:
             vec = basis[:, 0]
             states[rel.pair] = np.outer(vec, vec.conj())
             continue
-        if reference is None:
-            raise AmbiguousDegenerateError(
-                f"relation {rel.pair} has a degenerate certain space and no reference state"
-            )
-        x, a = rel.pair
-        steered = reference.normalized_state(x, a)
-        if steered is None:
-            raise AmbiguousDegenerateError(
-                f"relation {rel.pair} is degenerate and the reference never produces it"
-            )
         proj = basis @ basis.conj().T
         projected = proj @ steered @ proj
         trace = float(np.real(np.trace(projected)))
@@ -283,11 +288,10 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     omega_c, maximizers = classical_value(spec)
     omega_q = quantum_game_value(spec, strategy)
 
-    relations_ab = fine_grained_relations(spec, Side.ALICE_STEERS_BOB, strategy.meas_b)
-    relations_ba = fine_grained_relations(spec, Side.BOB_STEERS_ALICE, strategy.meas_a)
-    assemblage_ab = steer_assemblage(strategy, Side.ALICE_STEERS_BOB)
-    verdicts_alice = _verdicts(relations_ab, assemblage_ab)
-    verdicts_bob = _verdicts(relations_ba, steer_assemblage(strategy, Side.BOB_STEERS_ALICE))
+    relations_ab, assemblage_ab, verdicts_alice = _side_audit(
+        spec, strategy, Side.ALICE_STEERS_BOB
+    )
+    relations_ba, _, verdicts_bob = _side_audit(spec, strategy, Side.BOB_STEERS_ALICE)
 
     certain = certain_state_assemblage(relations_ab, reference=assemblage_ab)
     ns_deviation, ns_passes = ns_assemblage_check(assemblage_ab.probabilities, certain)

@@ -43,13 +43,16 @@ class FineGrainedRelation:
     """One uncertainty relation, for one (input, output) pair of the steering party.
 
     ``pair`` is (x, a) when Alice steers and (y, b) when Bob steers.
-    ``certain_space`` holds an orthonormal basis (columns) of the top
+    ``weights`` is the table pi_B(y|x) V(a,b|x,y) indexed [y, b] (the
+    steered party's input and output) that ``operator`` sums the steered
+    party's projectors against. ``certain_space`` holds an orthonormal basis (columns) of the top
     eigenspace of ``operator``. ``trivial`` is only meaningful for binary
     predicates and is None for weighted games.
     """
 
     side: Side
     pair: tuple[int, int]
+    weights: np.ndarray
     operator: np.ndarray
     xi: float
     weight_mass: float
@@ -93,6 +96,7 @@ def _relations_steered_side(
             FineGrainedRelation(
                 side=side,
                 pair=(x, a),
+                weights=weights[x, :, a, :],
                 operator=op,
                 xi=xi,
                 weight_mass=mass,

@@ -62,6 +62,13 @@ def test_relation_operators(case):
         assert np.abs(rel.operator - expected).max() <= ATOL
         if x == 2:
             assert not rel.operator.any() and rel.weight_mass == 0.0
+    for side, remote in ((Side.ALICE_STEERS_BOB, strat.meas_b),
+                         (Side.BOB_STEERS_ALICE, strat.meas_a)):
+        for rel in na.fine_grained_relations(spec, side, remote):
+            n_in, n_out = rel.weights.shape
+            rebuilt = sum(rel.weights[y, b] * remote[y].projectors[b]
+                          for y, b in product(range(n_in), range(n_out)))
+            assert np.abs(rel.operator - rebuilt).max() <= ATOL
 
 
 def test_steered_assemblage(case):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
+from nonlocal_audit.cli import main
 from nonlocal_audit.errors import ParseError, UnknownGameError, ValidationError
 from nonlocal_audit.games import game_from_dict, game_to_dict
 
@@ -185,6 +186,44 @@ def test_game_from_dict_missing_field(g1_spec):
     del doc["outputs"]
     with pytest.raises(ParseError):
         game_from_dict(doc)
+
+
+def _nan_pi(doc):
+    doc["pi"][0][0] = float("nan")
+
+
+def _negative_index(doc):
+    doc["predicate"][3]["x"] = -1
+
+
+def _infinite_weight(doc):
+    doc["binary_predicate"] = False
+    doc["predicate"][0]["v"] = float("inf")
+
+
+def _duplicate_entry(doc):
+    doc["predicate"].append(dict(doc["predicate"][1], v=0))
+
+
+def _fractional_size(doc):
+    doc["inputs"] = [2.7, 2]
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_nan_pi, "pi[0][0]"),
+    (_negative_index, "predicate[3].x"),
+    (_infinite_weight, "predicate[x=0,y=0,a=0,b=0]"),
+    (_duplicate_entry, "predicate[5]: duplicates predicate[1]"),
+    (_fractional_size, "inputs[0]"),
+])
+def test_game_file_holes_exit_2(tmp_path, capsys, g1_spec, corrupt, field):
+    doc = game_to_dict(g1_spec)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 def test_swap_parties_involution(g2_spec):

@@ -223,6 +223,27 @@ class TestOptimizePlanar:
         assert np.array_equal(serial.strategy.state, threaded.strategy.state)
 
 
+    def test_refinement_bracket_stays_within_one_period(self, monkeypatch):
+        # On this game the refinement bracket used to double every round until
+        # golden section could no longer shrink it below its tolerance.
+        wins = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
+                (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)]
+        predicate = np.zeros((2, 2, 2, 2))
+        for entry in wins:
+            predicate[entry] = 1.0
+        spec = na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
+                           predicate=predicate, input_dist=np.full((2, 2), 0.25))
+        golden = quantum._golden_max
+
+        def bounded(f, lo, hi, tol=1e-10):
+            assert hi - lo <= 2.0 * math.pi + 1e-9
+            return golden(f, lo, hi, tol)
+
+        monkeypatch.setattr(quantum, "_golden_max", bounded)
+        solution = na.optimize_planar(spec, grid_points=121)
+        assert solution.residual is None
+
+
 def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
     """Weighted 2x2x2x2 games with uniform-random predicates and non-uniform pi."""
     rng = np.random.default_rng(seed)

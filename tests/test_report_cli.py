@@ -29,7 +29,7 @@ def cglmp_run():
 class TestRunAnalyze:
     def test_g1_summary(self, g1_run):
         assert g1_run.method == "closed_form"
-        assert g1_run.omega_c == 0.5
+        assert g1_run.report.omega_c == 0.5
         assert abs(g1_run.solution.value - OMEGA_Q_G1) <= 1e-10
         assert abs(g1_run.solution.value - 0.544598646541) <= 1e-9
         assert not g1_run.report.correspondence_holds
@@ -37,7 +37,7 @@ class TestRunAnalyze:
     def test_cglmp_summary(self, cglmp_run):
         assert cglmp_run.method == "fixed_catalog_strategy"
         assert cglmp_run.report.correspondence_holds
-        assert 4.0 * cglmp_run.omega_c == 6.0
+        assert 4.0 * cglmp_run.report.omega_c == 6.0
 
     def test_each_stage_computed_once(self, monkeypatch):
         calls = []
@@ -87,6 +87,20 @@ class TestRunAnalyze:
         run = na.run_analyze(str(path), AnalysisOptions(grid_points=121))
         assert run.method == "planar_grid"
         assert abs(run.solution.value - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-7
+
+    def test_residual_only_for_catalog_tables(self, tmp_path, chsh_spec):
+        # a charpoly residual belongs to the catalog tables, not to the id
+        variant = na.GameSpec(
+            id="g1", n_x=2, n_y=2, n_a=2, n_b=2,
+            predicate=chsh_spec.predicate, input_dist=chsh_spec.input_dist,
+        )
+        path = tmp_path / "variant.json"
+        na.save_game(variant, path)
+        run = na.run_analyze(str(path), AnalysisOptions(grid_points=121))
+        assert json.loads(na.render_report(run, "json"))["quantum"]["residual"] is None
+        catalog = na.run_analyze("g1", AnalysisOptions(grid_points=121, closed_form=False))
+        assert catalog.method == "planar_grid"
+        assert abs(catalog.solution.residual) <= 1e-9
 
     def test_file_matching_catalog_gets_closed_form(self, tmp_path, g1_spec):
         path = tmp_path / "same-g1.json"
@@ -148,6 +162,10 @@ class TestJsonReport:
         first = na.render_report(na.run_analyze(str(path), options), "json")
         second = na.render_report(na.run_analyze(str(path), options), "json")
         assert first == second
+
+    def test_options_keys(self, g1_run):
+        doc = json.loads(na.render_report(g1_run, "json"))
+        assert list(doc["options"]) == ["grid_points", "closed_form"]
 
     def test_wall_time_not_in_json(self, g1_run):
         doc = run_document(g1_run)
@@ -235,6 +253,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "saturated" in out
         assert "correspondence_holds: False" in out
+
+    def test_steer_is_the_analyze_steering_block(self, capsys):
+        assert main(["steer", "g2"]) == 0
+        block = capsys.readouterr().out.splitlines()
+        text = na.render_report(na.run_analyze("g2"), "text").splitlines()
+        assert block[0] == "Alice steers Bob:"
+        assert any(text[i:i + len(block)] == block for i in range(len(text)))
+
+    def test_analyze_vacuous_degenerate_pair(self, tmp_path, capsys):
+        # Alice's pair (1, 1) wins nowhere, so its relation operator is zero
+        # (the whole space is certain), and the optimal strategy never produces it.
+        wins = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)]
+        doc = {
+            "id": "vacuous-degenerate", "inputs": [2, 2], "outputs": [2, 2],
+            "pi": [[0.25, 0.25], [0.25, 0.25]],
+            "predicate": [{"x": x, "y": y, "a": a, "b": b, "v": 1} for x, y, a, b in wins],
+        }
+        path = tmp_path / "vacuous.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 0
+        assert "  (1,1)   0.000000    0.000000" in capsys.readouterr().out
 
     def test_analyze_json_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
