@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list_games
     )
 
-    p = sub.add_parser("classical", help="exact classical value by enumeration")
+    p = sub.add_parser("classical", help="exact classical value and maximizers by best response")
     p.add_argument("game", help="catalog id or JSON game file")
     p.set_defaults(func=_cmd_classical)
 

@@ -43,7 +43,13 @@ class RangeError(NonlocalAuditError):
 
 
 class TooLargeError(NonlocalAuditError):
-    """Deterministic-strategy enumeration would exceed the feasibility guard."""
+    """The classical computation would exceed ``ENUMERATION_GUARD``.
+
+    The guard bounds the best-response score table of the enumerated side
+    (its response functions times the other side's inputs and outputs) and
+    the candidate strategy pairs that are rescored, which bound the
+    maximizers listed.
+    """
 
 
 class NotPlanarApplicableError(NonlocalAuditError):

@@ -325,6 +325,20 @@ def _sizes(data: dict, field: str) -> tuple[int, int]:
     return first, second
 
 
+def _number(v, field: str) -> float:
+    # A JSON number; booleans and numeric strings such as "1" are refused.
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError([f"{field}: {v!r} is not a number"])
+    return float(v)
+
+
+def _flag(v, field: str) -> bool:
+    # A JSON boolean; the string "false" would otherwise read as true.
+    if not isinstance(v, bool):
+        raise ValidationError([f"{field}: {v!r} is not a boolean (true or false)"])
+    return v
+
+
 def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]:
     index = tuple(entry[key] for key in "xyab")
     for key, i, n in zip("xyab", index, shape):
@@ -338,7 +352,11 @@ def game_from_dict(data: dict) -> GameSpec:
     try:
         n_x, n_y = _sizes(data, "inputs")
         n_a, n_b = _sizes(data, "outputs")
-        pi = np.array(data["pi"], dtype=float)
+        pi = np.array(
+            [[_number(p, f"pi[{i}][{j}]") for j, p in enumerate(row)]
+             for i, row in enumerate(data["pi"])],
+            dtype=float,
+        )
         pred = np.zeros((max(n_x, 1), max(n_y, 1), max(n_a, 1), max(n_b, 1)))
         first_entry: dict[tuple[int, ...], int] = {}
         for k, entry in enumerate(data["predicate"]):
@@ -348,13 +366,13 @@ def game_from_dict(data: dict) -> GameSpec:
                 raise ValidationError(
                     [f"predicate[{k}]: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"]
                 )
-            pred[index] = float(entry["v"])
+            pred[index] = _number(entry["v"], f"predicate[{k}].v")
         spec = GameSpec(
             id=str(data["id"]),
             n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
             predicate=pred,
             input_dist=pi,
-            binary_predicate=bool(data.get("binary_predicate", True)),
+            binary_predicate=_flag(data.get("binary_predicate", True), "binary_predicate"),
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed game document: {exc!r}") from exc

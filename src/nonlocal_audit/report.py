@@ -278,7 +278,9 @@ def run_document(run: AnalysisRun) -> dict:
 
 
 def _fmt6(v: float) -> str:
-    return f"{v:.6f}"
+    # A value that rounds to zero prints unsigned: a gap of -1e-12 is "0.000000".
+    text = f"{v:.6f}"
+    return text[1:] if text == "-0.000000" else text
 
 
 def _values_line(values: list[dict]) -> str:

@@ -75,16 +75,26 @@ def _worst_distance(averages: list[np.ndarray]) -> float:
     )
 
 
+def _check_strategy(strategy: QuantumStrategy) -> None:
+    violations = strategy.validate()
+    if violations:
+        raise DimensionMismatchError("invalid strategy: " + "; ".join(violations))
+
+
 def steer_assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
     """Conditional states prepared on the remote side by local measurements.
 
     For Alice steering: sigma_{a|x} = tr_A[(Pi^x_a (x) 1) |psi><psi|].
+    The strategy is validated first (``DimensionMismatchError``).
     """
+    _check_strategy(strategy)
+    return _assemblage(strategy, steering_party)
+
+
+def _assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
+    """``steer_assemblage`` for a strategy that has already been validated."""
     if steering_party is Side.BOB_STEERS_ALICE:
-        return steer_assemblage(swap_strategy(strategy), Side.ALICE_STEERS_BOB)
-    violations = strategy.validate()
-    if violations:
-        raise DimensionMismatchError("invalid strategy: " + "; ".join(violations))
+        strategy = swap_strategy(strategy)
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
     projectors = projector_stack(strategy.meas_a)
     n_inputs, n_outcomes = projectors.shape[:2]
@@ -161,10 +171,13 @@ def _verdicts(
 def _side_audit(
     spec: GameSpec, strategy: QuantumStrategy, side: Side
 ) -> tuple[list[FineGrainedRelation], Assemblage, list[SteeringVerdict]]:
-    """Relations on the steered party, the steered assemblage, and their verdicts."""
+    """Relations on the steered party, the steered assemblage, and their verdicts.
+
+    The strategy must already be validated.
+    """
     remote = strategy.meas_b if side is Side.ALICE_STEERS_BOB else strategy.meas_a
     relations = fine_grained_relations(spec, side, remote)
-    assemblage = steer_assemblage(strategy, side)
+    assemblage = _assemblage(strategy, side)
     return relations, assemblage, _verdicts(relations, assemblage)
 
 
@@ -176,6 +189,7 @@ def saturation_report(
     Ordered lexicographically by pair; ``achieved`` is the steered state's
     value in the matching relation.
     """
+    _check_strategy(strategy)
     return _side_audit(spec, strategy, side)[2]
 
 
@@ -283,8 +297,10 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     """Assemble the full audit for one strategy.
 
     The report records the value this strategy achieves; optimality of the
-    strategy is the caller's responsibility.
+    strategy is the caller's responsibility. The strategy is validated once,
+    before anything is computed (``DimensionMismatchError``).
     """
+    _check_strategy(strategy)
     omega_c, maximizers = classical_value(spec)
     omega_q = quantum_game_value(spec, strategy)
 

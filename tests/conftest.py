@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 import nonlocal_audit as na
+from nonlocal_audit.classical import TIE_ATOL
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -53,6 +55,33 @@ def random_strategy(
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def enumerate_classical(spec: na.GameSpec) -> tuple[float, list[na.DeterministicStrategy]]:
+    """Classical value and maximizers by scoring every deterministic strategy pair.
+
+    The reference for ``classical_value``: a Python loop with Alice's
+    function outermost, each pair summed x outer and y inner, and a running
+    maximum that keeps every pair within ``TIE_ATOL`` of it. Only for small
+    games (13-51 us per pair).
+    """
+    best = float("-inf")
+    maximizers: list[na.DeterministicStrategy] = []
+    for f_a in product(range(spec.n_a), repeat=spec.n_x):
+        for f_b in product(range(spec.n_b), repeat=spec.n_y):
+            value = 0.0
+            for x in range(spec.n_x):
+                for y in range(spec.n_y):
+                    value += spec.input_dist[x, y] * spec.predicate[x, y, f_a[x], f_b[y]]
+            s = na.DeterministicStrategy(f_a=f_a, f_b=f_b)
+            if value > best + TIE_ATOL:
+                best = value
+                maximizers = [s]
+            elif value >= best - TIE_ATOL:
+                maximizers.append(s)
+                if value > best:
+                    best = value
+    return best, maximizers
 
 
 def bloch_state(theta: float, phi: float) -> np.ndarray:

@@ -1,13 +1,23 @@
-"""Deterministic-strategy enumeration against hand-computed oracles."""
+"""The best-response classical value against hand-computed oracles and a full enumeration.
 
+``classical_value`` enumerates the response functions of the side with fewer
+of them and rescores the near-best pairs exactly; ``enumerate_classical``
+(conftest) scores every strategy pair one by one and must agree bit for bit.
+``ENUMERATION_GUARD`` bounds the enumerated side's score table and the
+candidate maximizers.
+"""
+
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.classical import DeterministicStrategy
+from nonlocal_audit.classical import ENUMERATION_GUARD, DeterministicStrategy
 from nonlocal_audit.errors import RangeError, TooLargeError
+
+from conftest import enumerate_classical
 
 
 def test_strategy_value_g1_all_zero(g1_spec):
@@ -115,3 +125,97 @@ def test_enumeration_guard():
     )
     with pytest.raises(TooLargeError):
         na.classical_value(spec)
+
+
+# n_x < n_y and n_x > n_y, so that each party's side is the enumerated one
+REFERENCE_SHAPES = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+                    (2, 4), (4, 2), (3, 4), (4, 3), (4, 4), (1, 4)]
+REFERENCE_KINDS = ["binary", "weighted", "integer", "ties", "three-output"]
+
+
+def _reference_game(kind: str, n_x: int, n_y: int, seed: int) -> na.GameSpec:
+    rng = np.random.default_rng(seed)
+    n_a = n_b = 2
+    pi = np.full((n_x, n_y), 1.0 / (n_x * n_y))
+    if kind == "three-output":
+        n_a, n_b = (3, 2) if seed % 2 else (2, 3)
+    shape = (n_x, n_y, n_a, n_b)
+    if kind in ("binary", "three-output"):
+        predicate = (rng.random(shape) < 0.5).astype(float)
+    elif kind == "weighted":
+        predicate = np.where(rng.random(shape) < 0.5, rng.uniform(0.5, 1.5, shape), 0.0)
+        pi = rng.uniform(0.5, 1.5, (n_x, n_y))
+        pi /= pi.sum()
+    elif kind == "integer":
+        # small integer weights and pi in small integer ratios: many pairs tie
+        # exactly, and many only up to the rounding of their sums
+        predicate = rng.integers(0, 3, size=shape).astype(float)
+        pi = rng.integers(1, 4, size=(n_x, n_y)).astype(float)
+        pi /= pi.sum()
+    else:
+        # every output pair wins on some input pairs and none on the rest
+        rows = rng.random((n_x, n_y)) < 0.6
+        predicate = np.broadcast_to(rows[:, :, None, None], shape).astype(float)
+    return na.GameSpec(
+        id=f"{kind}-{n_x}x{n_y}", n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
+        predicate=predicate, input_dist=pi,
+        binary_predicate=kind not in ("weighted", "integer"),
+    )
+
+
+REFERENCE_CASES = [
+    pytest.param(kind, n_x, n_y, id=f"{kind}-{n_x}x{n_y}")
+    for kind in REFERENCE_KINDS
+    for n_x, n_y in REFERENCE_SHAPES
+] + [pytest.param("catalog", game_id, None, id=game_id) for game_id in na.GAME_IDS]
+
+
+@pytest.mark.parametrize("kind, n_x, n_y", REFERENCE_CASES)
+def test_matches_full_enumeration(kind, n_x, n_y):
+    if kind == "catalog":
+        spec = na.builtin_game(n_x)
+    else:
+        seed = 1000 * REFERENCE_KINDS.index(kind) + REFERENCE_SHAPES.index((n_x, n_y))
+        spec = _reference_game(kind, n_x, n_y, seed)
+    value, maximizers = na.classical_value(spec)
+    expected_value, expected_maximizers = enumerate_classical(spec)
+    assert float(value).hex() == float(expected_value).hex()
+    assert maximizers == expected_maximizers
+
+
+def test_ten_by_ten_binary_game():
+    rng = np.random.default_rng(10)
+    spec = na.GameSpec(
+        id="binary-10x10", n_x=10, n_y=10, n_a=2, n_b=2,
+        predicate=(rng.random((10, 10, 2, 2)) < 0.5).astype(float),
+        input_dist=np.full((10, 10), 0.01),
+    )
+    value, maximizers = na.classical_value(spec)
+    assert maximizers
+    assert all(na.strategy_value(spec, s) == value for s in maximizers)
+    # the swapped game enumerates the other party's functions
+    swapped_value, swapped_maximizers = na.classical_value(na.swap_parties(spec))
+    assert abs(swapped_value - value) <= 1e-12
+    assert sorted((s.f_b, s.f_a) for s in swapped_maximizers) == [
+        (s.f_a, s.f_b) for s in maximizers
+    ]
+
+
+def test_candidate_guard_before_allocation():
+    # 2^24 strategy pairs all tie: over the guard, refused before any list is built
+    rng = np.random.default_rng(12)
+    rows = rng.random((12, 12)) < 0.6
+    spec = na.GameSpec(
+        id="ties-12x12", n_x=12, n_y=12, n_a=2, n_b=2,
+        predicate=np.broadcast_to(rows[:, :, None, None], (12, 12, 2, 2)).astype(float),
+        input_dist=np.full((12, 12), 1.0 / 144.0),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=f"16777216 candidate maximizers exceed "
+                                                f"the guard of {ENUMERATION_GUARD}"):
+            na.classical_value(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

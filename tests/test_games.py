@@ -209,12 +209,32 @@ def _fractional_size(doc):
     doc["inputs"] = [2.7, 2]
 
 
+def _string_flag(doc):
+    doc["binary_predicate"] = "false"
+
+
+def _string_weight(doc):
+    doc["predicate"][3]["v"] = "1"
+
+
+def _boolean_weight(doc):
+    doc["predicate"][3]["v"] = True
+
+
+def _string_probability(doc):
+    doc["pi"][0][1] = "0.25"
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (_nan_pi, "pi[0][0]"),
     (_negative_index, "predicate[3].x"),
     (_infinite_weight, "predicate[x=0,y=0,a=0,b=0]"),
     (_duplicate_entry, "predicate[5]: duplicates predicate[1]"),
     (_fractional_size, "inputs[0]"),
+    (_string_flag, "binary_predicate: 'false' is not a boolean"),
+    (_string_weight, "predicate[3].v: '1' is not a number"),
+    (_boolean_weight, "predicate[3].v: True is not a number"),
+    (_string_probability, "pi[0][1]: '0.25' is not a number"),
 ])
 def test_game_file_holes_exit_2(tmp_path, capsys, g1_spec, corrupt, field):
     doc = game_to_dict(g1_spec)

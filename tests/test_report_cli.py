@@ -202,6 +202,18 @@ class TestTextReport:
         assert any(v.vacuous for v in verdicts)
 
 
+    def test_gap_just_below_zero_prints_unsigned(self):
+        from nonlocal_audit.report import _verdict_table
+
+        verdict = na.SteeringVerdict(
+            pair=(0, 1), probability=0.5, xi=0.75, achieved=0.75 + 1e-12, gap=-1e-12,
+            saturated=True, vacuous=False, trivial_relation=False,
+        )
+        row = _verdict_table("Bob steers Alice:", [verdict])[-1]
+        assert "-0.000000" not in row
+        assert row.split()[4] == "0.000000"
+
+
 class TestCli:
     def test_list_games(self, capsys):
         assert main(["list-games"]) == 0

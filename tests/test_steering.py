@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.errors import AmbiguousDegenerateError, InvalidDistributionError
+from nonlocal_audit.errors import (
+    AmbiguousDegenerateError,
+    DimensionMismatchError,
+    InvalidDistributionError,
+)
 
 from conftest import planar_strategy, random_strategy
 
@@ -19,7 +23,16 @@ def _strategy_with_state(base: na.QuantumStrategy, state: np.ndarray) -> na.Quan
     )
 
 
+def _unnormalized(strategy: na.QuantumStrategy) -> na.QuantumStrategy:
+    return _strategy_with_state(strategy, 2.0 * strategy.state)
+
+
 class TestSteerAssemblage:
+    @pytest.mark.parametrize("side", list(na.Side))
+    def test_invalid_strategy_refused(self, g1_solution, side):
+        with pytest.raises(DimensionMismatchError, match="state: not normalized"):
+            na.steer_assemblage(_unnormalized(g1_solution.strategy), side)
+
     def test_bell_state_projection(self, g1_spec):
         meas_a = (
             na.ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0]).astype(complex),
@@ -254,3 +267,22 @@ class TestCorrespondenceVerdict:
         assert report.correspondence_holds
         assert abs(report.up_bound - report.omega_q) <= 1e-6
         assert report.ns_passes
+
+    def test_invalid_strategy_refused(self, g1_spec, g1_solution):
+        bad = _unnormalized(g1_solution.strategy)
+        with pytest.raises(DimensionMismatchError, match="state: not normalized"):
+            na.correspondence_verdict(g1_spec, bad)
+        with pytest.raises(DimensionMismatchError, match="state: not normalized"):
+            na.saturation_report(g1_spec, bad, na.Side.BOB_STEERS_ALICE)
+
+    def test_strategy_validated_once(self, g1_spec, g1_solution, monkeypatch):
+        calls = []
+        original = na.QuantumStrategy.validate
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(na.QuantumStrategy, "validate", counted)
+        na.correspondence_verdict(g1_spec, g1_solution.strategy)
+        assert calls == [g1_solution.strategy]
