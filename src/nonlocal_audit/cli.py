@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal numeric failure or standard output closed
-by its reader, 2 usage or input error.
-The worker count for the planar grid scan is capped by the environment
-variable NONLOCAL_AUDIT_THREADS (0 = auto; anything but a non-negative
-integer is a usage error).
+by its reader, 2 usage or input error. ``--grid`` sets the first partition
+of the planar branch and bound, (grid - 1) // 16 cells per axis of the
+quarter [0, pi]^2. The argument parser is built once per process and reused
+by every call of ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -20,7 +21,6 @@ from .errors import (
     NotPlanarApplicableError,
     NotSquareError,
     ParseError,
-    SettingError,
     TooLargeError,
     UnknownGameError,
     ValidationError,
@@ -43,7 +43,6 @@ USAGE_ERRORS = (
     ValidationError,
     TooLargeError,
     NotPlanarApplicableError,
-    SettingError,
 )
 
 
@@ -79,6 +78,8 @@ def _cmd_quantum(args) -> int:
     print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
+    if solution.upper_bound is not None:
+        print(f"certified upper bound over the planar family: {solution.upper_bound:.12g}")
     if solution.angles is not None:
         print(f"alpha = {[f'{t:.9g}' for t in solution.angles.alpha]}")
         print(f"beta  = {[f'{t:.9g}' for t in solution.angles.beta]}")
@@ -153,7 +154,8 @@ def _grid_points(text: str) -> int:
 
 def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_grid_points, default=721,
-                   help=f"grid points per angle axis, {GRID_MIN} to {GRID_MAX} (default 721)")
+                   help=f"grid points per angle axis, {GRID_MIN} to {GRID_MAX} (default 721); "
+                   "the planar search starts from (GRID - 1) // 16 cells per quarter axis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="catalog id or JSON game file")
     p.set_defaults(func=_cmd_classical)
 
-    p = sub.add_parser("quantum", help="quantum value (planar grid or closed form)")
+    p = sub.add_parser("quantum", help="quantum value (certified planar search or closed form)")
     p.add_argument("game")
     _add_grid(p)
     p.add_argument("--closed-form", action="store_true", help="use the exact closed form")
@@ -204,10 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

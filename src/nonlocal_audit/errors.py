@@ -62,7 +62,3 @@ class InvalidDistributionError(NonlocalAuditError):
 
 class AmbiguousDegenerateError(NonlocalAuditError):
     """A degenerate certain space has no reference state to resolve it."""
-
-
-class SettingError(NonlocalAuditError):
-    """An environment setting has a value the program cannot use."""

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ParseError, UnknownGameError, ValidationError
 
 PI_SUM_ATOL = 1e-12
+# Entries of the dense predicate table n_x * n_y * n_a * n_b; a game file
+# over it is refused before the table is allocated.
+MAX_PREDICATE_ENTRIES = 1_000_000
 
 GAME_IDS = ("g1", "g2", "chsh", "cglmp")
 
@@ -325,6 +328,25 @@ def _sizes(data: dict, field: str) -> tuple[int, int]:
     return first, second
 
 
+def _check_table_size(inputs: tuple[int, int], outputs: tuple[int, int]) -> None:
+    # The table is allocated with sizes below 1 raised to 1 (validate_game
+    # reports those); Python integers make the products exact.
+    sizes = {"inputs": inputs, "outputs": outputs}
+    pairs = {field: max(m, 1) * max(n, 1) for field, (m, n) in sizes.items()}
+    for field, count in pairs.items():
+        if count > MAX_PREDICATE_ENTRIES:
+            raise ValidationError([
+                f"{field}: {list(sizes[field])} gives {count} pairs, more than the "
+                f"{MAX_PREDICATE_ENTRIES} predicate entries allowed"
+            ])
+    if pairs["inputs"] * pairs["outputs"] > MAX_PREDICATE_ENTRIES:
+        raise ValidationError([
+            f"inputs, outputs: {list(inputs)} x {list(outputs)} gives "
+            f"{pairs['inputs'] * pairs['outputs']} predicate entries, more than the "
+            f"{MAX_PREDICATE_ENTRIES} allowed"
+        ])
+
+
 def _number(v, field: str) -> float:
     # A JSON number; booleans and numeric strings such as "1" are refused.
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -352,6 +374,7 @@ def game_from_dict(data: dict) -> GameSpec:
     try:
         n_x, n_y = _sizes(data, "inputs")
         n_a, n_b = _sizes(data, "outputs")
+        _check_table_size((n_x, n_y), (n_a, n_b))
         pi = np.array(
             [[_number(p, f"pi[{i}][{j}]") for j, p in enumerate(row)]
              for i, row in enumerate(data["pi"])],

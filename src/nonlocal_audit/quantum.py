@@ -15,16 +15,13 @@ unitary freedom.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     NotPlanarApplicableError,
-    SettingError,
     UnknownGameError,
 )
 from .games import GameSpec, builtin_game, matches_catalog
@@ -33,9 +30,8 @@ from .hermitian import eig_hermitian
 PROJECTOR_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_CHUNK_ROWS = 16
-# Grid points per angle axis: the scan costs (grid_points / 2)^2 4x4 solves.
+# Grid points per angle axis; the planar search starts from
+# (grid_points - 1) // 16 cells per axis of the quarter [0, pi]^2.
 GRID_MIN = 64
 GRID_MAX = 4097
 
@@ -122,13 +118,15 @@ class OptimalSolution:
 
     ``residual`` is the value of the game's closed-form characteristic
     polynomial at the solution (only for the catalog tables of a game that
-    has one, else None).
+    has one, else None). ``upper_bound`` is the certified bound on the
+    planar family's value from ``optimize_planar`` (None on other routes).
     """
 
     strategy: QuantumStrategy
     value: float
     angles: PlanarAngles | None
     residual: float | None
+    upper_bound: float | None = None
 
 
 def swap_strategy(strategy: QuantumStrategy) -> QuantumStrategy:
@@ -288,14 +286,24 @@ def closed_form_optimum(game_id: str) -> OptimalSolution:
 # Planar two-angle optimization
 # ---------------------------------------------------------------------------
 
-
-def _worker_count() -> int:
-    raw = os.environ.get("NONLOCAL_AUDIT_THREADS") or "0"
-    if not raw.strip().isdigit():
-        raise SettingError(
-            f"NONLOCAL_AUDIT_THREADS must be a non-negative integer (0 = auto), got {raw!r}"
-        )
-    return int(raw) or min(os.cpu_count() or 1, 8)
+# Certified gap: the search ends once no point of the quarter can beat the
+# reported value by more than GAP_TOL.
+GAP_TOL = 1e-9
+# Branch-and-bound cells per LAPACK batch (one to five real 4x4 solves
+# each), and caps on the cells a split may produce and on the rounds; when
+# a cap binds the search stops and reports the bound it reached. The first
+# partition holds at most ((GRID_MAX - 1) // 16)^2 = 65536 cells.
+_BATCH_CELLS = 1024
+MAX_CELLS = 1 << 14
+MAX_ROUNDS = 40
+_CHILD_OFFSETS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+# An ascent step is kept unless it lowers lambda_max by more than rounding;
+# one that does is halved at most this often.
+_ROUNDING = 1e-13
+_HALVINGS = 8
+# Below this gap to the next eigenvalue the top one counts as degenerate and
+# has no Hessian.
+_DEGENERATE = 1e-10
 
 
 def _planar_kernel(spec: GameSpec) -> np.ndarray:
@@ -315,63 +323,151 @@ def _planar_kernel(spec: GameSpec) -> np.ndarray:
     return kernel.reshape(3, 3, 4, 4)
 
 
-def _trig(t: float) -> np.ndarray:
-    return np.array([1.0, math.cos(t), math.sin(t)])
+def _trig(t) -> np.ndarray:
+    """f = (1, cos t, sin t) and its first two derivatives, shape (3, *t.shape, 3)."""
+    t = np.asarray(t, dtype=float)
+    one, zero, cos, sin = np.ones_like(t), np.zeros_like(t), np.cos(t), np.sin(t)
+    return np.stack([
+        np.stack([one, cos, sin], axis=-1),
+        np.stack([zero, -sin, cos], axis=-1),
+        np.stack([zero, -cos, -sin], axis=-1),
+    ])
 
 
-def _grid_lambda_max(spec: GameSpec, thetas: np.ndarray, workers: int) -> np.ndarray:
-    """lambda_max(B(alpha1, beta1)) with both angles on ``thetas``, shape (G, G).
+def _curvature_bound(kernel: np.ndarray) -> float:
+    """K_aa + 2 K_ab + K_bb, with |d^T (d^2 B) d| <= (K_aa + 2 K_ab + K_bb) max|d_i|^2.
 
-    B comes from the real trigonometric kernel of ``_planar_kernel``: a chunk
-    of rows is two small matmuls of the (1, cos, sin) features against the
-    kernel and one batched real ``eigvalsh``; the final reported solution is
-    recomputed from the complex ``bell_operator``. Results are independent of
-    the worker count, which is capped at the number of chunks: the grid is
-    split into fixed row chunks and each cell is solved in isolation.
+    Each second derivative of B contracts the M[u, v] with coefficients of
+    modulus at most 1, and zero where u (for alpha1) or v (for beta1) is the
+    constant term, so its norm is at most the sum of those ||M[u, v]||.
     """
-    g = thetas.shape[0]
-    kernel = _planar_kernel(spec).reshape(3, 48)
-    trig = np.stack([np.ones(g), np.cos(thetas), np.sin(thetas)], axis=1)
-    row_chunks = [slice(start, start + _GRID_CHUNK_ROWS) for start in range(0, g, _GRID_CHUNK_ROWS)]
-
-    def solve_rows(rows: slice) -> np.ndarray:
-        ops = trig @ (trig[rows] @ kernel).reshape(-1, 3, 16)  # (rows, G, 16)
-        return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1].reshape(-1, g)
-
-    workers = min(workers, len(row_chunks))
-    if workers <= 1:
-        return np.concatenate([solve_rows(rows) for rows in row_chunks])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(solve_rows, row_chunks)))
+    norms = np.abs(np.linalg.eigvalsh(kernel)).max(axis=-1)
+    return float(norms[1:, :].sum() + 2.0 * norms[1:, 1:].sum() + norms[:, 1:].sum())
 
 
-def _kernel_lambda_max(kernel: np.ndarray, alpha1: float, beta1: float) -> float:
-    """lambda_max of B(alpha1, beta1) from a kernel reshaped to (3, 48)."""
-    op = _trig(beta1) @ (_trig(alpha1) @ kernel).reshape(3, 16)
-    return float(np.linalg.eigvalsh(op.reshape(4, 4))[-1])
+def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
+    """lambda_max of B(alpha1, beta1) with its gradient and Hessian in the two angles.
+
+    The derivatives are first- and second-order perturbation theory of the
+    top eigenpair, on derivatives of B taken term by term from the kernel.
+    The Hessian is None where the top eigenvalue is degenerate.
+    """
+    fa, fb = _trig(alpha1), _trig(beta1)
+    ops = np.einsum("iu,jv,uvkl->ijkl", fa, fb, kernel)  # d^i/d alpha1^i d^j/d beta1^j of B
+    lam, vecs = np.linalg.eigh(ops[0, 0])
+    top = vecs[:, -1]
+    coupling = np.stack([ops[1, 0] @ top, ops[0, 1] @ top]) @ vecs  # <v_k| dB |top>
+    grad = coupling[:, -1]
+    gaps = lam[-1] - lam[:-1]
+    if gaps[-1] <= _DEGENERATE:
+        return float(lam[-1]), grad, None
+    second = np.array([[top @ ops[2, 0] @ top, top @ ops[1, 1] @ top],
+                       [top @ ops[1, 1] @ top, top @ ops[0, 2] @ top]])
+    hess = second + 2.0 * (coupling[:, :-1] / gaps) @ coupling[:, :-1].T
+    return float(lam[-1]), grad, hess
 
 
-def _lambda_max_fast(spec: GameSpec, alpha1: float, beta1: float) -> float:
-    """Objective for the local refinement; matches lambda_max of ``bell_operator`` to 1e-12."""
-    return _kernel_lambda_max(_planar_kernel(spec).reshape(3, 48), alpha1, beta1)
+def _cell_terms(flat_kernel: np.ndarray, centres: np.ndarray, halfwidth: float):
+    """B(c), r dB/d alpha1 and r dB/d beta1 at cell centres c, each (n, 16)."""
+    fa, fb = _trig(centres[:, 0]), _trig(centres[:, 1])
+    half, d_half = (fa[:2] @ flat_kernel).reshape(2, -1, 3, 16)
+    return (
+        np.einsum("nv,nvk->nk", fb[0], half),
+        halfwidth * np.einsum("nv,nvk->nk", fb[0], d_half),
+        halfwidth * np.einsum("nv,nvk->nk", fb[1], half),
+    )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+def _top_eigenvalues(ops: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1]
+
+
+def _cell_bounds(
+    kernel: np.ndarray, centres: np.ndarray, halfwidth: float, curvature: float,
+    incumbent: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_max at each cell centre, and an upper bound on it over the cell.
+
+    A cell is the square of half-width r around its centre c. On it
+    B(c + d) = B(c) + d_a dB/d alpha1 + d_b dB/d beta1 + R with
+    ||R|| <= curvature r^2 / 2. By Weyl's inequality lambda_max stays below
+    lambda_max(B(c)) + ||r dB/d alpha1||_F + ||r dB/d beta1||_F + ||R||.
+    Where that does not settle the cell against the best value known
+    (``incumbent`` or a centre of this round), the bound is tightened to the
+    largest top eigenvalue of the affine part at the four corners, which is
+    its maximum over the cell since lambda_max is convex, plus ||R||.
+    """
+    flat = kernel.reshape(3, 48)
+    remainder = 0.5 * curvature * halfwidth * halfwidth
+    values, bounds = np.empty(len(centres)), np.empty(len(centres))
+    for start in range(0, len(centres), _BATCH_CELLS):
+        cells = slice(start, start + _BATCH_CELLS)
+        op, d_alpha, d_beta = _cell_terms(flat, centres[cells], halfwidth)
+        values[cells] = _top_eigenvalues(op)
+        bounds[cells] = (values[cells] + np.linalg.norm(d_alpha, axis=1)
+                         + np.linalg.norm(d_beta, axis=1) + remainder)
+    unsettled = np.flatnonzero(bounds > max(incumbent, values.max()) + 0.5 * GAP_TOL)
+    for start in range(0, len(unsettled), _BATCH_CELLS):
+        cells = unsettled[start : start + _BATCH_CELLS]
+        op, d_alpha, d_beta = _cell_terms(flat, centres[cells], halfwidth)
+        corners = np.stack([op + d_alpha + d_beta, op + d_alpha - d_beta,
+                            op - d_alpha + d_beta, op - d_alpha - d_beta])
+        corner_max = _top_eigenvalues(corners).reshape(4, -1).max(axis=0)
+        bounds[cells] = np.minimum(bounds[cells], corner_max + remainder)
+    return values, bounds
+
+
+@dataclass(frozen=True)
+class PlanarSearch:
+    """Branch-and-bound result: the best cell centre found and a bound over the quarter.
+
+    ``upper`` bounds lambda_max over all of [0, pi]^2; it lies within
+    GAP_TOL / 2 of ``value`` unless ``capped`` (MAX_CELLS or MAX_ROUNDS
+    stopped the search first). ``cells`` counts the cells evaluated.
+    """
+
+    alpha1: float
+    beta1: float
+    value: float
+    upper: float
+    rounds: int
+    cells: int
+    capped: bool
+
+
+def branch_and_bound(kernel: np.ndarray, cells_per_axis: int) -> PlanarSearch:
+    """Certified maximum of lambda_max over the quarter [0, pi]^2.
+
+    Starts from ``cells_per_axis``^2 square cells. Each round evaluates the
+    open cells, discards those whose bound does not exceed the best centre
+    value by more than GAP_TOL / 2, and splits the rest in four.
+    """
+    curvature = _curvature_bound(kernel)
+    halfwidth = math.pi / (2 * cells_per_axis)
+    axis = (2 * np.arange(cells_per_axis) + 1) * halfwidth
+    centres = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    best, best_value, upper, evaluated = centres[0], -math.inf, -math.inf, 0
+    for rounds in range(1, MAX_ROUNDS + 1):
+        values, bounds = _cell_bounds(kernel, centres, halfwidth, curvature, best_value)
+        evaluated += len(centres)
+        k = int(np.argmax(values))  # first occurrence = lexicographic tie-break
+        if values[k] > best_value:
+            best, best_value = centres[k], float(values[k])
+        open_cells = bounds > best_value + 0.5 * GAP_TOL
+        if not open_cells.all():
+            upper = max(upper, float(bounds[~open_cells].max()))
+        centres = centres[open_cells]
+        capped = len(centres) > 0 and (rounds == MAX_ROUNDS or 4 * len(centres) > MAX_CELLS)
+        if capped:
+            upper = max(upper, float(bounds[open_cells].max()))
+        if capped or len(centres) == 0:
+            break
+        halfwidth /= 2.0
+        centres = (centres[:, None, :] + halfwidth * _CHILD_OFFSETS).reshape(-1, 2)
+    return PlanarSearch(
+        alpha1=float(best[0]), beta1=float(best[1]), value=best_value,
+        upper=max(upper, best_value), rounds=rounds, cells=evaluated, capped=capped,
+    )
 
 
 def refine_planar(
@@ -382,29 +478,52 @@ def refine_planar(
     step_tol: float = 1e-10,
     max_rounds: int = 60,
 ) -> tuple[float, float, float]:
-    """Coordinate-wise golden-section ascent of lambda_max from a start point.
+    """Ascent of lambda_max from a start point, by Newton steps where they rise.
 
-    Alternates one golden search per coordinate until neither angle moves by
-    more than ``step_tol``. Returns (alpha1, beta1, value).
+    With g and H the perturbation-theory gradient and Hessian, each round
+    tries in turn the Newton step -H^-1 g (where H is negative definite),
+    the Newton step along g (where g^T H g < 0) and g itself, each
+    shortened to move neither angle by more than ``halfwidth`` and halved
+    until lambda_max does not fall by more than rounding. If none is kept
+    it takes the step g / K, with K from ``_curvature_bound``: along it the
+    Rayleigh quotient of the current top eigenvector, and so lambda_max,
+    rises by at least |g|^2 / 2K. Stops after a step that moves neither
+    angle by more than ``step_tol``. Returns (alpha1, beta1, value).
     """
-    kernel = _planar_kernel(spec).reshape(3, 48)
-    value = _kernel_lambda_max(kernel, alpha1, beta1)
-    width = halfwidth
+    kernel = _planar_kernel(spec)
+    curvature = _curvature_bound(kernel)
+    point = np.array([alpha1, beta1], dtype=float)
+    value, grad, hess = _planar_jet(kernel, *point)
     for _ in range(max_rounds):
-        new_a, _ = _golden_max(
-            lambda t: _kernel_lambda_max(kernel, t, beta1), alpha1 - width, alpha1 + width, step_tol
-        )
-        new_b, value = _golden_max(
-            lambda t: _kernel_lambda_max(kernel, new_a, t), beta1 - width, beta1 + width, step_tol
-        )
-        moved = max(abs(new_a - alpha1), abs(new_b - beta1))
-        alpha1, beta1 = new_a, new_b
-        if moved < step_tol:
+        if curvature == 0.0 or not grad.any():
             break
-        # the objective is 2 pi-periodic; an unbounded bracket could outgrow the
-        # golden-section tolerance in ulps and never close
-        width = min(max(2.0 * moved, 1e-8), math.pi)
-    return alpha1, beta1, value
+        directions = []
+        if hess is not None:
+            if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
+                directions.append(-np.linalg.solve(hess, grad))
+            slope_curvature = grad @ hess @ grad
+            if slope_curvature < 0.0:
+                directions.append(-(grad @ grad) / slope_curvature * grad)
+        directions.append(grad)
+        trial = None
+        for step in directions:
+            step = step * min(1.0, halfwidth / np.abs(step).max())
+            for _ in range(_HALVINGS):
+                trial = _planar_jet(kernel, *(point + step))
+                if trial[0] >= value - _ROUNDING:
+                    break
+                trial, step = None, 0.5 * step
+            if trial is not None:
+                break
+        if trial is None:
+            step = grad / curvature
+            step *= min(1.0, halfwidth / np.abs(step).max())
+            trial = _planar_jet(kernel, *(point + step))
+        point = point + step
+        value, grad, hess = trial
+        if np.abs(step).max() <= step_tol:
+            break
+    return float(point[0]), float(point[1]), value
 
 
 def _wrap_angle(t: float) -> float:
@@ -419,16 +538,19 @@ def _wrap_angle(t: float) -> float:
 def optimize_planar(
     spec: GameSpec, grid_points: int = 721, refine_iters: int = 60
 ) -> OptimalSolution:
-    """Grid-plus-golden-section maximization of lambda_max over (alpha1, beta1).
+    """Certified maximization of lambda_max over (alpha1, beta1).
 
     Flipping the sign of either party's angle conjugates that party by the
     X gate and preserves the spectrum, so optima come in sign quadruples;
-    the representative with alpha1 >= 0 and beta1 >= 0 is reported. So of
-    the uniform ``grid_points``^2 grid over [-pi, pi]^2 (GRID_MIN to GRID_MAX
-    points per axis) only the quarter from index ``grid_points // 2`` on is
-    scanned, on the real trigonometric kernel of ``_planar_kernel``; the best
-    cell is refined by alternating golden-section searches on that kernel.
-    Only 2-input/2-output games are supported.
+    the representative with alpha1 >= 0 and beta1 >= 0 is reported, and
+    only the quarter [0, pi]^2 is searched, on the real trigonometric
+    kernel of ``_planar_kernel``. ``branch_and_bound`` starts from
+    (``grid_points`` - 1) // 16 cells per axis (GRID_MIN to GRID_MAX; 721
+    gives 45), ``refine_planar`` polishes its best point by Newton steps,
+    and the solution is recomputed from the complex Bell operator. Its
+    ``upper_bound`` is the bound the search certified, at most GAP_TOL
+    above the value unless a cap stopped the search. Only
+    2-input/2-output games are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
         raise NotPlanarApplicableError(
@@ -438,20 +560,17 @@ def optimize_planar(
     if not GRID_MIN <= grid_points <= GRID_MAX:
         raise ValueError(f"grid_points must lie in [{GRID_MIN}, {GRID_MAX}], got {grid_points}")
 
-    thetas = np.linspace(-math.pi, math.pi, grid_points)[grid_points // 2 :]
-    values = _grid_lambda_max(spec, thetas, _worker_count())
-    flat_index = int(np.argmax(values))  # first occurrence = lexicographic tie-break
-    i, j = divmod(flat_index, thetas.shape[0])
-    step = 2.0 * math.pi / (grid_points - 1)
-
+    cells_per_axis = (grid_points - 1) // 16
+    search = branch_and_bound(_planar_kernel(spec), cells_per_axis)
     alpha1, beta1, _ = refine_planar(
-        spec, float(thetas[i]), float(thetas[j]), halfwidth=step, max_rounds=refine_iters
+        spec, search.alpha1, search.beta1,
+        halfwidth=math.pi / (2 * cells_per_axis), max_rounds=refine_iters,
     )
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
     alpha1, beta1 = abs(_wrap_angle(alpha1)), abs(_wrap_angle(beta1))
-
-    return _planar_solution(spec, alpha1, beta1)
+    solution = _planar_solution(spec, alpha1, beta1)
+    return replace(solution, upper_bound=max(search.upper, solution.value))
 
 
 # ---------------------------------------------------------------------------

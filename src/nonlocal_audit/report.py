@@ -244,6 +244,7 @@ def run_document(run: AnalysisRun) -> dict:
         "quantum": {
             "method": run.method,
             "value": tagged_values(spec, solution.value),
+            "omega_q_upper": solution.upper_bound,
             "angles": None
             if angles is None
             else {"alpha": list(angles.alpha), "beta": list(angles.beta)},
@@ -332,6 +333,8 @@ def render_text(run: AnalysisRun) -> str:
             f"planar angles    : alpha = ({a.alpha[0]:.9g}, {a.alpha[1]:.9g})"
             f"  beta = ({a.beta[0]:.9g}, {a.beta[1]:.9g})"
         )
+    if run.solution.upper_bound is not None:
+        lines.append(f"certified bound  : {run.solution.upper_bound:.9g} (normalized, planar family)")
     if run.solution.residual is not None:
         lines.append(f"charpoly residual: {run.solution.residual:.3e}")
     lines.append(f"uncertainty bound: {report.up_bound:.9g} (normalized)")

@@ -147,6 +147,33 @@ def planar_strategy(spec: na.GameSpec, alpha1: float, beta1: float) -> na.Quantu
     )
 
 
+def torus_grid_max(spec: na.GameSpec, points: int = 257) -> float:
+    """Largest lambda_max of the complex Bell operator on a full-torus angle grid.
+
+    Grid of ``points`` angles per axis over [-pi, pi]. The Bell operator is
+    affine in Bob's projectors for y = 1, which are affine in
+    (1, cos beta1, sin beta1); so for each alpha1 it is built at
+    beta1 = 0, pi/2, pi and combined exactly for every other beta1.
+    """
+    thetas = np.linspace(-math.pi, math.pi, points)
+    nodes = np.array([0.0, math.pi / 2.0, math.pi])
+
+    def trig(t):
+        return np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1)
+
+    coeffs = trig(thetas) @ np.linalg.inv(trig(nodes))  # f(beta) = coeffs @ f(nodes)
+    best = -math.inf
+    for alpha1 in thetas:
+        ops = np.array([
+            na.bell_operator(spec, *na.planar_measurements(
+                na.PlanarAngles(alpha=(0.0, float(alpha1)), beta=(0.0, float(b)))))
+            for b in nodes
+        ])
+        grid_ops = np.einsum("jn,nkl->jkl", coeffs, ops)
+        best = max(best, float(np.linalg.eigvalsh(grid_ops)[:, -1].max()))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Exact reference values
 # ---------------------------------------------------------------------------

@@ -225,6 +225,16 @@ def _string_probability(doc):
     doc["pi"][0][1] = "0.25"
 
 
+def _huge_inputs(doc):
+    # numpy refuses a table this size without allocating it; the message
+    # must name the field before any allocation is tried.
+    doc["inputs"] = [1000000000, 1000000000]
+
+
+def _huge_outputs(doc):
+    doc["outputs"] = [2, 300000]
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (_nan_pi, "pi[0][0]"),
     (_negative_index, "predicate[3].x"),
@@ -235,6 +245,8 @@ def _string_probability(doc):
     (_string_weight, "predicate[3].v: '1' is not a number"),
     (_boolean_weight, "predicate[3].v: True is not a number"),
     (_string_probability, "pi[0][1]: '0.25' is not a number"),
+    (_huge_inputs, "inputs: [1000000000, 1000000000]"),
+    (_huge_outputs, "inputs, outputs: [2, 2] x [2, 300000]"),
 ])
 def test_game_file_holes_exit_2(tmp_path, capsys, g1_spec, corrupt, field):
     doc = game_to_dict(g1_spec)

@@ -1,7 +1,6 @@
 """Planar strategies, Bell operators, closed forms, and the two-angle optimizer."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,16 +10,17 @@ from nonlocal_audit import quantum
 from nonlocal_audit.errors import (
     DimensionMismatchError,
     NotPlanarApplicableError,
-    SettingError,
     UnknownGameError,
 )
 from nonlocal_audit.quantum import (
+    GAP_TOL,
     GRID_MAX,
-    _grid_lambda_max,
-    _lambda_max_fast,
+    _cell_bounds,
+    _curvature_bound,
+    _planar_jet,
     _planar_kernel,
     _trig,
-    _worker_count,
+    branch_and_bound,
 )
 
 from conftest import (
@@ -29,6 +29,7 @@ from conftest import (
     OMEGA_Q_G1,
     OMEGA_Q_G2,
     planar_strategy,
+    torus_grid_max,
 )
 
 PLUS_PROJECTOR = np.full((2, 2), 0.5, dtype=complex)
@@ -205,7 +206,8 @@ class TestOptimizePlanar:
             a1, b1 = rng.uniform(-math.pi, math.pi, 2)
             strat = planar_strategy(g1_spec, a1, b1)
             op = na.bell_operator(g1_spec, strat.meas_a, strat.meas_b)
-            assert abs(_lambda_max_fast(g1_spec, a1, b1) - na.max_eigenvalue(op)) <= 1e-12
+            value = _planar_jet(_planar_kernel(g1_spec), a1, b1)[0]
+            assert abs(value - na.max_eigenvalue(op)) <= 1e-12
 
     def test_deterministic(self, chsh_spec):
         first = na.optimize_planar(chsh_spec, grid_points=121)
@@ -214,6 +216,7 @@ class TestOptimizePlanar:
         assert first.angles == second.angles
 
     def test_worker_count_does_not_change_results(self, chsh_spec, monkeypatch):
+        # The former thread setting is no longer read.
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "1")
         serial = na.optimize_planar(chsh_spec, grid_points=121)
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "3")
@@ -222,10 +225,9 @@ class TestOptimizePlanar:
         assert serial.angles == threaded.angles
         assert np.array_equal(serial.strategy.state, threaded.strategy.state)
 
-
-    def test_refinement_bracket_stays_within_one_period(self, monkeypatch):
-        # On this game the refinement bracket used to double every round until
-        # golden section could no longer shrink it below its tolerance.
+    def test_widening_game_finishes_above_grid(self):
+        # On this game the former golden-section bracket doubled every round
+        # until it could no longer shrink below its tolerance.
         wins = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
                 (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)]
         predicate = np.zeros((2, 2, 2, 2))
@@ -233,15 +235,12 @@ class TestOptimizePlanar:
             predicate[entry] = 1.0
         spec = na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
                            predicate=predicate, input_dist=np.full((2, 2), 0.25))
-        golden = quantum._golden_max
-
-        def bounded(f, lo, hi, tol=1e-10):
-            assert hi - lo <= 2.0 * math.pi + 1e-9
-            return golden(f, lo, hi, tol)
-
-        monkeypatch.setattr(quantum, "_golden_max", bounded)
         solution = na.optimize_planar(spec, grid_points=121)
         assert solution.residual is None
+        assert solution.value >= torus_grid_max(spec, 121) - 1e-12
+        # lambda_max is 3/4 all along beta1 = 0, so the open cells double every
+        # round until MAX_CELLS stops the search; the bound reached is reported.
+        assert 0.0 <= solution.upper_bound - solution.value <= 1e-7
 
 
 def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
@@ -258,7 +257,7 @@ def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
 
 
 def kernel_spectrum(kernel: np.ndarray, alpha1: float, beta1: float) -> np.ndarray:
-    return np.linalg.eigvalsh(np.einsum("u,v,uvij->ij", _trig(alpha1), _trig(beta1), kernel))
+    return np.linalg.eigvalsh(np.einsum("u,v,uvij->ij", _trig(alpha1)[0], _trig(beta1)[0], kernel))
 
 
 class TestPlanarKernel:
@@ -289,53 +288,106 @@ class TestPlanarKernel:
                     assert np.abs(kernel_spectrum(kernel, *flipped) - spectrum).max() <= 1e-12
 
     def test_grid_cells_match_objective(self):
-        thetas = np.linspace(-math.pi, math.pi, 70)
+        # Branch-and-bound cells: the centre value is lambda_max of the complex
+        # Bell operator, and the bound holds at every sampled point of the cell.
         rng = np.random.default_rng(64)
+        halfwidth = 0.05
         for spec in self.GAMES:
-            values = _grid_lambda_max(spec, thetas, workers=1)
-            for i, j in rng.integers(0, 70, (10, 2)):
-                assert abs(values[i, j] - _lambda_max_fast(spec, thetas[i], thetas[j])) <= 1e-12
+            kernel = _planar_kernel(spec)
+            centres = rng.uniform(0.0, math.pi, (10, 2))
+            values, bounds = _cell_bounds(
+                kernel, centres, halfwidth, _curvature_bound(kernel), -math.inf)
+            for (a1, b1), value, bound in zip(centres, values, bounds):
+                strat = planar_strategy(spec, a1, b1)
+                op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
+                assert abs(value - na.max_eigenvalue(op)) <= 1e-12
+                for da, db in rng.uniform(-halfwidth, halfwidth, (10, 2)):
+                    assert kernel_spectrum(kernel, a1 + da, b1 + db)[-1] <= bound + 1e-12
 
     def test_quarter_grid_holds_full_maximum(self):
-        thetas = np.linspace(-math.pi, math.pi, 121)
+        # The search covers only [0, pi]^2; its bound still covers the torus.
         for spec in self.GAMES:
-            full = _grid_lambda_max(spec, thetas, workers=1)
-            quarter = _grid_lambda_max(spec, thetas[121 // 2 :], workers=1)
-            assert quarter.shape == (61, 61)
-            assert abs(quarter.max() - full.max()) <= 1e-12
+            search = branch_and_bound(_planar_kernel(spec), 7)
+            full = torus_grid_max(spec, 121)
+            assert search.upper >= full - 1e-12
+            assert search.value >= full - 1e-3  # the best centre, before polishing
+            assert search.upper - search.value <= 0.5 * GAP_TOL
 
 
-class TestWorkerCount:
-    @pytest.mark.parametrize("raw", ["abc", "-3", "1.5", " "])
-    def test_bad_value_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", raw)
-        with pytest.raises(SettingError, match="NONLOCAL_AUDIT_THREADS"):
-            _worker_count()
+class TestCertificate:
+    GAMES = ("chsh", "g1", "g2")
 
-    def test_explicit_and_auto(self, monkeypatch):
-        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "2")
-        assert _worker_count() == 2
-        monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "0")
-        auto = _worker_count()
-        assert 1 <= auto <= 8
-        monkeypatch.delenv("NONLOCAL_AUDIT_THREADS")
-        assert _worker_count() == auto
+    @pytest.fixture(scope="class")
+    def solutions(self):
+        specs = [na.builtin_game(game_id) for game_id in self.GAMES]
+        specs += random_weighted_games(71, count=3)
+        return [(spec, na.optimize_planar(spec)) for spec in specs]
 
-    def test_capped_at_row_chunks(self, monkeypatch, chsh_spec):
-        pools = []
+    def test_gap_certified(self, solutions):
+        for spec, solution in solutions:
+            assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL, spec.id
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    def test_upper_bound_covers_torus_grid(self, solutions):
+        for spec, solution in solutions:
+            assert solution.upper_bound >= torus_grid_max(spec), spec.id
 
-        monkeypatch.setattr(quantum, "ThreadPoolExecutor", RecordingPool)
-        two_chunks = np.linspace(0.0, math.pi, quantum._GRID_CHUNK_ROWS + 4)
-        threaded = _grid_lambda_max(chsh_spec, two_chunks, workers=3)
-        assert pools == [2]
-        assert np.array_equal(threaded, _grid_lambda_max(chsh_spec, two_chunks, workers=1))
-        _grid_lambda_max(chsh_spec, two_chunks[: quantum._GRID_CHUNK_ROWS], workers=3)
-        assert pools == [2]  # one chunk runs without a pool
+    def test_polish_reaches_closed_form(self, solutions):
+        for spec, solution in solutions[1:3]:
+            alpha1, beta1 = na.closed_form_angles(spec.id)
+            assert abs(solution.angles.alpha[1] - alpha1) <= 1e-12
+            assert abs(solution.angles.beta[1] - abs(beta1)) <= 1e-12
+
+    def test_value_independent_of_first_partition(self):
+        for spec in (na.builtin_game("g1"), *random_weighted_games(72, count=2)):
+            coarse = na.optimize_planar(spec, grid_points=181)
+            fine = na.optimize_planar(spec, grid_points=721)
+            assert abs(coarse.value - fine.value) <= 1e-12
+
+    def test_grid_max_completes(self, chsh_spec):
+        solution = na.optimize_planar(chsh_spec, grid_points=GRID_MAX)
+        assert abs(solution.value - OMEGA_Q_CHSH) <= 1e-12
+        assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL
+
+    def test_cell_cap_stops_with_valid_bound(self, monkeypatch):
+        # Bob's output and input never matter, so lambda_max is constant
+        # along beta1: the maximum is a ridge, and the open cells double
+        # every round until the cap stops the search.
+        predicate = np.zeros((2, 2, 2, 2))
+        predicate[0, :, 0, :] = 1.0
+        predicate[:, :, 1, :] = 0.5
+        spec = na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
+                           input_dist=np.full((2, 2), 0.25), binary_predicate=False)
+        monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
+        search = branch_and_bound(_planar_kernel(spec), 45)
+        assert search.capped
+        assert search.cells <= 2025 + (search.rounds - 1) * 4096
+        assert search.upper >= torus_grid_max(spec, 65) - 1e-12
+        solution = na.optimize_planar(spec)
+        assert solution.upper_bound >= solution.value
+
+    def test_search_solves_far_fewer_cells_than_the_grid(self):
+        # The former scan solved 361^2 quarter-grid points at 721.
+        for game_id in self.GAMES:
+            search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)), 45)
+            assert not search.capped
+            assert 5 * search.cells < 361 * 361 // 2
+
+
+class TestRefinePlanar:
+    def test_ascends_from_any_start(self, g1_spec):
+        rng = np.random.default_rng(81)
+        kernel = _planar_kernel(g1_spec)
+        for a0, b0 in rng.uniform(-math.pi, math.pi, (10, 2)):
+            start = _planar_jet(kernel, a0, b0)[0]
+            _, _, value = na.refine_planar(g1_spec, a0, b0, halfwidth=math.pi / 2.0)
+            assert value >= start - 1e-13
+
+    def test_stationary_at_result(self, g2_spec):
+        a1, b1, _ = na.refine_planar(g2_spec, 1.5, 1.9, halfwidth=0.5)
+        value, grad, hess = _planar_jet(_planar_kernel(g2_spec), a1, b1)
+        assert np.abs(grad).max() <= 1e-12
+        assert np.all(np.linalg.eigvalsh(hess) < 0.0)
+        assert abs(value - OMEGA_Q_G2) <= 1e-14
 
 
 class TestCglmpStrategy:

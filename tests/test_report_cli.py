@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
+from nonlocal_audit import cli
 from nonlocal_audit.cli import build_parser, main
 from nonlocal_audit.quantum import GRID_MAX
 from nonlocal_audit.report import AnalysisOptions, run_document
@@ -162,6 +163,16 @@ class TestJsonReport:
         first = na.render_report(na.run_analyze(str(path), options), "json")
         second = na.render_report(na.run_analyze(str(path), options), "json")
         assert first == second
+
+    def test_omega_q_upper(self, g1_run, cglmp_run, tmp_path, chsh_spec):
+        path = tmp_path / "chsh.json"
+        na.save_game(chsh_spec, path)
+        planar = json.loads(na.render_report(na.run_analyze(str(path)), "json"))["quantum"]
+        assert list(planar)[:3] == ["method", "value", "omega_q_upper"]
+        value = next(v["value"] for v in planar["value"] if v["convention"] == "normalized")
+        assert 0.0 <= planar["omega_q_upper"] - value <= 1e-9
+        for run in (g1_run, cglmp_run):
+            assert json.loads(na.render_report(run, "json"))["quantum"]["omega_q_upper"] is None
 
     def test_options_keys(self, g1_run):
         doc = json.loads(na.render_report(g1_run, "json"))
@@ -325,6 +336,36 @@ class TestCli:
 
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_bad_thread_setting_exit_code(self, capsys, monkeypatch, raw):
+        # The thread setting is gone: a value that used to exit 2 is not read.
+        assert main(["quantum", "chsh", "--grid", "64"]) == 0
+        expected = capsys.readouterr()
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", raw)
-        assert main(["quantum", "chsh", "--grid", "64"]) == 2
-        assert "NONLOCAL_AUDIT_THREADS" in capsys.readouterr().err
+        assert main(["quantum", "chsh", "--grid", "64"]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_parser_built_once_and_reused(self, capsys):
+        calls = [
+            ["classical", "g1"],
+            ["quantum", "chsh", "--grid", "32"],
+            ["quantum", "g1", "--closed-form"],
+            ["list-games"],
+            ["steer", "chsh", "--grid", "64"],
+            ["analyze", "nosuchgame"],
+            ["classical", "g1"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 0]
+        assert "argument --grid" in reused[1][2]
