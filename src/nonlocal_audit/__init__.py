@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .classical import DeterministicStrategy, classical_value, strategy_value
+from .classical import DeterministicStrategy, classical_value
 from .games import (
     GAME_IDS,
     GameCatalogEntry,
@@ -11,17 +11,9 @@ from .games import (
     catalog,
     load_game,
     save_game,
-    swap_parties,
     validate_game,
 )
-from .hermitian import (
-    EigenSystem,
-    eig_hermitian,
-    is_hermitian,
-    kron,
-    max_eigenvalue,
-    partial_trace_first,
-)
+from .hermitian import EigenSystem, eig_hermitian
 from .quantum import (
     OptimalSolution,
     PlanarAngles,
@@ -37,9 +29,6 @@ from .quantum import (
     planar_measurements,
     quantum_game_value,
     refine_planar,
-    scaled_bell_charpoly_g1,
-    scaled_bell_charpoly_g2,
-    swap_strategy,
 )
 from .report import AnalysisOptions, AnalysisRun, render_report, run_analyze
 from .steering import (
@@ -52,12 +41,7 @@ from .steering import (
     saturation_report,
     steer_assemblage,
 )
-from .uncertainty import (
-    FineGrainedRelation,
-    Side,
-    fine_grained_relations,
-    maximally_certain,
-)
+from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
 
 __all__ = [
     "__version__",
@@ -89,14 +73,9 @@ __all__ = [
     "correspondence_verdict",
     "eig_hermitian",
     "fine_grained_relations",
-    "is_hermitian",
-    "kron",
     "load_game",
-    "max_eigenvalue",
-    "maximally_certain",
     "ns_assemblage_check",
     "optimize_planar",
-    "partial_trace_first",
     "planar_measurement",
     "planar_measurements",
     "quantum_game_value",
@@ -105,11 +84,6 @@ __all__ = [
     "run_analyze",
     "saturation_report",
     "save_game",
-    "scaled_bell_charpoly_g1",
-    "scaled_bell_charpoly_g2",
     "steer_assemblage",
-    "strategy_value",
-    "swap_parties",
-    "swap_strategy",
     "validate_game",
 ]

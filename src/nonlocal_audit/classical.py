@@ -6,9 +6,9 @@ inputs: for each of them it picks the outputs of highest weighted score.
 So the response functions of the side with fewer of them are enumerated,
 all at once with numpy, and each is scored against its per-input best
 replies. The functions whose score lies within a band of the top, each with
-every combination of its near-best replies, are then rescored with the
-summation order of ``strategy_value``, so the value and the maximizer list
-are exactly those of scoring every strategy pair one by one.
+every combination of its near-best replies, are then rescored term by term
+(``_scores``), so the value and the maximizer list are exactly those of
+scoring every strategy pair one by one.
 
 ``ENUMERATION_GUARD`` bounds the score table of the enumerated side
 (functions times the other side's inputs times its outputs) and the number
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, TooLargeError
+from .errors import TooLargeError
 from .games import GameSpec
 
 ENUMERATION_GUARD = 10_000_000
@@ -51,17 +51,6 @@ def _scores(spec: GameSpec, f_a: np.ndarray, f_b: np.ndarray) -> np.ndarray:
         for y in range(spec.n_y):
             total += spec.input_dist[x, y] * spec.predicate[x, y, f_a[:, x], f_b[:, y]]
     return total
-
-
-def strategy_value(spec: GameSpec, strategy: DeterministicStrategy) -> float:
-    """Expected score sum_{x,y} pi(x,y) V(f_a(x), f_b(y) | x, y)."""
-    if len(strategy.f_a) != spec.n_x or len(strategy.f_b) != spec.n_y:
-        raise RangeError("response function length does not match the input sets")
-    if any(not 0 <= a < spec.n_a for a in strategy.f_a):
-        raise RangeError(f"Alice outputs {strategy.f_a} outside range(0, {spec.n_a})")
-    if any(not 0 <= b < spec.n_b for b in strategy.f_b):
-        raise RangeError(f"Bob outputs {strategy.f_b} outside range(0, {spec.n_b})")
-    return _scores(spec, np.array([strategy.f_a]), np.array([strategy.f_b]))[0]
 
 
 def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy]]:

@@ -17,9 +17,7 @@ import sys
 from .classical import classical_value
 from .errors import (
     NonlocalAuditError,
-    NotHermitianError,
     NotPlanarApplicableError,
-    NotSquareError,
     ParseError,
     TooLargeError,
     UnknownGameError,
@@ -30,7 +28,6 @@ from .quantum import GRID_MAX, GRID_MIN
 from .report import (
     AnalysisOptions,
     best_known_solution,
-    closed_form_available,
     render_report,
     resolve_game,
     run_analyze,
@@ -68,10 +65,6 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     spec, _ = resolve_game(args.game)
-    if args.closed_form and not closed_form_available(spec):
-        raise UnknownGameError(
-            f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
-        )
     method, solution = best_known_solution(
         spec, AnalysisOptions(grid_points=args.grid, closed_form=args.closed_form)
     )
@@ -222,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotHermitianError, NotSquareError, NonlocalAuditError) as exc:
+    except NonlocalAuditError as exc:
         print(f"internal numeric failure: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

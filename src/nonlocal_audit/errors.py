@@ -38,10 +38,6 @@ class ValidationError(NonlocalAuditError):
         super().__init__("; ".join(self.violations))
 
 
-class RangeError(NonlocalAuditError):
-    """Strategy output lies outside the game's output set."""
-
-
 class TooLargeError(NonlocalAuditError):
     """The classical computation would exceed ``ENUMERATION_GUARD``.
 

@@ -60,10 +60,6 @@ class GameSpec:
         """Marginal pi_A(x)."""
         return self.input_dist.sum(axis=1)
 
-    def pi_b(self) -> np.ndarray:
-        """Marginal pi_B(y)."""
-        return self.input_dist.sum(axis=0)
-
     def pi_b_given_x(self, x: int) -> np.ndarray:
         """Conditional pi_B(y|x); equals pi_B(y) for free games."""
         px = self.input_dist[x, :].sum()

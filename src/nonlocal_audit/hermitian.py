@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives: tensor product, Hermitian eigensolver, partial trace.
+"""Hermitian check and eigensolver for dense complex matrices.
 
 Everything here works on plain ``numpy`` arrays of ``complex128``. The
 eigensolver is LAPACK's ``eigh`` followed by a fixed eigenvector phase
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, NotSquareError
+from .errors import NotHermitianError, NotSquareError
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
@@ -21,26 +21,13 @@ HERMITIAN_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-8
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """True when max |M[i,j] - conj(M[j,i])| <= rtol * max(1, ||M||_F)."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when max |M[i,j] - conj(M[j,i])| <= HERMITIAN_RTOL * max(1, ||M||_F)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    return dev <= rtol * max(1.0, frobenius(m))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product, (a (x) b)[i*rb+k, j*cb+l] = a[i,j] * b[k,l].
-
-    The tensor product of two Hermitian matrices is Hermitian, so the
-    Hermitian property propagates through this operation.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return dev <= HERMITIAN_RTOL * max(1.0, float(np.linalg.norm(m)))
 
 
 @dataclass(frozen=True)
@@ -62,14 +49,14 @@ class EigenSystem:
     def max_eigenvector(self) -> np.ndarray:
         return self.eigenvectors[:, -1]
 
-    def top_eigenspace(self, rtol: float = DEGENERACY_RTOL) -> tuple[np.ndarray, bool]:
+    def top_eigenspace(self) -> tuple[np.ndarray, bool]:
         """Orthonormal basis (columns) of the top eigenspace.
 
-        Eigenvalues within ``rtol * max(1, |lambda_max|)`` of the maximum are
-        clustered into one space. Returns ``(basis, degenerate)``.
+        Eigenvalues within ``DEGENERACY_RTOL * max(1, |lambda_max|)`` of the
+        maximum are clustered into one space. Returns ``(basis, degenerate)``.
         """
         lam = self.eigenvalues
-        tol = rtol * max(1.0, abs(float(lam[-1])))
+        tol = DEGENERACY_RTOL * max(1.0, abs(float(lam[-1])))
         members = np.nonzero(lam >= lam[-1] - tol)[0]
         basis = self.eigenvectors[:, members]
         return basis, basis.shape[1] > 1
@@ -79,7 +66,7 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eig_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenSystem:
+def eig_hermitian(h: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Eigenvectors are put in a fixed phase gauge: the largest-magnitude
@@ -91,7 +78,7 @@ def eig_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenSystem:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {h.shape}")
-    if not is_hermitian(h, rtol):
+    if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
 
     # Symmetrize away representation noise so the solver sees an exactly
@@ -104,20 +91,3 @@ def eig_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> EigenSystem:
     v[pivot_rows, columns] = np.abs(pivots)  # exactly real, not real up to rounding
     return EigenSystem(w, v)
 
-
-def max_eigenvalue(h: np.ndarray) -> float:
-    return eig_hermitian(h).max_eigenvalue
-
-
-def partial_trace_first(m: np.ndarray, d_first: int, d_second: int) -> np.ndarray:
-    """Trace out the first tensor factor of a (d_first*d_second)-dim operator.
-
-    Preserves the trace: tr(result) = tr(m).
-    """
-    m = np.asarray(m, dtype=complex)
-    d = d_first * d_second
-    if m.shape != (d, d):
-        raise DimensionMismatchError(
-            f"expected shape ({d}, {d}) for dims ({d_first}, {d_second}), got {m.shape}"
-        )
-    return m.reshape(d_first, d_second, d_first, d_second).trace(axis1=0, axis2=2)

@@ -50,7 +50,7 @@ class ProjectiveMeasurement:
     def dim(self) -> int:
         return self.projectors[0].shape[0]
 
-    def validate(self, atol: float = PROJECTOR_ATOL) -> list[str]:
+    def validate(self) -> list[str]:
         violations = []
         d = self.dim
         total = np.zeros((d, d), dtype=complex)
@@ -58,12 +58,12 @@ class ProjectiveMeasurement:
             if p.shape != (d, d):
                 violations.append(f"projector {k}: shape {p.shape} != ({d}, {d})")
                 continue
-            if np.abs(p - p.conj().T).max() > atol:
+            if np.abs(p - p.conj().T).max() > PROJECTOR_ATOL:
                 violations.append(f"projector {k}: not Hermitian")
-            if np.linalg.norm(p @ p - p) > atol:
+            if np.linalg.norm(p @ p - p) > PROJECTOR_ATOL:
                 violations.append(f"projector {k}: not idempotent")
             total += p
-        if np.linalg.norm(total - np.eye(d)) > atol:
+        if np.linalg.norm(total - np.eye(d)) > PROJECTOR_ATOL:
             violations.append("projectors do not sum to the identity")
         return violations
 
@@ -107,9 +107,6 @@ class QuantumStrategy:
                     violations.append(f"measurement {label}[{i}]: dim {m.dim} != {d}")
                 violations.extend(f"{label}[{i}]: {v}" for v in m.validate())
         return violations
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.state, self.state.conj())
 
 
 @dataclass(frozen=True)
@@ -240,6 +237,11 @@ def scaled_bell_charpoly_g2(lam: float, alpha1: float, beta1: float) -> float:
 _CHARPOLYS = {"g1": scaled_bell_charpoly_g1, "g2": scaled_bell_charpoly_g2}
 
 
+def closed_form_available(spec: GameSpec) -> bool:
+    """True when the spec's tables are those of a catalog game with a closed-form optimum."""
+    return spec.id in _CHARPOLYS and matches_catalog(spec, spec.id)
+
+
 def closed_form_angles(game_id: str) -> tuple[float, float]:
     """Exact optimal planar angles (alpha1, beta1) for g1 or g2."""
     if game_id == "g1":
@@ -263,10 +265,9 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolu
     meas_a, meas_b = planar_measurements(angles)
     eig = eig_hermitian(bell_operator(spec, meas_a, meas_b))
     value = eig.max_eigenvalue
-    charpoly = _CHARPOLYS.get(spec.id)
     residual = None
-    if charpoly is not None and matches_catalog(spec, spec.id):
-        residual = float(charpoly(4.0 * value, alpha1, beta1))
+    if closed_form_available(spec):
+        residual = float(_CHARPOLYS[spec.id](4.0 * value, alpha1, beta1))
     return OptimalSolution(
         strategy=QuantumStrategy(
             d_a=2, d_b=2, state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b
@@ -304,6 +305,10 @@ _HALVINGS = 8
 # Below this gap to the next eigenvalue the top one counts as degenerate and
 # has no Hessian.
 _DEGENERATE = 1e-10
+# The Newton polish stops after this many rounds, or after a step that moves
+# neither angle by more than _STEP_TOL.
+_POLISH_ROUNDS = 60
+_STEP_TOL = 1e-10
 
 
 def _planar_kernel(spec: GameSpec) -> np.ndarray:
@@ -471,12 +476,7 @@ def branch_and_bound(kernel: np.ndarray, cells_per_axis: int) -> PlanarSearch:
 
 
 def refine_planar(
-    spec: GameSpec,
-    alpha1: float,
-    beta1: float,
-    halfwidth: float,
-    step_tol: float = 1e-10,
-    max_rounds: int = 60,
+    spec: GameSpec, alpha1: float, beta1: float, halfwidth: float
 ) -> tuple[float, float, float]:
     """Ascent of lambda_max from a start point, by Newton steps where they rise.
 
@@ -488,13 +488,14 @@ def refine_planar(
     it takes the step g / K, with K from ``_curvature_bound``: along it the
     Rayleigh quotient of the current top eigenvector, and so lambda_max,
     rises by at least |g|^2 / 2K. Stops after a step that moves neither
-    angle by more than ``step_tol``. Returns (alpha1, beta1, value).
+    angle by more than _STEP_TOL, or after _POLISH_ROUNDS rounds. Returns
+    (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
     curvature = _curvature_bound(kernel)
     point = np.array([alpha1, beta1], dtype=float)
     value, grad, hess = _planar_jet(kernel, *point)
-    for _ in range(max_rounds):
+    for _ in range(_POLISH_ROUNDS):
         if curvature == 0.0 or not grad.any():
             break
         directions = []
@@ -521,7 +522,7 @@ def refine_planar(
             trial = _planar_jet(kernel, *(point + step))
         point = point + step
         value, grad, hess = trial
-        if np.abs(step).max() <= step_tol:
+        if np.abs(step).max() <= _STEP_TOL:
             break
     return float(point[0]), float(point[1]), value
 
@@ -535,9 +536,7 @@ def _wrap_angle(t: float) -> float:
     return wrapped
 
 
-def optimize_planar(
-    spec: GameSpec, grid_points: int = 721, refine_iters: int = 60
-) -> OptimalSolution:
+def optimize_planar(spec: GameSpec, grid_points: int = 721) -> OptimalSolution:
     """Certified maximization of lambda_max over (alpha1, beta1).
 
     Flipping the sign of either party's angle conjugates that party by the
@@ -563,8 +562,7 @@ def optimize_planar(
     cells_per_axis = (grid_points - 1) // 16
     search = branch_and_bound(_planar_kernel(spec), cells_per_axis)
     alpha1, beta1, _ = refine_planar(
-        spec, search.alpha1, search.beta1,
-        halfwidth=math.pi / (2 * cells_per_axis), max_rounds=refine_iters,
+        spec, search.alpha1, search.beta1, halfwidth=math.pi / (2 * cells_per_axis)
     )
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
@@ -578,42 +576,31 @@ def optimize_planar(
 # ---------------------------------------------------------------------------
 
 
+def _fourier_measurement(sign: int, phase_angle: float) -> ProjectiveMeasurement:
+    """Output a projects onto sum_k omega^(sign a k) e^(i k phase_angle) |k> / sqrt(3)."""
+    omega = np.exp(2j * math.pi / 3.0)
+    k = np.arange(3)
+    projectors = []
+    for a in range(3):
+        vec = omega ** (sign * a * k) * np.exp(1j * k * phase_angle)
+        projectors.append(np.outer(vec, vec.conj()) / 3.0)
+    return ProjectiveMeasurement(projectors=tuple(projectors))
+
+
 def cglmp_strategy() -> QuantumStrategy:
     """The known optimal qutrit strategy for the catalog game ``cglmp``.
 
     State (|00> + kappa |11> + |22>)/sqrt(2 + kappa^2) with
     kappa = (sqrt(11) - sqrt(3))/2, and phase-twisted Fourier bases with
-    Alice phases (0, pi/3) and Bob phases (-pi/6, pi/6).
+    Alice phases (0, pi/3) and Bob phases (-pi/6, pi/6); Bob's bases run
+    through the outputs in the opposite direction (sign -1).
     """
-    omega = np.exp(2j * math.pi / 3.0)
     kappa = (math.sqrt(11.0) - math.sqrt(3.0)) / 2.0
-
     state = np.zeros(9, dtype=complex)
     state[0] = 1.0
     state[4] = kappa
     state[8] = 1.0
     state /= np.linalg.norm(state)
-
-    k = np.arange(3)
-
-    def alice_meas(phase_angle: float) -> ProjectiveMeasurement:
-        projectors = []
-        for a in range(3):
-            vec = omega ** (a * k) * np.exp(1j * k * phase_angle)
-            projectors.append(np.outer(vec, vec.conj()) / 3.0)
-        return ProjectiveMeasurement(projectors=tuple(projectors))
-
-    def bob_meas(phase_angle: float) -> ProjectiveMeasurement:
-        projectors = []
-        for b in range(3):
-            vec = omega ** (-b * k) * np.exp(1j * k * phase_angle)
-            projectors.append(np.outer(vec, vec.conj()) / 3.0)
-        return ProjectiveMeasurement(projectors=tuple(projectors))
-
-    return QuantumStrategy(
-        d_a=3,
-        d_b=3,
-        state=state,
-        meas_a=(alice_meas(0.0), alice_meas(math.pi / 3.0)),
-        meas_b=(bob_meas(-math.pi / 6.0), bob_meas(math.pi / 6.0)),
-    )
+    alice = (_fourier_measurement(1, 0.0), _fourier_measurement(1, math.pi / 3.0))
+    bob = (_fourier_measurement(-1, -math.pi / 6.0), _fourier_measurement(-1, math.pi / 6.0))
+    return QuantumStrategy(d_a=3, d_b=3, state=state, meas_a=alice, meas_b=bob)

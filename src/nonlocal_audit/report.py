@@ -22,14 +22,13 @@ from .games import GAME_IDS, GameSpec, builtin_game, load_game, matches_catalog
 from .quantum import (
     OptimalSolution,
     cglmp_strategy,
+    closed_form_available,
     closed_form_optimum,
     optimize_planar,
     quantum_game_value,
 )
 from .steering import CorrespondenceReport, SteeringVerdict, correspondence_verdict
 from .uncertainty import FineGrainedRelation
-
-CLOSED_FORM_IDS = ("g1", "g2")
 
 
 @dataclass(frozen=True)
@@ -65,23 +64,20 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     )
 
 
-def closed_form_available(spec: GameSpec) -> bool:
-    """True when the spec's tables are those of a catalog game with a closed-form optimum."""
-    return spec.id in CLOSED_FORM_IDS and matches_catalog(spec, spec.id)
-
-
 def best_known_solution(spec: GameSpec, options: AnalysisOptions) -> tuple[str, OptimalSolution]:
     """Pick the strategy source: closed form, planar optimizer, or fixed catalog strategy.
 
     Closed forms and the fixed qutrit strategy only apply to games whose
     tables match the catalog entry; a file-loaded variant that merely
-    reuses a catalog id goes through the optimizer.
+    reuses a catalog id goes through the optimizer. ``closed_form=True`` on
+    a game without a closed form raises ``UnknownGameError``.
     """
     closed_available = closed_form_available(spec)
-    use_closed = options.closed_form
-    if use_closed is None:
-        use_closed = closed_available
-    if use_closed and closed_available:
+    if options.closed_form and not closed_available:
+        raise UnknownGameError(
+            f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
+        )
+    if closed_available and options.closed_form is not False:
         return "closed_form", closed_form_optimum(spec.id)
     if matches_catalog(spec, "cglmp"):
         strategy = cglmp_strategy()

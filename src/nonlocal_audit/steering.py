@@ -51,21 +51,15 @@ class Assemblage:
     probabilities: np.ndarray
     sigmas: np.ndarray
 
-    def entry(self, x: int, a: int) -> tuple[float, np.ndarray]:
-        return float(self.probabilities[x, a]), self.sigmas[x, a]
-
     def normalized_state(self, x: int, a: int) -> np.ndarray | None:
         p = float(self.probabilities[x, a])
         if p <= VACUOUS_ATOL:
             return None
         return self.sigmas[x, a] / p
 
-    def average_state(self, x: int) -> np.ndarray:
-        return self.sigmas[x].sum(axis=0)
-
     def no_signaling_deviation(self) -> float:
-        """max over input pairs of ||avg_state(x) - avg_state(x')||_F."""
-        return _worst_distance([self.average_state(x) for x in range(self.n_inputs)])
+        """max over input pairs of ||sum_a sigma[x, a] - sum_a sigma[x', a]||_F."""
+        return _worst_distance([self.sigmas[x].sum(axis=0) for x in range(self.n_inputs)])
 
 
 def _worst_distance(averages: list[np.ndarray]) -> float:
@@ -134,7 +128,7 @@ def _verdicts(
     verdicts = []
     for rel in relations:
         x, a = rel.pair
-        p, _ = assemblage.entry(x, a)
+        p = float(assemblage.probabilities[x, a])
         state = assemblage.normalized_state(x, a)
         if state is None:
             verdicts.append(

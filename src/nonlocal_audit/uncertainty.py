@@ -62,10 +62,16 @@ class FineGrainedRelation:
     trivial: bool | None
 
 
-def _relations_steered_side(
+def fine_grained_relations(
     spec: GameSpec, side: Side, remote_meas: tuple[ProjectiveMeasurement, ...]
 ) -> list[FineGrainedRelation]:
-    # spec is already oriented so that the steering party is "Alice".
+    """All relations for one steering direction, ordered lexicographically by pair.
+
+    ``remote_meas`` are the steered party's measurements: Bob's when Alice
+    steers, Alice's when Bob steers.
+    """
+    if side is Side.BOB_STEERS_ALICE:
+        spec = swap_parties(spec)  # the steering party is "Alice" from here on
     if len(remote_meas) != spec.n_y:
         raise DimensionMismatchError(
             f"expected {spec.n_y} measurements for the steered party, got {len(remote_meas)}"
@@ -108,20 +114,3 @@ def _relations_steered_side(
         )
     return relations
 
-
-def fine_grained_relations(
-    spec: GameSpec, side: Side, remote_meas: tuple[ProjectiveMeasurement, ...]
-) -> list[FineGrainedRelation]:
-    """All relations for one steering direction, ordered lexicographically by pair.
-
-    ``remote_meas`` are the steered party's measurements: Bob's when Alice
-    steers, Alice's when Bob steers.
-    """
-    if side is Side.ALICE_STEERS_BOB:
-        return _relations_steered_side(spec, side, remote_meas)
-    return _relations_steered_side(swap_parties(spec), side, remote_meas)
-
-
-def maximally_certain(rel: FineGrainedRelation) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis of the states attaining xi, and a degeneracy flag."""
-    return rel.certain_space, rel.degenerate

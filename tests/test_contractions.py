@@ -8,7 +8,7 @@ import pytest
 import nonlocal_audit as na
 from nonlocal_audit.uncertainty import Side
 
-from conftest import random_strategy
+from conftest import kron, partial_trace_first, random_strategy
 
 N_X, N_Y, D_A, D_B = 3, 2, 2, 3
 ATOL = 1e-12
@@ -35,7 +35,7 @@ def test_bell_operator(case):
     spec, strat = case
     expected = np.zeros((D_A * D_B, D_A * D_B), dtype=complex)
     for x, y, a, b in product(range(N_X), range(N_Y), range(D_A), range(D_B)):
-        expected += spec.input_dist[x, y] * spec.predicate[x, y, a, b] * na.kron(
+        expected += spec.input_dist[x, y] * spec.predicate[x, y, a, b] * kron(
             strat.meas_a[x].projectors[a], strat.meas_b[y].projectors[b]
         )
     assert np.abs(na.bell_operator(spec, strat.meas_a, strat.meas_b) - expected).max() <= ATOL
@@ -46,7 +46,7 @@ def test_correlation_table(case):
     psi = strat.state
     table = na.correlation_table(spec, strat)
     for x, y, a, b in product(range(N_X), range(N_Y), range(D_A), range(D_B)):
-        op = na.kron(strat.meas_a[x].projectors[a], strat.meas_b[y].projectors[b])
+        op = kron(strat.meas_a[x].projectors[a], strat.meas_b[y].projectors[b])
         assert abs(table[x, y, a, b] - np.real(psi.conj() @ op @ psi)) <= ATOL
 
 
@@ -74,10 +74,10 @@ def test_relation_operators(case):
 def test_steered_assemblage(case):
     _, strat = case
     assemblage = na.steer_assemblage(strat, Side.ALICE_STEERS_BOB)
-    rho = strat.density()
+    rho = np.outer(strat.state, strat.state.conj())
     for x, a in product(range(N_X), range(D_A)):
-        sigma = na.partial_trace_first(
-            na.kron(strat.meas_a[x].projectors[a], np.eye(D_B)) @ rho, D_A, D_B
+        sigma = partial_trace_first(
+            kron(strat.meas_a[x].projectors[a], np.eye(D_B)) @ rho, D_A, D_B
         )
         assert np.abs(assemblage.sigmas[x, a] - sigma).max() <= ATOL
         assert abs(assemblage.probabilities[x, a] - np.real(np.trace(sigma))) <= ATOL

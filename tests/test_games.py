@@ -8,7 +8,7 @@ import pytest
 import nonlocal_audit as na
 from nonlocal_audit.cli import main
 from nonlocal_audit.errors import ParseError, UnknownGameError, ValidationError
-from nonlocal_audit.games import game_from_dict, game_to_dict
+from nonlocal_audit.games import game_from_dict, game_to_dict, swap_parties
 
 G1_WINS = {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)}
 G2_WINS = {
@@ -259,9 +259,9 @@ def test_game_file_holes_exit_2(tmp_path, capsys, g1_spec, corrupt, field):
 
 
 def test_swap_parties_involution(g2_spec):
-    swapped = na.swap_parties(g2_spec)
+    swapped = swap_parties(g2_spec)
     assert swapped.n_a == g2_spec.n_b
-    back = na.swap_parties(swapped)
+    back = swap_parties(swapped)
     assert np.array_equal(back.predicate, g2_spec.predicate)
     # predicate indices transpose as V'(b,a|y,x) = V(a,b|x,y)
     for x, y, a, b in np.ndindex(2, 2, 2, 2):

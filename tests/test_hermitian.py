@@ -1,4 +1,5 @@
-"""Tensor product, Hermitian eigensolver and its phase gauge, and partial trace."""
+"""Hermitian eigensolver and its phase gauge, and the tensor product and partial trace
+references in conftest."""
 
 import math
 
@@ -6,13 +7,21 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
+from nonlocal_audit.hermitian import is_hermitian
 from nonlocal_audit.errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
 )
 
-from conftest import OMEGA_Q_G1, bloch_grid_max, planar_strategy, random_hermitian
+from conftest import (
+    OMEGA_Q_G1,
+    bloch_grid_max,
+    kron,
+    partial_trace_first,
+    planar_strategy,
+    random_hermitian,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -21,21 +30,21 @@ BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(na.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_projector_product(self):
         d10 = np.diag([1.0, 0.0])
-        assert np.array_equal(na.kron(d10, d10), np.diag([1.0, 0.0, 0.0, 0.0]))
+        assert np.array_equal(kron(d10, d10), np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_sigma_x_pair_fixes_bell_state(self):
         # oracle: direct 4x4 multiplication
-        op = na.kron(SIGMA_X, SIGMA_X)
+        op = kron(SIGMA_X, SIGMA_X)
         assert np.allclose(op @ BELL_PHI_PLUS, BELL_PHI_PLUS, atol=1e-15)
 
     def test_entry_layout(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
         b = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=complex)
-        out = na.kron(a, b)
+        out = kron(a, b)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -47,7 +56,7 @@ class TestKron:
         for _ in range(20):
             a = random_hermitian(rng, 3)
             b = random_hermitian(rng, 2)
-            lhs = np.trace(na.kron(a, b))
+            lhs = np.trace(kron(a, b))
             rhs = np.trace(a) * np.trace(b)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -55,7 +64,7 @@ class TestKron:
         rng = np.random.default_rng(12)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
-        assert na.is_hermitian(na.kron(a, b))
+        assert is_hermitian(kron(a, b))
 
 
 class TestEigHermitian:
@@ -126,25 +135,25 @@ class TestEigHermitian:
 
 class TestPartialTrace:
     def test_maximally_mixed(self):
-        out = na.partial_trace_first(np.eye(4) / 4.0, 2, 2)
+        out = partial_trace_first(np.eye(4) / 4.0, 2, 2)
         assert np.allclose(out, np.eye(2) / 2.0)
 
     def test_product_state(self):
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0  # |00>
-        out = na.partial_trace_first(np.outer(ket, ket.conj()), 2, 2)
+        out = partial_trace_first(np.outer(ket, ket.conj()), 2, 2)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_bell_state(self):
         # oracle: direct expansion of |Phi+><Phi+| and index-wise trace
         rho = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-        out = na.partial_trace_first(rho, 2, 2)
+        out = partial_trace_first(rho, 2, 2)
         assert np.allclose(out, np.eye(2) / 2.0, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(6)
         m = random_hermitian(rng, 6)
-        out = na.partial_trace_first(m, 2, 3)
+        out = partial_trace_first(m, 2, 3)
         assert abs(np.trace(out) - np.trace(m)) <= 1e-12 * max(1.0, abs(np.trace(m)))
 
     def test_kron_collapse(self):
@@ -152,17 +161,17 @@ class TestPartialTrace:
         for da, db in ((2, 2), (2, 3), (3, 3)):
             a = random_hermitian(rng, da)
             b = random_hermitian(rng, db)
-            out = na.partial_trace_first(na.kron(a, b), da, db)
+            out = partial_trace_first(kron(a, b), da, db)
             target = np.trace(a) * b
             assert np.linalg.norm(out - target) <= 1e-12 * max(1.0, np.linalg.norm(target))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            na.partial_trace_first(np.eye(4), 2, 3)
+            partial_trace_first(np.eye(4), 2, 3)
 
 
 def test_eig_matches_bloch_oracle_on_planar_operator(g1_spec):
     # independent check on a non-trivial qubit operator from the domain
     strat = planar_strategy(g1_spec, 1.0, -0.5)
     op = strat.meas_b[1].projectors[0] * 0.5 + strat.meas_b[0].projectors[1] * 0.5
-    assert abs(na.max_eigenvalue(op) - bloch_grid_max(op)) <= 1e-9
+    assert abs(na.eig_hermitian(op).max_eigenvalue - bloch_grid_max(op)) <= 1e-9

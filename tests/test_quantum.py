@@ -12,6 +12,8 @@ from nonlocal_audit.errors import (
     NotPlanarApplicableError,
     UnknownGameError,
 )
+from nonlocal_audit.games import swap_parties
+from nonlocal_audit.hermitian import is_hermitian
 from nonlocal_audit.quantum import (
     GAP_TOL,
     GRID_MAX,
@@ -21,6 +23,9 @@ from nonlocal_audit.quantum import (
     _planar_kernel,
     _trig,
     branch_and_bound,
+    scaled_bell_charpoly_g1,
+    scaled_bell_charpoly_g2,
+    swap_strategy,
 )
 
 from conftest import (
@@ -82,17 +87,17 @@ class TestBellOperator:
         strat = planar_strategy(g1_spec, alpha1, beta1)
         op = na.bell_operator(g1_spec, strat.meas_a, strat.meas_b)
         target = (16.0 + math.sqrt(13.0)) / 9.0
-        assert abs(4.0 * na.max_eigenvalue(op) - target) <= 1e-10
+        assert abs(4.0 * na.eig_hermitian(op).max_eigenvalue - target) <= 1e-10
 
     def test_chsh_tsirelson_point(self, chsh_spec):
         strat = planar_strategy(chsh_spec, math.pi / 2.0, math.pi / 2.0)
         op = na.bell_operator(chsh_spec, strat.meas_a, strat.meas_b)
-        assert abs(na.max_eigenvalue(op) - OMEGA_Q_CHSH) <= 1e-12
+        assert abs(na.eig_hermitian(op).max_eigenvalue - OMEGA_Q_CHSH) <= 1e-12
 
     def test_hermitian(self, g2_spec):
         strat = planar_strategy(g2_spec, 0.7, -0.4)
         op = na.bell_operator(g2_spec, strat.meas_a, strat.meas_b)
-        assert na.is_hermitian(op)
+        assert is_hermitian(op)
 
     def test_measurement_count_mismatch(self, g1_spec):
         meas_a, meas_b = na.planar_measurements(
@@ -130,7 +135,7 @@ class TestQuantumGameValue:
             strat = planar_strategy(spec, rng.uniform(-math.pi, math.pi),
                                     rng.uniform(-math.pi, math.pi))
             op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
-            top = na.max_eigenvalue(op)
+            top = na.eig_hermitian(op).max_eigenvalue
             for _ in range(100):
                 psi = rng.normal(size=4) + 1j * rng.normal(size=4)
                 psi /= np.linalg.norm(psi)
@@ -153,10 +158,10 @@ class TestClosedForms:
     def test_g1_charpoly_case_boundary(self):
         # at alpha1 = beta1 = pi the characteristic polynomial factors with
         # top root 2 (the classical point); it must vanish there
-        assert abs(na.scaled_bell_charpoly_g1(2.0, math.pi, math.pi)) <= 1e-12
+        assert abs(scaled_bell_charpoly_g1(2.0, math.pi, math.pi)) <= 1e-12
 
     def test_g2_charpoly_case_boundary(self):
-        assert abs(na.scaled_bell_charpoly_g2(3.0, math.pi, math.pi)) <= 1e-12
+        assert abs(scaled_bell_charpoly_g2(3.0, math.pi, math.pi)) <= 1e-12
 
     def test_strategy_value_consistency(self, g1_spec, g1_solution):
         op = na.bell_operator(g1_spec, g1_solution.strategy.meas_a, g1_solution.strategy.meas_b)
@@ -207,7 +212,7 @@ class TestOptimizePlanar:
             strat = planar_strategy(g1_spec, a1, b1)
             op = na.bell_operator(g1_spec, strat.meas_a, strat.meas_b)
             value = _planar_jet(_planar_kernel(g1_spec), a1, b1)[0]
-            assert abs(value - na.max_eigenvalue(op)) <= 1e-12
+            assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
 
     def test_deterministic(self, chsh_spec):
         first = na.optimize_planar(chsh_spec, grid_points=121)
@@ -300,7 +305,7 @@ class TestPlanarKernel:
             for (a1, b1), value, bound in zip(centres, values, bounds):
                 strat = planar_strategy(spec, a1, b1)
                 op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
-                assert abs(value - na.max_eigenvalue(op)) <= 1e-12
+                assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
                 for da, db in rng.uniform(-halfwidth, halfwidth, (10, 2)):
                     assert kernel_spectrum(kernel, a1 + da, b1 + db)[-1] <= bound + 1e-12
 
@@ -420,6 +425,6 @@ class TestCglmpStrategy:
 def test_swap_strategy_transposes_correlations(g2_spec, g2_solution):
     table = na.correlation_table(g2_spec, g2_solution.strategy)
     swapped_table = na.correlation_table(
-        na.swap_parties(g2_spec), na.swap_strategy(g2_solution.strategy)
+        swap_parties(g2_spec), swap_strategy(g2_solution.strategy)
     )
     assert np.allclose(table, np.transpose(swapped_table, (1, 0, 3, 2)), atol=1e-12)

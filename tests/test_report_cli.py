@@ -251,6 +251,15 @@ class TestCli:
         assert main(["quantum", "cglmp", "--closed-form"]) == 2
         assert "--closed-form" in capsys.readouterr().err
 
+    def test_analyze_closed_form_refused_like_quantum(self, capsys):
+        assert main(["analyze", "chsh", "--closed-form"]) == 2
+        analyze_err = capsys.readouterr().err
+        assert "--closed-form" in analyze_err
+        assert main(["quantum", "chsh", "--closed-form"]) == 2
+        assert capsys.readouterr().err == analyze_err
+        assert main(["analyze", "g1", "--closed-form", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
+
     def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
         class ClosedPipe:
             def write(self, _text):

@@ -43,7 +43,7 @@ class TestSteerAssemblage:
             d_a=2, d_b=2, state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b
         )
         assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
-        p, sigma = assemblage.entry(0, 0)
+        p, sigma = assemblage.probabilities[0, 0], assemblage.sigmas[0, 0]
         assert abs(p - 0.5) <= 1e-12
         assert np.allclose(sigma, 0.5 * np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -68,7 +68,7 @@ class TestSteerAssemblage:
         assemblage = na.steer_assemblage(g2_solution.strategy, na.Side.ALICE_STEERS_BOB)
         for x in range(assemblage.n_inputs):
             for a in range(assemblage.n_outcomes):
-                p, sigma = assemblage.entry(x, a)
+                p, sigma = assemblage.probabilities[x, a], assemblage.sigmas[x, a]
                 eigenvalues = na.eig_hermitian(sigma).eigenvalues
                 assert eigenvalues.min() >= -1e-10
                 assert abs(np.trace(sigma).real - p) <= 1e-10

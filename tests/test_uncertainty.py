@@ -39,7 +39,7 @@ class TestG1Relations:
         # relation (0,0) involves only Bob's y=0 outcome-0 projector, whose
         # +1 eigenvector is |+>
         rels = _relations(g1_spec, g1_solution.strategy)
-        basis, degenerate = na.maximally_certain(rels[(0, 0)])
+        basis, degenerate = rels[(0, 0)].certain_space, rels[(0, 0)].degenerate
         assert not degenerate
         plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert abs(abs(np.vdot(plus, basis[:, 0])) - 1.0) <= 1e-10
@@ -72,7 +72,7 @@ class TestG2Relations:
         # certain state proportional to -e^{i alpha1/2}|0> + |1>
         alpha1 = g2_solution.angles.alpha[1]
         rels = _relations(g2_spec, g2_solution.strategy)
-        basis, degenerate = na.maximally_certain(rels[(1, 0)])
+        basis, degenerate = rels[(1, 0)].certain_space, rels[(1, 0)].degenerate
         assert not degenerate
         target = np.array([-np.exp(1j * alpha1 / 2.0), 1.0]) / math.sqrt(2.0)
         assert abs(abs(np.vdot(target, basis[:, 0])) - 1.0) <= 1e-10
@@ -120,7 +120,7 @@ class TestProperties:
         )
         rel = rels[0]
         assert abs(rel.xi - 0.5) <= 1e-12
-        basis, degenerate = na.maximally_certain(rel)
+        basis, degenerate = rel.certain_space, rel.degenerate
         assert degenerate
         assert basis.shape == (2, 2)
 
@@ -173,7 +173,7 @@ class TestProperties:
             for rel in na.fine_grained_relations(
                 spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
             ):
-                basis, _ = na.maximally_certain(rel)
+                basis = rel.certain_space
                 for k in range(basis.shape[1]):
                     v = basis[:, k]
                     rayleigh = float(np.real(v.conj() @ rel.operator @ v))
