@@ -265,12 +265,10 @@ def validate_game(spec: GameSpec) -> list[str]:
             f"pi: expected shape ({spec.n_x}, {spec.n_y}), got {spec.input_dist.shape}"
         )
     else:
-        for x in range(spec.n_x):
-            for y in range(spec.n_y):
-                if not math.isfinite(spec.input_dist[x, y]):
-                    violations.append(f"pi[{x}][{y}]: not a finite number")
-                elif spec.input_dist[x, y] < 0.0:
-                    violations.append(f"pi[{x}][{y}]: negative probability")
+        finite = np.isfinite(spec.input_dist)
+        for x, y in np.argwhere(~finite | (spec.input_dist < 0.0)):
+            fault = "negative probability" if finite[x, y] else "not a finite number"
+            violations.append(f"pi[{x}][{y}]: {fault}")
         total = float(spec.input_dist.sum())
         if abs(total - 1.0) > PI_SUM_ATOL:
             violations.append(f"pi: entries sum to {total!r}, expected 1")
@@ -281,17 +279,20 @@ def validate_game(spec: GameSpec) -> list[str]:
             f"predicate: expected shape {expected}, got {spec.predicate.shape}"
         )
         return violations
-    for idx in np.ndindex(*expected):
-        v = spec.predicate[idx]
-        x, y, a, b = idx
-        if not math.isfinite(v):
-            violations.append(f"predicate[x={x},y={y},a={a},b={b}]: weight {float(v)} is not finite")
-        elif v < 0.0:
-            violations.append(f"predicate[x={x},y={y},a={a},b={b}]: negative weight")
-        elif spec.binary_predicate and v not in (0.0, 1.0):
-            violations.append(
-                f"predicate[x={x},y={y},a={a},b={b}]: value {v!r} outside {{0, 1}}"
-            )
+    # Each faulty entry, in C order, names the first of its faults.
+    pred = spec.predicate
+    finite = np.isfinite(pred)
+    negative = pred < 0.0
+    outside = (pred > 0.0) & (pred != 1.0) if spec.binary_predicate else np.zeros_like(finite)
+    for x, y, a, b in np.argwhere(~finite | negative | outside):
+        v = pred[x, y, a, b]
+        where = f"predicate[x={x},y={y},a={a},b={b}]"
+        if not finite[x, y, a, b]:
+            violations.append(f"{where}: weight {float(v)} is not finite")
+        elif negative[x, y, a, b]:
+            violations.append(f"{where}: negative weight")
+        else:
+            violations.append(f"{where}: value {v!r} outside {{0, 1}}")
     return violations
 
 

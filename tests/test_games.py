@@ -119,6 +119,37 @@ def test_validate_binary_range(g1_spec):
     assert "outside {0, 1}" in violations[0]
 
 
+def test_validate_mixed_faults_in_table_order():
+    # Every fault kind in one table; each entry names only its first fault,
+    # and the messages follow C order of (x, y, a, b) and then of (x, y).
+    pred = np.zeros((2, 2, 2, 2))
+    pred[0, 0, 0, 1] = 0.5
+    pred[0, 1, 1, 0] = np.nan
+    pred[1, 0, 0, 0] = -1.0
+    pred[1, 0, 1, 1] = -np.inf
+    pred[1, 1, 0, 1] = 3.0
+    pred[1, 1, 1, 1] = 1.0
+    pi = np.array([[0.5, -0.25], [np.inf, 0.25]])
+    spec = na.GameSpec(id="bad", n_x=2, n_y=2, n_a=2, n_b=2, predicate=pred, input_dist=pi)
+    assert na.validate_game(spec) == [
+        "pi[0][1]: negative probability",
+        "pi[1][0]: not a finite number",
+        "pi: entries sum to inf, expected 1",
+        "predicate[x=0,y=0,a=0,b=1]: value np.float64(0.5) outside {0, 1}",
+        "predicate[x=0,y=1,a=1,b=0]: weight nan is not finite",
+        "predicate[x=1,y=0,a=0,b=0]: negative weight",
+        "predicate[x=1,y=0,a=1,b=1]: weight -inf is not finite",
+        "predicate[x=1,y=1,a=0,b=1]: value np.float64(3.0) outside {0, 1}",
+    ]
+    weighted = na.GameSpec(id="bad", n_x=2, n_y=2, n_a=2, n_b=2, predicate=pred,
+                           input_dist=np.full((2, 2), 0.25), binary_predicate=False)
+    assert na.validate_game(weighted) == [
+        "predicate[x=0,y=1,a=1,b=0]: weight nan is not finite",
+        "predicate[x=1,y=0,a=0,b=0]: negative weight",
+        "predicate[x=1,y=0,a=1,b=1]: weight -inf is not finite",
+    ]
+
+
 def test_predicate_is_readonly(g1_spec):
     with pytest.raises(ValueError):
         g1_spec.predicate[0, 0, 0, 0] = 0.0
