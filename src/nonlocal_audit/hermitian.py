@@ -19,6 +19,9 @@ from .errors import NotHermitianError, NotSquareError
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues closer than this (relative to max(1, |lambda_max|)) are one eigenspace.
 DEGENERACY_RTOL = 1e-8
+# Eigenvector components within this of the largest magnitude tie for the
+# phase gauge's pivot; the first of them is made real.
+PIVOT_ATOL = 1e-9
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -69,8 +72,10 @@ class EigenSystem:
 def eig_hermitian(h: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
-    Eigenvectors are put in a fixed phase gauge: the largest-magnitude
-    component of each (the first, on ties) is real and positive.
+    Eigenvectors are put in a fixed phase gauge: the first component whose
+    magnitude lies within ``PIVOT_ATOL`` of the largest is real and positive.
+    The tolerance makes exact ties, such as (1, e^{i phi}) / sqrt(2), pick
+    the first component whatever the rounding of the two magnitudes.
 
     Raises ``NotSquareError`` / ``NotHermitianError`` when the input fails
     the preconditions.
@@ -85,7 +90,8 @@ def eig_hermitian(h: np.ndarray) -> EigenSystem:
     # Hermitian matrix; this stays within the acceptance tolerance above.
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     columns = np.arange(v.shape[1])
-    pivot_rows = np.argmax(np.abs(v), axis=0)
+    magnitudes = np.abs(v)
+    pivot_rows = np.argmax(magnitudes >= magnitudes.max(axis=0) - PIVOT_ATOL, axis=0)
     pivots = v[pivot_rows, columns]
     v = v * (pivots.conj() / np.abs(pivots))
     v[pivot_rows, columns] = np.abs(pivots)  # exactly real, not real up to rounding

@@ -115,6 +115,15 @@ class TestEigHermitian:
                 pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
                 assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
 
+    def test_gauge_ties_pick_the_first_component(self):
+        # |v_0| = |v_1| exactly, but rounding in eigh can make either the larger
+        for phi in 2.0 * math.pi * np.arange(64) / 64:
+            v = np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
+            eig = na.eig_hermitian(np.outer(v, v.conj()))
+            first = eig.eigenvectors[0]
+            assert np.all(first.imag == 0.0) and np.all(first.real > 0.0), phi
+            assert abs(eig.max_eigenvector[1] - v[1]) <= 1e-12, phi
+
     def test_zero_matrix(self):
         eig = na.eig_hermitian(np.zeros((3, 3)))
         assert np.array_equal(eig.eigenvalues, np.zeros(3))
