@@ -1,6 +1,7 @@
 """Catalog content, validation, and the JSON game-file round trip."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,42 @@ def test_validate_mixed_faults_in_table_order():
         "predicate[x=1,y=0,a=0,b=0]: negative weight",
         "predicate[x=1,y=0,a=1,b=1]: weight -inf is not finite",
     ]
+
+
+def _entry_violations_by_loop(spec):
+    # The per-entry loop validate_game used before its numpy masks: the reference.
+    violations = []
+    for x in range(spec.n_x):
+        for y in range(spec.n_y):
+            if not math.isfinite(spec.input_dist[x, y]):
+                violations.append(f"pi[{x}][{y}]: not a finite number")
+            elif spec.input_dist[x, y] < 0.0:
+                violations.append(f"pi[{x}][{y}]: negative probability")
+    for idx in np.ndindex(*spec.predicate.shape):
+        v = spec.predicate[idx]
+        where = "predicate[x={},y={},a={},b={}]".format(*idx)
+        if not math.isfinite(v):
+            violations.append(f"{where}: weight {float(v)} is not finite")
+        elif v < 0.0:
+            violations.append(f"{where}: negative weight")
+        elif spec.binary_predicate and v not in (0.0, 1.0):
+            violations.append(f"{where}: value {v!r} outside {{0, 1}}")
+    return violations
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_validate_matches_entry_loop(binary):
+    rng = np.random.default_rng(31)
+    entries = [0.0, 1.0, 0.5, -2.0, np.nan, np.inf, -np.inf]
+    weights = [0.4, 0.3, 0.1, 0.05, 0.05, 0.05, 0.05]
+    for _ in range(20):
+        pred = rng.choice(entries, size=(3, 2, 2, 3), p=weights)
+        # no -inf in pi: inf + -inf in validate_game's sum of pi would warn
+        pi = rng.choice(entries[:-1], size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
+        spec = na.GameSpec(id="random", n_x=3, n_y=2, n_a=2, n_b=3, predicate=pred,
+                           input_dist=pi, binary_predicate=binary)
+        expected = _entry_violations_by_loop(spec)
+        assert [v for v in na.validate_game(spec) if not v.startswith("pi: ")] == expected
 
 
 def test_predicate_is_readonly(g1_spec):

@@ -68,7 +68,7 @@ def test_public_names():
 def _layer_targets() -> dict[str, tuple[str, ...]]:
     """The literal ``TARGETS`` table of the layer tracer, read without importing it."""
     for node in ast.parse(LAYERS.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]:
             return ast.literal_eval(node.value)
     raise AssertionError(f"no TARGETS table in {LAYERS}")
 
@@ -81,10 +81,3 @@ def test_layer_targets_exist():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
-
-def test_catalog_fields_read_by_the_benchmark():
-    for game_id, entry in na.catalog().items():
-        assert entry.spec.equals(na.builtin_game(game_id))
-        assert entry.value_convention in ("normalized", "raw_sum")
-        assert entry.known_classical_value > 0.0
-        assert entry.known_quantum_value > entry.known_classical_value
