@@ -17,7 +17,6 @@ from .hermitian import EigenSystem, eig_hermitian
 from .quantum import (
     OptimalSolution,
     PlanarAngles,
-    ProjectiveMeasurement,
     QuantumStrategy,
     bell_operator,
     cglmp_strategy,
@@ -57,7 +56,6 @@ __all__ = [
     "GameSpec",
     "OptimalSolution",
     "PlanarAngles",
-    "ProjectiveMeasurement",
     "QuantumStrategy",
     "Side",
     "SteeringVerdict",

@@ -269,8 +269,10 @@ def validate_game(spec: GameSpec) -> list[str]:
         for x, y in np.argwhere(~finite | (spec.input_dist < 0.0)):
             fault = "negative probability" if finite[x, y] else "not a finite number"
             violations.append(f"pi[{x}][{y}]: {fault}")
-        total = float(spec.input_dist.sum())
-        if abs(total - 1.0) > PI_SUM_ATOL:
+        # inf + -inf sums to nan and large entries to inf, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(spec.input_dist.sum())
+        if not abs(total - 1.0) <= PI_SUM_ATOL:
             violations.append(f"pi: entries sum to {total!r}, expected 1")
 
     expected = (spec.n_x, spec.n_y, spec.n_a, spec.n_b)
@@ -292,7 +294,7 @@ def validate_game(spec: GameSpec) -> list[str]:
         elif negative[x, y, a, b]:
             violations.append(f"{where}: negative weight")
         else:
-            violations.append(f"{where}: value {v!r} outside {{0, 1}}")
+            violations.append(f"{where}: value {float(v)} outside {{0, 1}}")
     return violations
 
 
@@ -348,7 +350,11 @@ def _number(v, field: str) -> float:
     # A JSON number; booleans and numeric strings such as "1" are refused.
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError([f"{field}: {v!r} is not a number"])
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        # an integer past the float range; its digits are not echoed
+        raise ValidationError([f"{field}: integer outside the float range"]) from None
 
 
 def _flag(v, field: str) -> bool:
@@ -409,8 +415,14 @@ def load_game(path) -> GameSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # json.load reads integer literals with int(), which refuses more
+        # than sys.get_int_max_str_digits() digits
+        raise ParseError(f"{path}: an integer literal has too many digits to read") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays or objects nested too deeply to read") from exc
     return game_from_dict(data)
 
 

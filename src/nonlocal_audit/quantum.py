@@ -37,38 +37,6 @@ GRID_MAX = 4097
 
 
 @dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """One projector per output; projectors are Hermitian, idempotent, complete."""
-
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def validate(self) -> list[str]:
-        violations = []
-        d = self.dim
-        total = np.zeros((d, d), dtype=complex)
-        for k, p in enumerate(self.projectors):
-            if p.shape != (d, d):
-                violations.append(f"projector {k}: shape {p.shape} != ({d}, {d})")
-                continue
-            if np.abs(p - p.conj().T).max() > PROJECTOR_ATOL:
-                violations.append(f"projector {k}: not Hermitian")
-            if np.linalg.norm(p @ p - p) > PROJECTOR_ATOL:
-                violations.append(f"projector {k}: not idempotent")
-            total += p
-        if np.linalg.norm(total - np.eye(d)) > PROJECTOR_ATOL:
-            violations.append("projectors do not sum to the identity")
-        return violations
-
-
-@dataclass(frozen=True)
 class PlanarAngles:
     """Phase angles of the off-diagonal qubit observables, first angle fixed to 0."""
 
@@ -85,27 +53,50 @@ class PlanarAngles:
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """Shared pure state plus one projective measurement per input per party."""
+    """Shared pure state plus each party's projectors.
 
-    d_a: int
-    d_b: int
+    ``meas_a[x, a]`` is Alice's projector for output a on input x, an
+    (inputs, outputs, d_a, d_a) complex array, and ``meas_b`` is Bob's; the
+    state has length d_a * d_b, Alice's index first.
+    """
+
     state: np.ndarray
-    meas_a: tuple[ProjectiveMeasurement, ...]
-    meas_b: tuple[ProjectiveMeasurement, ...]
+    meas_a: np.ndarray
+    meas_b: np.ndarray
+
+    @property
+    def d_a(self) -> int:
+        return self.meas_a.shape[-1]
+
+    @property
+    def d_b(self) -> int:
+        return self.meas_b.shape[-1]
 
     def validate(self) -> list[str]:
-        violations = []
-        if self.state.shape != (self.d_a * self.d_b,):
-            violations.append(
-                f"state: shape {self.state.shape} != ({self.d_a * self.d_b},)"
-            )
+        parties = (("A", self.meas_a), ("B", self.meas_b))
+        violations = [
+            f"measurement {label}: shape {meas.shape} is not (inputs, outputs, d, d)"
+            for label, meas in parties if meas.ndim != 4 or meas.shape[-2] != meas.shape[-1]
+        ]
+        if violations:
+            return violations
+        d = self.d_a * self.d_b
+        if self.state.shape != (d,):
+            violations.append(f"state: shape {self.state.shape} != ({d},)")
         elif abs(np.linalg.norm(self.state) - 1.0) > STATE_NORM_ATOL:
             violations.append("state: not normalized")
-        for label, mset, d in (("A", self.meas_a, self.d_a), ("B", self.meas_b, self.d_b)):
-            for i, m in enumerate(mset):
-                if m.dim != d:
-                    violations.append(f"measurement {label}[{i}]: dim {m.dim} != {d}")
-                violations.extend(f"{label}[{i}]: {v}" for v in m.validate())
+        for label, meas in parties:
+            hermitian = np.abs(meas - meas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            idempotent = np.linalg.norm(meas @ meas - meas, axis=(-2, -1))
+            complete = np.linalg.norm(meas.sum(axis=1) - np.eye(meas.shape[-1]), axis=(-2, -1))
+            for x in range(meas.shape[0]):
+                for k in range(meas.shape[1]):
+                    if hermitian[x, k] > PROJECTOR_ATOL:
+                        violations.append(f"{label}[{x}]: projector {k}: not Hermitian")
+                    if idempotent[x, k] > PROJECTOR_ATOL:
+                        violations.append(f"{label}[{x}]: projector {k}: not idempotent")
+                if complete[x] > PROJECTOR_ATOL:
+                    violations.append(f"{label}[{x}]: projectors do not sum to the identity")
         return violations
 
 
@@ -126,60 +117,30 @@ class OptimalSolution:
     upper_bound: float | None = None
 
 
-def swap_strategy(strategy: QuantumStrategy) -> QuantumStrategy:
-    """The same strategy with the parties exchanged."""
-    state = strategy.state.reshape(strategy.d_a, strategy.d_b).T.reshape(-1)
-    return QuantumStrategy(
-        d_a=strategy.d_b,
-        d_b=strategy.d_a,
-        state=state,
-        meas_a=strategy.meas_b,
-        meas_b=strategy.meas_a,
-    )
-
-
-def planar_measurement(theta: float) -> ProjectiveMeasurement:
-    """Eigenprojectors of the observable [[0, e^{i theta}], [e^{-i theta}, 0]].
+def planar_measurement(theta: float) -> np.ndarray:
+    """Eigenprojectors of the observable [[0, e^{i theta}], [e^{-i theta}, 0]], shape (2, 2, 2).
 
     Output 0 is the +1 eigenprojector |v+><v+| with v+ = (e^{i theta}, 1)/sqrt(2).
     """
     plus = np.array([np.exp(1j * theta), 1.0]) / math.sqrt(2.0)
     minus = np.array([np.exp(1j * theta), -1.0]) / math.sqrt(2.0)
-    return ProjectiveMeasurement(
-        projectors=(np.outer(plus, plus.conj()), np.outer(minus, minus.conj()))
-    )
+    return np.array([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())])
 
 
-def planar_measurements(
-    angles: PlanarAngles,
-) -> tuple[tuple[ProjectiveMeasurement, ...], tuple[ProjectiveMeasurement, ...]]:
-    meas_a = tuple(planar_measurement(t) for t in angles.alpha)
-    meas_b = tuple(planar_measurement(t) for t in angles.beta)
-    return meas_a, meas_b
+def planar_measurements(angles: PlanarAngles) -> tuple[np.ndarray, np.ndarray]:
+    """Both parties' projector arrays, shape (inputs, 2, 2, 2), at the given phases."""
+    return (np.array([planar_measurement(t) for t in angles.alpha]),
+            np.array([planar_measurement(t) for t in angles.beta]))
 
 
-def projector_stack(measurements: tuple[ProjectiveMeasurement, ...]) -> np.ndarray:
-    """The projectors of a measurement set as one array indexed [input, output, row, column]."""
-    return np.array([m.projectors for m in measurements], dtype=complex)
-
-
-def bell_operator(
-    spec: GameSpec,
-    meas_a: tuple[ProjectiveMeasurement, ...],
-    meas_b: tuple[ProjectiveMeasurement, ...],
-) -> np.ndarray:
+def bell_operator(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> np.ndarray:
     """B = sum_{x,y} pi(x,y) sum_{a,b} V(a,b|x,y) Pi^x_a (x) Pi^y_b."""
-    if len(meas_a) != spec.n_x or len(meas_b) != spec.n_y:
-        raise DimensionMismatchError("one measurement per input is required")
-    if any(m.n_outcomes != spec.n_a for m in meas_a) or any(
-        m.n_outcomes != spec.n_b for m in meas_b
-    ):
-        raise DimensionMismatchError("measurement outcome counts do not match the game")
-    d = meas_a[0].dim * meas_b[0].dim
+    if (meas_a.shape[:2], meas_b.shape[:2]) != ((spec.n_x, spec.n_a), (spec.n_y, spec.n_b)):
+        raise DimensionMismatchError(f"projector arrays with (inputs, outputs) {meas_a.shape[:2]} "
+                                     f"and {meas_b.shape[:2]} do not match the game")
+    d = meas_a.shape[-1] * meas_b.shape[-1]
     weights = spec.input_dist[:, :, None, None] * spec.predicate
-    op = np.einsum(
-        "xyab,xaij,ybkl->ikjl", weights, projector_stack(meas_a), projector_stack(meas_b)
-    )
+    op = np.einsum("xyab,xaij,ybkl->ikjl", weights, meas_a, meas_b)
     return op.reshape(d, d)
 
 
@@ -188,10 +149,7 @@ def correlation_table(spec: GameSpec, strategy: QuantumStrategy) -> np.ndarray:
     if len(strategy.meas_a) != spec.n_x or len(strategy.meas_b) != spec.n_y:
         raise DimensionMismatchError("one measurement per input is required")
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
-    table = np.einsum(
-        "ik,xaij,ybkl,jl->xyab",
-        psi.conj(), projector_stack(strategy.meas_a), projector_stack(strategy.meas_b), psi,
-    )
+    table = np.einsum("ik,xaij,ybkl,jl->xyab", psi.conj(), strategy.meas_a, strategy.meas_b, psi)
     return table.real
 
 
@@ -269,9 +227,7 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolu
     if closed_form_available(spec):
         residual = float(_CHARPOLYS[spec.id](4.0 * value, alpha1, beta1))
     return OptimalSolution(
-        strategy=QuantumStrategy(
-            d_a=2, d_b=2, state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b
-        ),
+        strategy=QuantumStrategy(state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b),
         value=value,
         angles=angles,
         residual=residual,
@@ -576,15 +532,12 @@ def optimize_planar(spec: GameSpec, grid_points: int = 721) -> OptimalSolution:
 # ---------------------------------------------------------------------------
 
 
-def _fourier_measurement(sign: int, phase_angle: float) -> ProjectiveMeasurement:
+def _fourier_measurement(sign: int, phase_angle: float) -> np.ndarray:
     """Output a projects onto sum_k omega^(sign a k) e^(i k phase_angle) |k> / sqrt(3)."""
     omega = np.exp(2j * math.pi / 3.0)
     k = np.arange(3)
-    projectors = []
-    for a in range(3):
-        vec = omega ** (sign * a * k) * np.exp(1j * k * phase_angle)
-        projectors.append(np.outer(vec, vec.conj()) / 3.0)
-    return ProjectiveMeasurement(projectors=tuple(projectors))
+    vecs = omega ** (sign * k[:, None] * k) * np.exp(1j * k * phase_angle)  # [a, k]
+    return vecs[:, :, None] * vecs[:, None, :].conj() / 3.0
 
 
 def cglmp_strategy() -> QuantumStrategy:
@@ -601,6 +554,6 @@ def cglmp_strategy() -> QuantumStrategy:
     state[4] = kappa
     state[8] = 1.0
     state /= np.linalg.norm(state)
-    alice = (_fourier_measurement(1, 0.0), _fourier_measurement(1, math.pi / 3.0))
-    bob = (_fourier_measurement(-1, -math.pi / 6.0), _fourier_measurement(-1, math.pi / 6.0))
-    return QuantumStrategy(d_a=3, d_b=3, state=state, meas_a=alice, meas_b=bob)
+    alice = np.array([_fourier_measurement(1, t) for t in (0.0, math.pi / 3.0)])
+    bob = np.array([_fourier_measurement(-1, t) for t in (-math.pi / 6.0, math.pi / 6.0)])
+    return QuantumStrategy(state=state, meas_a=alice, meas_b=bob)

@@ -28,7 +28,7 @@ from .errors import (
     InvalidDistributionError,
 )
 from .games import GameSpec
-from .quantum import QuantumStrategy, projector_stack, quantum_game_value, swap_strategy
+from .quantum import QuantumStrategy, quantum_game_value
 from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
 
 SATURATION_ATOL = 1e-6
@@ -46,8 +46,6 @@ class Assemblage:
     state for every x.
     """
 
-    n_inputs: int
-    n_outcomes: int
     probabilities: np.ndarray
     sigmas: np.ndarray
 
@@ -59,7 +57,7 @@ class Assemblage:
 
     def no_signaling_deviation(self) -> float:
         """max over input pairs of ||sum_a sigma[x, a] - sum_a sigma[x', a]||_F."""
-        return _worst_distance([self.sigmas[x].sum(axis=0) for x in range(self.n_inputs)])
+        return _worst_distance(list(self.sigmas.sum(axis=1)))
 
 
 def _worst_distance(averages: list[np.ndarray]) -> float:
@@ -87,20 +85,14 @@ def steer_assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assembl
 
 def _assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
     """``steer_assemblage`` for a strategy that has already been validated."""
+    psi, projectors = strategy.state.reshape(strategy.d_a, strategy.d_b), strategy.meas_a
     if steering_party is Side.BOB_STEERS_ALICE:
-        strategy = swap_strategy(strategy)
-    psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
-    projectors = projector_stack(strategy.meas_a)
-    n_inputs, n_outcomes = projectors.shape[:2]
+        # Bob's index first; contiguous, since einsum sums a strided view in another order
+        psi, projectors = psi.T.copy(), strategy.meas_b
     # sigma[x, a][k, l] = sum_{i,j} Pi^x_a[i, j] psi[j, k] conj(psi[i, l])
     sigmas = np.einsum("xaij,jk,il->xakl", projectors, psi, psi.conj())
     probabilities = np.einsum("xakk->xa", sigmas).real
-    return Assemblage(
-        n_inputs=n_inputs,
-        n_outcomes=n_outcomes,
-        probabilities=probabilities,
-        sigmas=sigmas,
-    )
+    return Assemblage(probabilities=probabilities, sigmas=sigmas)
 
 
 @dataclass(frozen=True)

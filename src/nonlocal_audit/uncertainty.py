@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .games import GameSpec, swap_parties
 from .hermitian import eig_hermitian
-from .quantum import ProjectiveMeasurement, projector_stack
 
 TRIVIAL_ATOL = 1e-9
 
@@ -63,27 +62,22 @@ class FineGrainedRelation:
 
 
 def fine_grained_relations(
-    spec: GameSpec, side: Side, remote_meas: tuple[ProjectiveMeasurement, ...]
+    spec: GameSpec, side: Side, remote_meas: np.ndarray
 ) -> list[FineGrainedRelation]:
     """All relations for one steering direction, ordered lexicographically by pair.
 
-    ``remote_meas`` are the steered party's measurements: Bob's when Alice
-    steers, Alice's when Bob steers.
+    ``remote_meas`` is the steered party's (inputs, outputs, d, d) projector
+    array: Bob's when Alice steers, Alice's when Bob steers.
     """
     if side is Side.BOB_STEERS_ALICE:
         spec = swap_parties(spec)  # the steering party is "Alice" from here on
-    if len(remote_meas) != spec.n_y:
+    if remote_meas.shape[:2] != (spec.n_y, spec.n_b):
         raise DimensionMismatchError(
-            f"expected {spec.n_y} measurements for the steered party, got {len(remote_meas)}"
-        )
-    for m in remote_meas:
-        if m.n_outcomes != spec.n_b:
-            raise DimensionMismatchError(
-                f"measurement has {m.n_outcomes} outcomes, game expects {spec.n_b}"
-            )
+            f"steered party's projectors have (inputs, outputs) {remote_meas.shape[:2]}, "
+            f"game expects {(spec.n_y, spec.n_b)}")
     pi_b = np.array([spec.pi_b_given_x(x) for x in range(spec.n_x)])  # [x, y]
     weights = pi_b[:, :, None, None] * spec.predicate
-    operators = np.einsum("xyab,ybij->xaij", weights, projector_stack(remote_meas))
+    operators = np.einsum("xyab,ybij->xaij", weights, remote_meas)
     # pi-mass of the inputs y whose predicate row (x, y, a, .) is non-zero
     participates = spec.predicate.max(axis=3) > 0.0  # [x, y, a]
     masses = np.einsum("xy,xya->xa", pi_b, participates)

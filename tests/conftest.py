@@ -31,12 +31,10 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_measurement(rng: np.random.Generator, d: int) -> na.ProjectiveMeasurement:
-    """Random rank-1 projective measurement with d outcomes."""
+def random_measurement(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random rank-1 projective measurement with d outcomes, shape (d, d, d)."""
     u = random_unitary(rng, d)
-    return na.ProjectiveMeasurement(
-        projectors=tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(d))
-    )
+    return np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(d)])
 
 
 def random_strategy(
@@ -45,12 +43,19 @@ def random_strategy(
     state = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
     state /= np.linalg.norm(state)
     return na.QuantumStrategy(
-        d_a=d_a,
-        d_b=d_b,
         state=state,
-        meas_a=tuple(random_measurement(rng, d_a) for _ in range(n_x)),
-        meas_b=tuple(random_measurement(rng, d_b) for _ in range(n_y)),
+        meas_a=np.array([random_measurement(rng, d_a) for _ in range(n_x)]),
+        meas_b=np.array([random_measurement(rng, d_b) for _ in range(n_y)]),
     )
+
+
+def swap_strategy(strategy: na.QuantumStrategy) -> na.QuantumStrategy:
+    """The same strategy with the parties exchanged.
+
+    The reference for the Bob-steers-Alice side of ``steer_assemblage``.
+    """
+    state = strategy.state.reshape(strategy.d_a, strategy.d_b).T.reshape(-1)
+    return na.QuantumStrategy(state=state, meas_a=strategy.meas_b, meas_b=strategy.meas_a)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +180,7 @@ def planar_strategy(spec: na.GameSpec, alpha1: float, beta1: float) -> na.Quantu
     meas_a, meas_b = na.planar_measurements(angles)
     op = na.bell_operator(spec, meas_a, meas_b)
     eig = na.eig_hermitian(op)
-    return na.QuantumStrategy(
-        d_a=2, d_b=2, state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b
-    )
+    return na.QuantumStrategy(state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b)
 
 
 def torus_grid_max(spec: na.GameSpec, points: int = 257) -> float:

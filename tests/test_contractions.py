@@ -36,7 +36,7 @@ def test_bell_operator(case):
     expected = np.zeros((D_A * D_B, D_A * D_B), dtype=complex)
     for x, y, a, b in product(range(N_X), range(N_Y), range(D_A), range(D_B)):
         expected += spec.input_dist[x, y] * spec.predicate[x, y, a, b] * kron(
-            strat.meas_a[x].projectors[a], strat.meas_b[y].projectors[b]
+            strat.meas_a[x, a], strat.meas_b[y, b]
         )
     assert np.abs(na.bell_operator(spec, strat.meas_a, strat.meas_b) - expected).max() <= ATOL
 
@@ -46,7 +46,7 @@ def test_correlation_table(case):
     psi = strat.state
     table = na.correlation_table(spec, strat)
     for x, y, a, b in product(range(N_X), range(N_Y), range(D_A), range(D_B)):
-        op = kron(strat.meas_a[x].projectors[a], strat.meas_b[y].projectors[b])
+        op = kron(strat.meas_a[x, a], strat.meas_b[y, b])
         assert abs(table[x, y, a, b] - np.real(psi.conj() @ op @ psi)) <= ATOL
 
 
@@ -56,7 +56,7 @@ def test_relation_operators(case):
         x, a = rel.pair
         pi_y = spec.pi_b_given_x(x)
         expected = sum(
-            pi_y[y] * spec.predicate[x, y, a, b] * strat.meas_b[y].projectors[b]
+            pi_y[y] * spec.predicate[x, y, a, b] * strat.meas_b[y, b]
             for y, b in product(range(N_Y), range(D_B))
         )
         assert np.abs(rel.operator - expected).max() <= ATOL
@@ -66,7 +66,7 @@ def test_relation_operators(case):
                          (Side.BOB_STEERS_ALICE, strat.meas_a)):
         for rel in na.fine_grained_relations(spec, side, remote):
             n_in, n_out = rel.weights.shape
-            rebuilt = sum(rel.weights[y, b] * remote[y].projectors[b]
+            rebuilt = sum(rel.weights[y, b] * remote[y, b]
                           for y, b in product(range(n_in), range(n_out)))
             assert np.abs(rel.operator - rebuilt).max() <= ATOL
 
@@ -77,7 +77,7 @@ def test_steered_assemblage(case):
     rho = np.outer(strat.state, strat.state.conj())
     for x, a in product(range(N_X), range(D_A)):
         sigma = partial_trace_first(
-            kron(strat.meas_a[x].projectors[a], np.eye(D_B)) @ rho, D_A, D_B
+            kron(strat.meas_a[x, a], np.eye(D_B)) @ rho, D_A, D_B
         )
         assert np.abs(assemblage.sigmas[x, a] - sigma).max() <= ATOL
         assert abs(assemblage.probabilities[x, a] - np.real(np.trace(sigma))) <= ATOL

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,11 +137,11 @@ def test_validate_mixed_faults_in_table_order():
         "pi[0][1]: negative probability",
         "pi[1][0]: not a finite number",
         "pi: entries sum to inf, expected 1",
-        "predicate[x=0,y=0,a=0,b=1]: value np.float64(0.5) outside {0, 1}",
+        "predicate[x=0,y=0,a=0,b=1]: value 0.5 outside {0, 1}",
         "predicate[x=0,y=1,a=1,b=0]: weight nan is not finite",
         "predicate[x=1,y=0,a=0,b=0]: negative weight",
         "predicate[x=1,y=0,a=1,b=1]: weight -inf is not finite",
-        "predicate[x=1,y=1,a=0,b=1]: value np.float64(3.0) outside {0, 1}",
+        "predicate[x=1,y=1,a=0,b=1]: value 3.0 outside {0, 1}",
     ]
     weighted = na.GameSpec(id="bad", n_x=2, n_y=2, n_a=2, n_b=2, predicate=pred,
                            input_dist=np.full((2, 2), 0.25), binary_predicate=False)
@@ -168,10 +169,11 @@ def _entry_violations_by_loop(spec):
         elif v < 0.0:
             violations.append(f"{where}: negative weight")
         elif spec.binary_predicate and v not in (0.0, 1.0):
-            violations.append(f"{where}: value {v!r} outside {{0, 1}}")
+            violations.append(f"{where}: value {float(v)} outside {{0, 1}}")
     return violations
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("binary", [True, False])
 def test_validate_matches_entry_loop(binary):
     rng = np.random.default_rng(31)
@@ -179,12 +181,24 @@ def test_validate_matches_entry_loop(binary):
     weights = [0.4, 0.3, 0.1, 0.05, 0.05, 0.05, 0.05]
     for _ in range(20):
         pred = rng.choice(entries, size=(3, 2, 2, 3), p=weights)
-        # no -inf in pi: inf + -inf in validate_game's sum of pi would warn
-        pi = rng.choice(entries[:-1], size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
+        pi = rng.choice(entries, size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.04, 0.03, 0.03])
         spec = na.GameSpec(id="random", n_x=3, n_y=2, n_a=2, n_b=3, predicate=pred,
                            input_dist=pi, binary_predicate=binary)
         expected = _entry_violations_by_loop(spec)
         assert [v for v in na.validate_game(spec) if not v.startswith("pi: ")] == expected
+
+
+@pytest.mark.parametrize("pi, total", [
+    ([[np.inf, -np.inf]], "nan"),
+    ([[1e308, 1e308]], "inf"),
+])
+def test_validate_pi_sum_without_numpy_warnings(pi, total):
+    spec = na.GameSpec(id="sum", n_x=1, n_y=2, n_a=1, n_b=1,
+                       predicate=np.zeros((1, 2, 1, 1)), input_dist=np.array(pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = na.validate_game(spec)
+    assert f"pi: entries sum to {total}, expected 1" in violations
 
 
 def test_predicate_is_readonly(g1_spec):
@@ -324,6 +338,41 @@ def test_game_file_holes_exit_2(tmp_path, capsys, g1_spec, corrupt, field):
     assert main(["classical", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+_HUGE_INT = "9" * 401  # beyond float range
+_OVER_DIGIT_LIMIT = "1" * 5000  # beyond the digits int() reads
+
+
+@pytest.mark.parametrize("replace, field", [
+    (('"pi": [[0.25', f'"pi": [[{_HUGE_INT}'), "pi[0][0]: integer outside the float range"),
+    (('"v": 1.0', f'"v": {_HUGE_INT}'), "predicate[0].v: integer outside the float range"),
+    (('"v": 1.0', f'"v": {_OVER_DIGIT_LIMIT}'), "bad.json: an integer literal has too many digits"),
+    (('"pi": [[0.25, 0.25]', '"pi": [[Infinity, -Infinity]'), "pi: entries sum to nan, expected 1"),
+    (('"pi": [[0.25, 0.25]', '"pi": [[1e308, 1e308]'), "pi: entries sum to inf, expected 1"),
+])
+def test_game_file_number_faults_exit_2(tmp_path, capsys, g1_spec, replace, field):
+    text = json.dumps(game_to_dict(g1_spec))
+    assert replace[0] in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(replace[0], replace[1], 1))
+    assert main(["classical", str(path)]) == 2
+    err = capsys.readouterr().err
+    # one line, naming the field or the file, without the huge value or a numpy warning
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert "99999" not in err and "11111" not in err
+
+
+@pytest.mark.parametrize("content, fault", [
+    (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_game_file_exit_2(tmp_path, capsys, content, fault):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["classical", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and fault in err
 
 
 def test_swap_parties_involution(g2_spec):

@@ -182,5 +182,5 @@ class TestPartialTrace:
 def test_eig_matches_bloch_oracle_on_planar_operator(g1_spec):
     # independent check on a non-trivial qubit operator from the domain
     strat = planar_strategy(g1_spec, 1.0, -0.5)
-    op = strat.meas_b[1].projectors[0] * 0.5 + strat.meas_b[0].projectors[1] * 0.5
+    op = strat.meas_b[1, 0] * 0.5 + strat.meas_b[0, 1] * 0.5
     assert abs(na.eig_hermitian(op).max_eigenvalue - bloch_grid_max(op)) <= 1e-9

@@ -25,7 +25,6 @@ from nonlocal_audit.quantum import (
     branch_and_bound,
     scaled_bell_charpoly_g1,
     scaled_bell_charpoly_g2,
-    swap_strategy,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     OMEGA_Q_G1,
     OMEGA_Q_G2,
     planar_strategy,
+    swap_strategy,
     torus_grid_max,
 )
 
@@ -43,24 +43,27 @@ PLUS_PROJECTOR = np.full((2, 2), 0.5, dtype=complex)
 class TestPlanarMeasurements:
     def test_theta_zero(self):
         meas = na.planar_measurement(0.0)
-        assert np.allclose(meas.projectors[0], PLUS_PROJECTOR, atol=1e-15)
+        assert np.allclose(meas[0], PLUS_PROJECTOR, atol=1e-15)
         assert np.allclose(
-            meas.projectors[1], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15
+            meas[1], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-15
         )
 
     def test_theta_pi(self):
         # at theta = pi the +1 eigenprojector is |-><-|
         meas = na.planar_measurement(math.pi)
         assert np.allclose(
-            meas.projectors[0], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12
+            meas[0], np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12
         )
 
     def test_completeness_any_angle(self):
         rng = np.random.default_rng(31)
         for theta in rng.uniform(-math.pi, math.pi, 25):
             meas = na.planar_measurement(theta)
-            assert meas.validate() == []
-            total = meas.projectors[0] + meas.projectors[1]
+            strat = na.QuantumStrategy(
+                state=np.array([1.0, 0.0, 0.0, 0.0]), meas_a=meas[None], meas_b=meas[None]
+            )
+            assert strat.validate() == []
+            total = meas[0] + meas[1]
             assert np.linalg.norm(total - np.eye(2)) <= 1e-12
 
     def test_angle_constraints(self):
@@ -68,6 +71,33 @@ class TestPlanarMeasurements:
             na.PlanarAngles(alpha=(0.1, 0.0), beta=(0.0, 0.0))
         with pytest.raises(ValueError):
             na.PlanarAngles(alpha=(0.0, 4.0), beta=(0.0, 0.0))
+
+
+class TestStrategyValidate:
+    def test_shapes_checked_first(self):
+        strat = na.QuantumStrategy(state=np.ones(3), meas_a=na.planar_measurement(0.3),
+                                   meas_b=np.zeros((1, 2, 2, 3)))
+        assert strat.validate() == [
+            "measurement A: shape (2, 2, 2) is not (inputs, outputs, d, d)",
+            "measurement B: shape (1, 2, 2, 3) is not (inputs, outputs, d, d)",
+        ]
+
+    def test_faults_in_order(self, g1_solution):
+        # state, then per party and input: each projector's Hermiticity and
+        # idempotence, then the input's completeness
+        meas_a, meas_b = g1_solution.strategy.meas_a.copy(), g1_solution.strategy.meas_b.copy()
+        meas_a[1, 0] = [[1.0, 1.0], [0.0, 0.0]]  # idempotent, not Hermitian
+        meas_b[0, 1] *= 2.0  # Hermitian, not idempotent
+        strat = na.QuantumStrategy(state=2.0 * g1_solution.strategy.state,
+                                   meas_a=meas_a, meas_b=meas_b)
+        assert strat.validate() == [
+            "state: not normalized",
+            "A[1]: projector 0: not Hermitian",
+            "A[1]: projectors do not sum to the identity",
+            "B[0]: projector 1: not idempotent",
+            "B[0]: projectors do not sum to the identity",
+        ]
+        assert strat.d_a == 2 and strat.d_b == 2
 
 
 class TestBellOperator:
@@ -122,7 +152,7 @@ class TestQuantumGameValue:
         )
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0
-        strat = na.QuantumStrategy(d_a=2, d_b=2, state=ket, meas_a=meas_a, meas_b=meas_b)
+        strat = na.QuantumStrategy(state=ket, meas_a=meas_a, meas_b=meas_b)
         via_sum = na.quantum_game_value(g1_spec, strat)
         op = na.bell_operator(g1_spec, meas_a, meas_b)
         via_operator = float(np.real(ket.conj() @ op @ ket))
@@ -406,7 +436,7 @@ class TestCglmpStrategy:
     def test_projectors_valid(self, cglmp_strategy_fixture):
         assert cglmp_strategy_fixture.validate() == []
         for meas in (*cglmp_strategy_fixture.meas_a, *cglmp_strategy_fixture.meas_b):
-            total = sum(meas.projectors)
+            total = sum(meas)
             assert np.linalg.norm(total - np.eye(3)) <= 1e-12
 
     def test_raw_sum_reference_value(self, cglmp_spec, cglmp_strategy_fixture):

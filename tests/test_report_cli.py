@@ -198,17 +198,10 @@ class TestTextReport:
 
     def test_vacuous_marker(self, g1_spec, g1_solution):
         # a strategy whose state kills one of Alice's outcomes entirely
-        meas_a = (
-            na.ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0]).astype(complex),
-                                                 np.diag([0.0, 1.0]).astype(complex))),
-            na.ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0]).astype(complex),
-                                                 np.diag([0.0, 1.0]).astype(complex))),
-        )
+        meas_a = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]] * 2, dtype=complex)
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0
-        strat = na.QuantumStrategy(
-            d_a=2, d_b=2, state=ket, meas_a=meas_a, meas_b=g1_solution.strategy.meas_b
-        )
+        strat = na.QuantumStrategy(state=ket, meas_a=meas_a, meas_b=g1_solution.strategy.meas_b)
         verdicts = na.saturation_report(g1_spec, strat, na.Side.ALICE_STEERS_BOB)
         assert any(v.vacuous for v in verdicts)
 

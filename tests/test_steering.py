@@ -12,15 +12,13 @@ from nonlocal_audit.errors import (
     InvalidDistributionError,
 )
 
-from conftest import planar_strategy, random_strategy
+from conftest import planar_strategy, random_strategy, swap_strategy
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def _strategy_with_state(base: na.QuantumStrategy, state: np.ndarray) -> na.QuantumStrategy:
-    return na.QuantumStrategy(
-        d_a=base.d_a, d_b=base.d_b, state=state, meas_a=base.meas_a, meas_b=base.meas_b
-    )
+    return na.QuantumStrategy(state=state, meas_a=base.meas_a, meas_b=base.meas_b)
 
 
 def _unnormalized(strategy: na.QuantumStrategy) -> na.QuantumStrategy:
@@ -34,14 +32,9 @@ class TestSteerAssemblage:
             na.steer_assemblage(_unnormalized(g1_solution.strategy), side)
 
     def test_bell_state_projection(self, g1_spec):
-        meas_a = (
-            na.ProjectiveMeasurement(projectors=(np.diag([1.0, 0.0]).astype(complex),
-                                                 np.diag([0.0, 1.0]).astype(complex))),
-        )
-        meas_b = (na.planar_measurement(0.0),)
-        strat = na.QuantumStrategy(
-            d_a=2, d_b=2, state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b
-        )
+        meas_a = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
+        meas_b = na.planar_measurement(0.0)[None]
+        strat = na.QuantumStrategy(state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b)
         assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
         p, sigma = assemblage.probabilities[0, 0], assemblage.sigmas[0, 0]
         assert abs(p - 0.5) <= 1e-12
@@ -66,12 +59,26 @@ class TestSteerAssemblage:
 
     def test_positive_semidefinite_and_trace(self, g2_solution):
         assemblage = na.steer_assemblage(g2_solution.strategy, na.Side.ALICE_STEERS_BOB)
-        for x in range(assemblage.n_inputs):
-            for a in range(assemblage.n_outcomes):
-                p, sigma = assemblage.probabilities[x, a], assemblage.sigmas[x, a]
-                eigenvalues = na.eig_hermitian(sigma).eigenvalues
-                assert eigenvalues.min() >= -1e-10
-                assert abs(np.trace(sigma).real - p) <= 1e-10
+        for x, a in np.ndindex(assemblage.probabilities.shape):
+            p, sigma = assemblage.probabilities[x, a], assemblage.sigmas[x, a]
+            eigenvalues = na.eig_hermitian(sigma).eigenvalues
+            assert eigenvalues.min() >= -1e-10
+            assert abs(np.trace(sigma).real - p) <= 1e-10
+
+    def test_bob_side_matches_swapped_reference(
+        self, g2_solution, chsh_solution, cglmp_strategy_fixture
+    ):
+        # bit for bit: the Bob side must sum in the order of the swapped strategy
+        rng = np.random.default_rng(74)
+        strategies = [g2_solution.strategy, chsh_solution.strategy, cglmp_strategy_fixture] + [
+            random_strategy(rng, d_a, d_b, n_x, n_y)
+            for d_a, d_b, n_x, n_y in ((2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 2, 2))
+        ]
+        for strat in strategies:
+            bob = na.steer_assemblage(strat, na.Side.BOB_STEERS_ALICE)
+            reference = na.steer_assemblage(swap_strategy(strat), na.Side.ALICE_STEERS_BOB)
+            assert np.array_equal(bob.sigmas, reference.sigmas)
+            assert np.array_equal(bob.probabilities, reference.probabilities)
 
     def test_quantum_assemblage_is_no_signaling(self):
         rng = np.random.default_rng(71)
@@ -99,18 +106,14 @@ class TestSteerAssemblage:
         # with a maximally entangled pair, projecting Alice onto the
         # conjugate of any target pure state prepares that target on Bob
         rng = np.random.default_rng(72)
-        meas_b = (na.planar_measurement(0.0),)
+        meas_b = na.planar_measurement(0.0)[None]
         for _ in range(10):
             target = rng.normal(size=2) + 1j * rng.normal(size=2)
             target /= np.linalg.norm(target)
             conj = target.conj()
             proj = np.outer(conj, conj.conj())
-            meas_a = (
-                na.ProjectiveMeasurement(projectors=(proj, np.eye(2) - proj)),
-            )
-            strat = na.QuantumStrategy(
-                d_a=2, d_b=2, state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b
-            )
+            meas_a = np.array([[proj, np.eye(2) - proj]])
+            strat = na.QuantumStrategy(state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b)
             assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
             steered = assemblage.normalized_state(0, 0)
             fidelity = float(np.real(target.conj() @ steered @ target))
@@ -237,7 +240,7 @@ class TestNoSignalingCheck:
         )
         meas = na.planar_measurement(0.3)
         relations = na.fine_grained_relations(
-            spec, na.Side.ALICE_STEERS_BOB, (meas, meas)
+            spec, na.Side.ALICE_STEERS_BOB, np.array([meas, meas])
         )
         with pytest.raises(AmbiguousDegenerateError):
             na.certain_state_assemblage(relations, reference=None)

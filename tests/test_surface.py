@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "GameSpec",
     "OptimalSolution",
     "PlanarAngles",
-    "ProjectiveMeasurement",
     "QuantumStrategy",
     "Side",
     "SteeringVerdict",

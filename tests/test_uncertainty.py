@@ -116,7 +116,7 @@ class TestProperties:
         # U = (Pi_0 + Pi_1)/2 = I/2, every state is maximally certain
         meas = na.planar_measurement(0.3)
         rels = na.fine_grained_relations(
-            spec, na.Side.ALICE_STEERS_BOB, (meas, meas)
+            spec, na.Side.ALICE_STEERS_BOB, np.array([meas, meas])
         )
         rel = rels[0]
         assert abs(rel.xi - 0.5) <= 1e-12
@@ -145,12 +145,7 @@ class TestProperties:
 
         rng = np.random.default_rng(62)
         u = random_unitary(rng, 2)
-        rotated = tuple(
-            na.ProjectiveMeasurement(
-                projectors=tuple(u @ p @ u.conj().T for p in m.projectors)
-            )
-            for m in g2_solution.strategy.meas_b
-        )
+        rotated = u @ g2_solution.strategy.meas_b @ u.conj().T
         base = na.fine_grained_relations(
             g2_spec, na.Side.ALICE_STEERS_BOB, g2_solution.strategy.meas_b
         )
@@ -207,11 +202,11 @@ class TestProperties:
             predicate=pred, input_dist=np.array([[0.5, 0.5]]),
         )
         same = na.planar_measurement(0.4)
-        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, (same, same))
+        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, np.array([same, same]))
         assert rels[0].trivial
         assert abs(rels[0].xi_normalized - 1.0) <= 1e-12
         other = na.planar_measurement(1.9)
-        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, (same, other))
+        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, np.array([same, other]))
         assert not rels[0].trivial
         assert rels[0].xi_normalized < 1.0 - 1e-3
 
@@ -223,6 +218,6 @@ class TestProperties:
 
     def test_outcome_count_mismatch(self, g1_spec):
         rng = np.random.default_rng(64)
-        meas = (random_measurement(rng, 3), random_measurement(rng, 3))
+        meas = np.array([random_measurement(rng, 3), random_measurement(rng, 3)])
         with pytest.raises(DimensionMismatchError):
             na.fine_grained_relations(g1_spec, na.Side.ALICE_STEERS_BOB, meas)
