@@ -36,7 +36,6 @@ from .steering import (
     SteeringVerdict,
     certain_state_assemblage,
     correspondence_verdict,
-    ns_assemblage_check,
     saturation_report,
     steer_assemblage,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "eig_hermitian",
     "fine_grained_relations",
     "load_game",
-    "ns_assemblage_check",
     "optimize_planar",
     "planar_measurement",
     "planar_measurements",

@@ -151,6 +151,11 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
                    "the planar search starts from (GRID - 1) // 16 cells per quarter axis")
 
 
+def _add_closed_form(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--closed-form", action=argparse.BooleanOptionalAction, default=None,
+                   help="force the closed form on or off (default: auto)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocal-audit",
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum", help="quantum value (certified planar search or closed form)")
     p.add_argument("game")
     _add_grid(p)
-    p.add_argument("--closed-form", action="store_true", help="use the exact closed form")
+    _add_closed_form(p)
     p.set_defaults(func=_cmd_quantum)
 
     p = sub.add_parser("uncertainty", help="fine-grained relations for one side")
@@ -193,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file")
     _add_grid(p)
-    p.add_argument("--closed-form", action=argparse.BooleanOptionalAction, default=None,
-                   help="force the closed form on or off (default: auto)")
+    _add_closed_form(p)
     p.set_defaults(func=_cmd_analyze)
     return parser
 

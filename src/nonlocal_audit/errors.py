@@ -52,9 +52,5 @@ class NotPlanarApplicableError(NonlocalAuditError):
     """Planar-qubit optimization only covers 2-input/2-output games."""
 
 
-class InvalidDistributionError(NonlocalAuditError):
-    """Conditional probability table does not normalize."""
-
-
 class AmbiguousDegenerateError(NonlocalAuditError):
-    """A degenerate certain space has no reference state to resolve it."""
+    """A steered state is orthogonal to the degenerate certain space it should pick from."""

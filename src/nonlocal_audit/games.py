@@ -26,6 +26,12 @@ PI_SUM_ATOL = 1e-12
 # Entries of the dense predicate table n_x * n_y * n_a * n_b; a game file
 # over it is refused before the table is allocated.
 MAX_PREDICATE_ENTRIES = 1_000_000
+# Range of a non-zero predicate weight. The planar Newton polish multiplies
+# three weights and divides by differences of them; past this range those
+# leave the float range.
+MIN_WEIGHT, MAX_WEIGHT = 1e-100, 1e100
+# Characters of an offending value that a refusal message echoes.
+SHOWN_CHARS = 40
 
 GAME_IDS = ("g1", "g2", "chsh", "cglmp")
 
@@ -286,15 +292,18 @@ def validate_game(spec: GameSpec) -> list[str]:
     finite = np.isfinite(pred)
     negative = pred < 0.0
     outside = (pred > 0.0) & (pred != 1.0) if spec.binary_predicate else np.zeros_like(finite)
-    for x, y, a, b in np.argwhere(~finite | negative | outside):
+    out_of_range = (pred > 0.0) & ((pred < MIN_WEIGHT) | (pred > MAX_WEIGHT))
+    for x, y, a, b in np.argwhere(~finite | negative | outside | out_of_range):
         v = pred[x, y, a, b]
         where = f"predicate[x={x},y={y},a={a},b={b}]"
         if not finite[x, y, a, b]:
             violations.append(f"{where}: weight {float(v)} is not finite")
         elif negative[x, y, a, b]:
             violations.append(f"{where}: negative weight")
-        else:
+        elif outside[x, y, a, b]:
             violations.append(f"{where}: value {float(v)} outside {{0, 1}}")
+        else:
+            violations.append(f"{where}: weight {float(v)} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]")
     return violations
 
 
@@ -315,6 +324,12 @@ def game_to_dict(spec: GameSpec) -> dict:
     }
 
 
+def _shown(v) -> str:
+    """repr(v) cut to SHOWN_CHARS characters with an ellipsis, so a huge value is not echoed."""
+    text = repr(v)
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -323,7 +338,7 @@ def _sizes(data: dict, field: str) -> tuple[int, int]:
     first, second = data[field]
     for k, v in enumerate((first, second)):
         if not _is_int(v):
-            raise ValidationError([f"{field}[{k}]: {v!r} is not an integer"])
+            raise ValidationError([f"{field}[{k}]: {_shown(v)} is not an integer"])
     return first, second
 
 
@@ -335,8 +350,8 @@ def _check_table_size(inputs: tuple[int, int], outputs: tuple[int, int]) -> None
     for field, count in pairs.items():
         if count > MAX_PREDICATE_ENTRIES:
             raise ValidationError([
-                f"{field}: {list(sizes[field])} gives {count} pairs, more than the "
-                f"{MAX_PREDICATE_ENTRIES} predicate entries allowed"
+                f"{field}: {_shown(list(sizes[field]))} gives {_shown(count)} pairs, more "
+                f"than the {MAX_PREDICATE_ENTRIES} predicate entries allowed"
             ])
     if pairs["inputs"] * pairs["outputs"] > MAX_PREDICATE_ENTRIES:
         raise ValidationError([
@@ -349,7 +364,7 @@ def _check_table_size(inputs: tuple[int, int], outputs: tuple[int, int]) -> None
 def _number(v, field: str) -> float:
     # A JSON number; booleans and numeric strings such as "1" are refused.
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError([f"{field}: {v!r} is not a number"])
+        raise ValidationError([f"{field}: {_shown(v)} is not a number"])
     try:
         return float(v)
     except OverflowError:
@@ -360,7 +375,7 @@ def _number(v, field: str) -> float:
 def _flag(v, field: str) -> bool:
     # A JSON boolean; the string "false" would otherwise read as true.
     if not isinstance(v, bool):
-        raise ValidationError([f"{field}: {v!r} is not a boolean (true or false)"])
+        raise ValidationError([f"{field}: {_shown(v)} is not a boolean (true or false)"])
     return v
 
 
@@ -368,7 +383,8 @@ def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]
     index = tuple(entry[key] for key in "xyab")
     for key, i, n in zip("xyab", index, shape):
         if not (_is_int(i) and 0 <= i < n):
-            raise ValidationError([f"predicate[{k}].{key}: {i!r} is not an index in [0, {n})"])
+            raise ValidationError(
+                [f"predicate[{k}].{key}: {_shown(i)} is not an index in [0, {n})"])
     return index
 
 

@@ -9,9 +9,11 @@ bound implied by the relations alone exactly when every pair saturates.
 The no-signaling check asks a sharper structural question: do the
 maximally certain states, weighted by the steering party's outcome
 probabilities, form an assemblage whose average is independent of the
-measurement choice? Steered assemblages always do; assemblages assembled
-from the certain states need not, and when they fail no quantum strategy
-can steer to them.
+measurement choice? By Hughston-Jozsa-Wootters an assemblage can be
+steered to exactly when it passes that test. Steered assemblages always
+do; the certain-state assemblage need not, and when it fails no quantum
+strategy can steer to it. Both are ``Assemblage`` values and share one
+test, ``Assemblage.no_signaling_deviation``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .classical import DeterministicStrategy, classical_value
-from .errors import (
-    AmbiguousDegenerateError,
-    DimensionMismatchError,
-    InvalidDistributionError,
-)
+from .errors import AmbiguousDegenerateError, DimensionMismatchError
 from .games import GameSpec
 from .quantum import QuantumStrategy, quantum_game_value
 from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
@@ -34,7 +32,6 @@ from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
 SATURATION_ATOL = 1e-6
 VACUOUS_ATOL = 1e-9
 NS_ATOL = 1e-6
-DIST_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,15 +53,11 @@ class Assemblage:
         return self.sigmas[x, a] / p
 
     def no_signaling_deviation(self) -> float:
-        """max over input pairs of ||sum_a sigma[x, a] - sum_a sigma[x', a]||_F."""
-        return _worst_distance(list(self.sigmas.sum(axis=1)))
-
-
-def _worst_distance(averages: list[np.ndarray]) -> float:
-    """Largest Frobenius distance between any two of the averages (0 for fewer than two)."""
-    return max(
-        (float(np.linalg.norm(p - q)) for p, q in combinations(averages, 2)), default=0.0
-    )
+        """max over input pairs of ||sum_a sigma[x, a] - sum_a sigma[x', a]||_F (0 if no pair)."""
+        averages = self.sigmas.sum(axis=1)
+        return max(
+            (float(np.linalg.norm(p - q)) for p, q in combinations(averages, 2)), default=0.0
+        )
 
 
 def _check_strategy(strategy: QuantumStrategy) -> None:
@@ -120,34 +113,21 @@ def _verdicts(
     verdicts = []
     for rel in relations:
         x, a = rel.pair
-        p = float(assemblage.probabilities[x, a])
         state = assemblage.normalized_state(x, a)
-        if state is None:
-            verdicts.append(
-                SteeringVerdict(
-                    pair=rel.pair,
-                    probability=p,
-                    xi=rel.xi_normalized,
-                    achieved=0.0,
-                    gap=rel.xi_normalized,
-                    saturated=False,
-                    vacuous=True,
-                    trivial_relation=rel.trivial,
-                )
-            )
-            continue
-        mass = rel.weight_mass if rel.weight_mass > 0.0 else 1.0
-        achieved = float(np.real(np.trace(state @ rel.operator))) / mass
+        achieved = 0.0
+        if state is not None:
+            mass = rel.weight_mass if rel.weight_mass > 0.0 else 1.0
+            achieved = float(np.real(np.trace(state @ rel.operator))) / mass
         gap = rel.xi_normalized - achieved
         verdicts.append(
             SteeringVerdict(
                 pair=rel.pair,
-                probability=p,
+                probability=float(assemblage.probabilities[x, a]),
                 xi=rel.xi_normalized,
                 achieved=achieved,
                 gap=gap,
-                saturated=bool(gap <= SATURATION_ATOL),
-                vacuous=False,
+                saturated=state is not None and bool(gap <= SATURATION_ATOL),
+                vacuous=state is None,
                 trivial_relation=rel.trivial,
             )
         )
@@ -180,32 +160,33 @@ def saturation_report(
 
 
 def certain_state_assemblage(
-    relations: list[FineGrainedRelation],
-    reference: Assemblage | None = None,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Candidate assemblage built from each relation's maximally certain state.
+    relations: list[FineGrainedRelation], reference: Assemblage
+) -> Assemblage:
+    """The assemblage of each relation's maximally certain state.
 
-    Non-degenerate relations contribute their unique top eigenvector.
-    Degenerate ones use the projection of the actually-steered state onto
-    the eigenspace when a reference assemblage is supplied; otherwise the
-    choice is ambiguous and an error is raised. A degenerate pair the
-    reference never produces (p <= 1e-9) carries no weight in the
-    no-signaling average and takes the first certain-space column, which
-    the eigensolver's phase gauge fixes.
+    ``probabilities`` are the reference's and ``sigmas[x, a] = p(a|x)
+    rho(x, a)``. A non-degenerate relation's rho is its unique top
+    eigenvector; a degenerate one's is the reference's steered state
+    projected onto the eigenspace. A degenerate pair the reference never
+    produces (p <= 1e-9) carries no weight in the no-signaling average and
+    takes the first certain-space column, which the eigensolver's phase
+    gauge fixes. A reference whose (input, outcome) grid is not the
+    relations' pairs raises ``DimensionMismatchError``; a steered state
+    orthogonal to its certain space raises ``AmbiguousDegenerateError``.
     """
-    states: dict[tuple[int, int], np.ndarray] = {}
+    probabilities = reference.probabilities
+    if [rel.pair for rel in relations] != list(np.ndindex(probabilities.shape)):
+        raise DimensionMismatchError(
+            f"reference assemblage has (inputs, outputs) {probabilities.shape}, "
+            "which does not match the relations' pairs"
+        )
+    states = []
     for rel in relations:
         basis = rel.certain_space
-        steered = None
-        if basis.shape[1] > 1:
-            if reference is None:
-                raise AmbiguousDegenerateError(
-                    f"relation {rel.pair} has a degenerate certain space and no reference state"
-                )
-            steered = reference.normalized_state(*rel.pair)
+        steered = reference.normalized_state(*rel.pair) if basis.shape[1] > 1 else None
         if steered is None:
             vec = basis[:, 0]
-            states[rel.pair] = np.outer(vec, vec.conj())
+            states.append(np.outer(vec, vec.conj()))
             continue
         proj = basis @ basis.conj().T
         projected = proj @ steered @ proj
@@ -214,38 +195,9 @@ def certain_state_assemblage(
             raise AmbiguousDegenerateError(
                 f"relation {rel.pair}: steered state is orthogonal to the certain space"
             )
-        states[rel.pair] = projected / trace
-    return states
-
-
-def ns_assemblage_check(
-    probabilities: np.ndarray,
-    certain_states: dict[tuple[int, int], np.ndarray],
-) -> tuple[float, bool]:
-    """No-signaling test of the certain-state assemblage.
-
-    ``probabilities[x, a]`` must be a conditional distribution over a for
-    each x. Deviation is the worst Frobenius distance between the
-    probability-weighted averages sum_a p(a|x) sigma(x,a) across inputs;
-    the check passes when it does not exceed 1e-6.
-    """
-    probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.ndim != 2:
-        raise InvalidDistributionError("probability table must be 2-dimensional")
-    if np.any(probabilities < -DIST_ATOL):
-        raise InvalidDistributionError("negative conditional probability")
-    sums = probabilities.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > DIST_ATOL):
-        raise InvalidDistributionError(
-            f"conditional probabilities sum to {sums!r}, expected 1 per input"
-        )
-    n_inputs, n_outcomes = probabilities.shape
-    averages = [
-        sum(probabilities[x, a] * certain_states[(x, a)] for a in range(n_outcomes))
-        for x in range(n_inputs)
-    ]
-    deviation = _worst_distance(averages)
-    return deviation, deviation <= NS_ATOL
+        states.append(projected / trace)
+    rhos = np.array(states).reshape(probabilities.shape + states[0].shape)
+    return Assemblage(probabilities=probabilities, sigmas=probabilities[:, :, None, None] * rhos)
 
 
 @dataclass(frozen=True)
@@ -295,8 +247,7 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     )
     relations_ba, _, verdicts_bob = _side_audit(spec, strategy, Side.BOB_STEERS_ALICE)
 
-    certain = certain_state_assemblage(relations_ab, reference=assemblage_ab)
-    ns_deviation, ns_passes = ns_assemblage_check(assemblage_ab.probabilities, certain)
+    ns_deviation = certain_state_assemblage(relations_ab, assemblage_ab).no_signaling_deviation()
 
     pi_a = spec.pi_a()
     up_bound = 0.0
@@ -315,7 +266,7 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
         verdicts_alice=verdicts_alice,
         verdicts_bob=verdicts_bob,
         ns_deviation=ns_deviation,
-        ns_passes=ns_passes,
+        ns_passes=ns_deviation <= NS_ATOL,
         up_bound=up_bound,
         correspondence_holds=correspondence,
     )

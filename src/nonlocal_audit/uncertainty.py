@@ -49,7 +49,6 @@ class FineGrainedRelation:
     predicates and is None for weighted games.
     """
 
-    side: Side
     pair: tuple[int, int]
     weights: np.ndarray
     operator: np.ndarray
@@ -94,7 +93,6 @@ def fine_grained_relations(
         )
         relations.append(
             FineGrainedRelation(
-                side=side,
                 pair=(x, a),
                 weights=weights[x, :, a, :],
                 operator=op,

@@ -4,18 +4,24 @@
 ``ValidationError`` (both exit 2 in the CLI); any other exception, or a
 numpy warning, is a defect. Documents are free-form JSON values and
 near-valid games with sizes up to 4 and a few fields replaced or removed.
+The same documents, written to game files, go through ``classical`` and
+``analyze``; a draw of 2x2x2x2 near-valid games reaches the planar route.
 """
 
+import contextlib
+import io
+import json
 import math
 import warnings
 
 import pytest
 
+from nonlocal_audit.cli import main
 from nonlocal_audit.errors import ParseError, ValidationError
 from nonlocal_audit.games import GameSpec, game_from_dict
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FIELDS = ("id", "inputs", "outputs", "pi", "predicate", "binary_predicate")
@@ -40,8 +46,8 @@ JSON = st.recursive(
 
 
 @st.composite
-def near_valid_games(draw):
-    n_x, n_y, n_a, n_b = (draw(st.integers(1, 4)) for _ in range(4))
+def near_valid_games(draw, sizes=st.integers(1, 4)):
+    n_x, n_y, n_a, n_b = (draw(sizes) for _ in range(4))
     indices = st.tuples(*(st.integers(0, n - 1) for n in (n_x, n_y, n_a, n_b)))
     weight = st.one_of(st.sampled_from([0, 1, 1.0]), NUMBERS)
     doc = {
@@ -96,3 +102,38 @@ def test_free_form_json(doc):
 @given(near_valid_games())
 def test_near_valid_games(doc):
     _game_or_usage_error(doc)
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _cli_exits_cleanly(path, doc) -> None:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["classical", str(path)], ["analyze", str(path), "--format", "json"]):
+        code, err = _run_cli(argv)
+        assert code in (0, 2) or (code == 1 and "internal numeric failure:" in err), (
+            argv, code, err)
+
+
+# Function-scoped tmp_path is fine here: every example overwrites the same file.
+CLI_SETTINGS = dict(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=60, **CLI_SETTINGS)
+@given(near_valid_games())
+def test_cli_on_near_valid_game_files(tmp_path, doc):
+    _cli_exits_cleanly(tmp_path / "game.json", doc)
+
+
+# About a third of these reach the planar route, at about 50 ms per analyze.
+@settings(max_examples=30, **CLI_SETTINGS)
+@given(near_valid_games(sizes=st.just(2)))
+def test_cli_on_planar_game_files(tmp_path, doc):
+    _cli_exits_cleanly(tmp_path / "game.json", doc)

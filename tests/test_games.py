@@ -170,6 +170,8 @@ def _entry_violations_by_loop(spec):
             violations.append(f"{where}: negative weight")
         elif spec.binary_predicate and v not in (0.0, 1.0):
             violations.append(f"{where}: value {float(v)} outside {{0, 1}}")
+        elif v != 0.0 and not 1e-100 <= v <= 1e100:
+            violations.append(f"{where}: weight {float(v)} outside [1e-100, 1e+100]")
     return violations
 
 
@@ -177,11 +179,11 @@ def _entry_violations_by_loop(spec):
 @pytest.mark.parametrize("binary", [True, False])
 def test_validate_matches_entry_loop(binary):
     rng = np.random.default_rng(31)
-    entries = [0.0, 1.0, 0.5, -2.0, np.nan, np.inf, -np.inf]
-    weights = [0.4, 0.3, 0.1, 0.05, 0.05, 0.05, 0.05]
+    entries = [0.0, 1.0, 0.5, -2.0, np.nan, np.inf, -np.inf, 1e300, 1e-300]
+    weights = [0.4, 0.3, 0.1, 0.05, 0.05, 0.03, 0.03, 0.02, 0.02]
     for _ in range(20):
         pred = rng.choice(entries, size=(3, 2, 2, 3), p=weights)
-        pi = rng.choice(entries, size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.04, 0.03, 0.03])
+        pi = rng.choice(entries[:7], size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.04, 0.03, 0.03])
         spec = na.GameSpec(id="random", n_x=3, n_y=2, n_a=2, n_b=3, predicate=pred,
                            input_dist=pi, binary_predicate=binary)
         expected = _entry_violations_by_loop(spec)
@@ -361,6 +363,52 @@ def test_game_file_number_faults_exit_2(tmp_path, capsys, g1_spec, replace, fiel
     # one line, naming the field or the file, without the huge value or a numpy warning
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
     assert "99999" not in err and "11111" not in err
+
+
+@pytest.mark.parametrize("weight", [1e308, 1e101, 1e-310])
+def test_weight_outside_range_exit_2(tmp_path, capsys, weight):
+    # past the range the planar Newton polish overflowed with a numpy warning
+    doc = {"id": "weighted", "inputs": [2, 2], "outputs": [2, 2],
+           "pi": [[0.25, 0.25], [0.25, 0.25]], "binary_predicate": False,
+           "predicate": [{"x": 0, "y": 0, "a": 0, "b": 0, "v": weight},
+                         {"x": 1, "y": 1, "a": 1, "b": 1, "v": weight}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: predicate[x=0,y=0,a=0,b=0]: weight {weight} outside "
+                          "[1e-100, 1e+100]")
+
+
+def _set(path, value):
+    def corrupt(doc):
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return corrupt
+
+
+_LONG_TEXT = "z" * 100_000
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_set(("predicate", 0, "x"), 10**400), "predicate[0].x"),
+    (_set(("inputs", 0), 10**400), "inputs"),
+    (_set(("pi", 0, 1), _LONG_TEXT), "pi[0][1]"),
+    (_set(("binary_predicate",), _LONG_TEXT), "binary_predicate"),
+], ids=["index", "inputs", "pi", "binary_predicate"])
+def test_game_file_huge_value_not_echoed(tmp_path, capsys, g1_spec, corrupt, field):
+    doc = game_to_dict(g1_spec)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("content, fault", [

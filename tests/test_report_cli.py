@@ -253,6 +253,14 @@ class TestCli:
         assert main(["analyze", "g1", "--closed-form", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
 
+    def test_quantum_and_analyze_share_closed_form_default(self, capsys):
+        assert main(["quantum", "g1"]) == 0
+        assert "[closed_form]" in capsys.readouterr().out
+        assert main(["analyze", "g1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
+        assert main(["quantum", "g1", "--no-closed-form"]) == 0
+        assert "[planar_grid]" in capsys.readouterr().out
+
     def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
         class ClosedPipe:
             def write(self, _text):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.errors import (
-    AmbiguousDegenerateError,
-    DimensionMismatchError,
-    InvalidDistributionError,
-)
+from nonlocal_audit.errors import AmbiguousDegenerateError, DimensionMismatchError
 
 from conftest import planar_strategy, random_strategy, swap_strategy
 
@@ -191,59 +187,71 @@ class TestSaturationReport:
 
 
 class TestNoSignalingCheck:
-    def _certain_and_probs(self, spec, strategy):
+    def _deviation(self, spec, strategy):
         relations = na.fine_grained_relations(
             spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
         )
         assemblage = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
-        certain = na.certain_state_assemblage(relations, reference=assemblage)
-        return assemblage.probabilities, certain
+        return na.certain_state_assemblage(relations, assemblage).no_signaling_deviation()
 
     def test_g1_fails(self, g1_spec, g1_solution):
-        probs, certain = self._certain_and_probs(g1_spec, g1_solution.strategy)
-        deviation, passes = na.ns_assemblage_check(probs, certain)
-        assert not passes
+        deviation = self._deviation(g1_spec, g1_solution.strategy)
         assert deviation > 0.01
         assert abs(deviation - 0.669516631) <= 1e-6  # frozen regression value
 
     def test_g2_fails(self, g2_spec, g2_solution):
-        probs, certain = self._certain_and_probs(g2_spec, g2_solution.strategy)
-        deviation, passes = na.ns_assemblage_check(probs, certain)
-        assert not passes
+        deviation = self._deviation(g2_spec, g2_solution.strategy)
         assert deviation > 0.01
         assert abs(deviation - 0.355509189) <= 1e-6
 
     def test_chsh_passes(self, chsh_spec, chsh_solution):
-        probs, certain = self._certain_and_probs(chsh_spec, chsh_solution.strategy)
-        deviation, passes = na.ns_assemblage_check(probs, certain)
-        assert passes and deviation <= 1e-6
+        assert self._deviation(chsh_spec, chsh_solution.strategy) <= 1e-6
 
     def test_cglmp_passes(self, cglmp_spec, cglmp_strategy_fixture):
-        probs, certain = self._certain_and_probs(cglmp_spec, cglmp_strategy_fixture)
-        deviation, passes = na.ns_assemblage_check(probs, certain)
-        assert passes and deviation <= 1e-6
+        assert self._deviation(cglmp_spec, cglmp_strategy_fixture) <= 1e-6
 
-    def test_invalid_distribution(self):
-        states = {(x, a): np.eye(2) / 2.0 for x in range(2) for a in range(2)}
-        with pytest.raises(InvalidDistributionError):
-            na.ns_assemblage_check(np.array([[0.5, 0.4], [0.5, 0.5]]), states)
 
-    def test_ambiguous_degenerate(self):
-        # a relation whose operator is I/2 has the full space as its top
-        # eigenspace; without a reference state the candidate is ambiguous
-        spec = na.GameSpec(
-            id="halfsum", n_x=1, n_y=2, n_a=1, n_b=2,
-            predicate=np.stack(
-                [np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]])], axis=1
-            ),
-            input_dist=np.array([[0.5, 0.5]]),
-        )
-        meas = na.planar_measurement(0.3)
+class TestCertainStateAssemblage:
+    def test_weights_certain_states_by_reference(self, g1_spec, g1_solution):
+        strategy = g1_solution.strategy
         relations = na.fine_grained_relations(
-            spec, na.Side.ALICE_STEERS_BOB, np.array([meas, meas])
+            g1_spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
         )
-        with pytest.raises(AmbiguousDegenerateError):
-            na.certain_state_assemblage(relations, reference=None)
+        reference = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        certain = na.certain_state_assemblage(relations, reference)
+        assert certain.probabilities is reference.probabilities
+        for rel in relations:
+            vec = rel.certain_space[:, 0]
+            p = reference.probabilities[rel.pair]
+            assert np.allclose(certain.sigmas[rel.pair], p * np.outer(vec, vec.conj()))
+            assert np.allclose(certain.normalized_state(*rel.pair), np.outer(vec, vec.conj()))
+
+    def test_steered_state_orthogonal_to_certain_space(self):
+        # U = P(0|0) + P(1|0) on a qutrit has the degenerate top eigenspace
+        # span{|0>, |1>}; a reference steered to |2> has no part in it
+        spec = na.GameSpec(
+            id="orthogonal", n_x=1, n_y=1, n_a=1, n_b=3,
+            predicate=np.array([1.0, 1.0, 0.0]).reshape(1, 1, 1, 3),
+            input_dist=np.array([[1.0]]),
+        )
+        meas_b = np.eye(3, dtype=complex)[:, :, None] * np.eye(3)[:, None, :]
+        relations = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, meas_b[None])
+        assert relations[0].degenerate
+        reference = na.Assemblage(
+            probabilities=np.array([[1.0]]), sigmas=meas_b[2][None, None]
+        )
+        with pytest.raises(AmbiguousDegenerateError, match="orthogonal to the certain space"):
+            na.certain_state_assemblage(relations, reference)
+
+    def test_reference_grid_mismatch(self, g1_spec, g1_solution):
+        strategy = g1_solution.strategy
+        relations = na.fine_grained_relations(
+            g1_spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
+        )
+        steered = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        reference = na.Assemblage(steered.probabilities[:1], steered.sigmas[:1])
+        with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
+            na.certain_state_assemblage(relations, reference)
 
 
 class TestCorrespondenceVerdict:

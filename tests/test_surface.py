@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "eig_hermitian",
     "fine_grained_relations",
     "load_game",
-    "ns_assemblage_check",
     "optimize_planar",
     "planar_measurement",
     "planar_measurements",

@@ -1,0 +1,78 @@
+"""Write the command-line outputs that a refactor must keep byte-identical.
+
+Runs 77 commands in-process through ``nonlocal_audit.cli.main`` and writes
+one file per command into OUTDIR, holding its argv, exit code, stdout and
+stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
+games: ``analyze --format json`` with and without ``--no-closed-form``,
+``uncertainty --side alice`` and ``--side bob``, ``steer`` and ``quantum``.
+On the 5 ``classical_scaling`` games: ``classical``. Game files are the
+benchmark's own inputs, ``perfbench/workloads.generate(workload, 0)``,
+written under ``.perfbench_work/`` in the checkout root; the program is the
+one in the checkout's ``src/``.
+
+Usage, with this file copied into each checkout:
+
+    python3 tools/cli_outputs.py OUTDIR
+    diff -r PARENT_OUTDIR CHANGE_OUTDIR
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+sys.dont_write_bytecode = True  # read perfbench/ without writing into it
+
+from perfbench import workloads  # noqa: E402
+
+
+def commands(game_ids) -> list[tuple[str, list[str]]]:
+    """(file name, argv) of every command, with the game files written."""
+    planar = [i for i in workloads.generate("planar_sweep", 0) if i.game is not None]
+    scaling = workloads.generate("classical_scaling", 0)
+    workloads.write_inputs(planar + scaling)
+    games = [(g, g) for g in game_ids] + sorted((i.name, i.ref) for i in planar)
+    out = []
+    for name, ref in games:
+        out += [
+            (f"analyze-{name}", ["analyze", ref, "--format", "json"]),
+            (f"analyze-{name}-no-closed-form",
+             ["analyze", ref, "--format", "json", "--no-closed-form"]),
+            (f"uncertainty-{name}-alice", ["uncertainty", ref, "--side", "alice"]),
+            (f"uncertainty-{name}-bob", ["uncertainty", ref, "--side", "bob"]),
+            (f"steer-{name}", ["steer", ref]),
+            (f"quantum-{name}", ["quantum", ref]),
+        ]
+    out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)  # game paths in the outputs are relative to the checkout root
+    na = workloads.import_program()
+    from nonlocal_audit import cli
+
+    for name, args in commands(na.GAME_IDS):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(args)
+        (outdir / f"{name}.txt").write_text(
+            f"argv: {' '.join(args)}\nexit: {code}\n"
+            f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}",
+            encoding="utf-8",
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
