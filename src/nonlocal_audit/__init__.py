@@ -29,7 +29,7 @@ from .quantum import (
     quantum_game_value,
     refine_planar,
 )
-from .report import AnalysisOptions, AnalysisRun, render_report, run_analyze
+from .report import AnalysisRun, render_report, run_analyze
 from .steering import (
     Assemblage,
     CorrespondenceReport,
@@ -43,7 +43,6 @@ from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
 
 __all__ = [
     "__version__",
-    "AnalysisOptions",
     "AnalysisRun",
     "Assemblage",
     "CorrespondenceReport",

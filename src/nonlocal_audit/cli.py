@@ -1,10 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal numeric failure or standard output closed
-by its reader, 2 usage or input error. ``--grid`` sets the first partition
-of the planar branch and bound, (grid - 1) // 16 cells per axis of the
-quarter [0, pi]^2. The argument parser is built once per process and reused
-by every call of ``main``.
+by its reader, 2 usage or input error. The argument parser is built once
+per process and reused by every call of ``main``.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .games import catalog
-from .quantum import GRID_MAX, GRID_MIN
 from .report import (
-    AnalysisOptions,
     best_known_solution,
     render_report,
     resolve_game,
@@ -65,9 +61,7 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     spec, _ = resolve_game(args.game)
-    method, solution = best_known_solution(
-        spec, AnalysisOptions(grid_points=args.grid, closed_form=args.closed_form)
-    )
+    method, solution = best_known_solution(spec, args.closed_form)
     print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
@@ -89,7 +83,7 @@ def _print_state(state) -> None:
 
 
 def _cmd_uncertainty(args) -> int:
-    report = run_analyze(args.game, AnalysisOptions(grid_points=args.grid)).report
+    report = run_analyze(args.game).report
     if args.side == "alice":
         relations, steering, steered = report.relations_alice, "alice_steers_bob", "Bob"
     else:
@@ -117,14 +111,13 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _cmd_steer(args) -> int:
-    run = run_analyze(args.game, AnalysisOptions(grid_points=args.grid))
+    run = run_analyze(args.game)
     print("\n".join(steering_lines(run.report)))
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    options = AnalysisOptions(grid_points=args.grid, closed_form=args.closed_form)
-    run = run_analyze(args.game, options)
+    run = run_analyze(args.game, args.closed_form)
     text = render_report(run, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -133,22 +126,6 @@ def _cmd_analyze(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _grid_points(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not GRID_MIN <= n <= GRID_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in [{GRID_MIN}, {GRID_MAX}], got {n}")
-    return n
-
-
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=_grid_points, default=721,
-                   help=f"grid points per angle axis, {GRID_MIN} to {GRID_MAX} (default 721); "
-                   "the planar search starts from (GRID - 1) // 16 cells per quarter axis")
 
 
 def _add_closed_form(p: argparse.ArgumentParser) -> None:
@@ -177,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="quantum value (certified planar search or closed form)")
     p.add_argument("game")
-    _add_grid(p)
     _add_closed_form(p)
     p.set_defaults(func=_cmd_quantum)
 
@@ -185,19 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--side", choices=("alice", "bob"), required=True,
                    help="which party steers (relations live on the other system)")
-    _add_grid(p)
     p.set_defaults(func=_cmd_uncertainty)
 
     p = sub.add_parser("steer", help="saturation verdicts and no-signaling check")
     p.add_argument("game")
-    _add_grid(p)
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("analyze", help="full report (classical, quantum, steering, verdict)")
     p.add_argument("game")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file")
-    _add_grid(p)
     _add_closed_form(p)
     p.set_defaults(func=_cmd_analyze)
     return parser

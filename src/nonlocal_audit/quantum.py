@@ -30,11 +30,6 @@ from .hermitian import eig_hermitian
 PROJECTOR_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
 
-# Grid points per angle axis; the planar search starts from
-# (grid_points - 1) // 16 cells per axis of the quarter [0, pi]^2.
-GRID_MIN = 64
-GRID_MAX = 4097
-
 
 @dataclass(frozen=True)
 class PlanarAngles:
@@ -249,8 +244,9 @@ GAP_TOL = 1e-9
 # Branch-and-bound cells per LAPACK batch (one to five real 4x4 solves
 # each), and caps on the cells a split may produce and on the rounds; when
 # a cap binds the search stops and reports the bound it reached. The first
-# partition holds at most ((GRID_MAX - 1) // 16)^2 = 65536 cells.
+# partition has _FIRST_CELLS^2 cells; the value does not depend on it.
 _BATCH_CELLS = 1024
+_FIRST_CELLS = 45
 MAX_CELLS = 1 << 14
 MAX_ROUNDS = 40
 _CHILD_OFFSETS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
@@ -396,16 +392,16 @@ class PlanarSearch:
     capped: bool
 
 
-def branch_and_bound(kernel: np.ndarray, cells_per_axis: int) -> PlanarSearch:
+def branch_and_bound(kernel: np.ndarray) -> PlanarSearch:
     """Certified maximum of lambda_max over the quarter [0, pi]^2.
 
-    Starts from ``cells_per_axis``^2 square cells. Each round evaluates the
+    Starts from _FIRST_CELLS^2 square cells. Each round evaluates the
     open cells, discards those whose bound does not exceed the best centre
     value by more than GAP_TOL / 2, and splits the rest in four.
     """
     curvature = _curvature_bound(kernel)
-    halfwidth = math.pi / (2 * cells_per_axis)
-    axis = (2 * np.arange(cells_per_axis) + 1) * halfwidth
+    halfwidth = math.pi / (2 * _FIRST_CELLS)
+    axis = (2 * np.arange(_FIRST_CELLS) + 1) * halfwidth
     centres = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     best, best_value, upper, evaluated = centres[0], -math.inf, -math.inf, 0
     for rounds in range(1, MAX_ROUNDS + 1):
@@ -492,17 +488,17 @@ def _wrap_angle(t: float) -> float:
     return wrapped
 
 
-def optimize_planar(spec: GameSpec, grid_points: int = 721) -> OptimalSolution:
+def optimize_planar(spec: GameSpec) -> OptimalSolution:
     """Certified maximization of lambda_max over (alpha1, beta1).
 
     Flipping the sign of either party's angle conjugates that party by the
     X gate and preserves the spectrum, so optima come in sign quadruples;
     the representative with alpha1 >= 0 and beta1 >= 0 is reported, and
     only the quarter [0, pi]^2 is searched, on the real trigonometric
-    kernel of ``_planar_kernel``. ``branch_and_bound`` starts from
-    (``grid_points`` - 1) // 16 cells per axis (GRID_MIN to GRID_MAX; 721
-    gives 45), ``refine_planar`` polishes its best point by Newton steps,
-    and the solution is recomputed from the complex Bell operator. Its
+    kernel of ``_planar_kernel``. ``branch_and_bound`` starts from a fixed
+    partition of _FIRST_CELLS cells per axis, ``refine_planar`` polishes its
+    best point by Newton steps of at most a first cell's half-width, and the
+    solution is recomputed from the complex Bell operator. Its
     ``upper_bound`` is the bound the search certified, at most GAP_TOL
     above the value unless a cap stopped the search. Only
     2-input/2-output games are supported.
@@ -512,13 +508,9 @@ def optimize_planar(spec: GameSpec, grid_points: int = 721) -> OptimalSolution:
             f"game {spec.id!r} is {spec.n_x}x{spec.n_y} inputs / "
             f"{spec.n_a}x{spec.n_b} outputs; the planar family covers 2x2x2x2"
         )
-    if not GRID_MIN <= grid_points <= GRID_MAX:
-        raise ValueError(f"grid_points must lie in [{GRID_MIN}, {GRID_MAX}], got {grid_points}")
-
-    cells_per_axis = (grid_points - 1) // 16
-    search = branch_and_bound(_planar_kernel(spec), cells_per_axis)
+    search = branch_and_bound(_planar_kernel(spec))
     alpha1, beta1, _ = refine_planar(
-        spec, search.alpha1, search.beta1, halfwidth=math.pi / (2 * cells_per_axis)
+        spec, search.alpha1, search.beta1, halfwidth=math.pi / (2 * _FIRST_CELLS)
     )
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +32,13 @@ from .uncertainty import FineGrainedRelation
 
 
 @dataclass(frozen=True)
-class AnalysisOptions:
-    grid_points: int = 721
-    closed_form: bool | None = None  # None = use a closed form when one exists
-
-
-@dataclass(frozen=True)
 class AnalysisRun:
     """Everything one ``analyze`` invocation computed; the audit itself is ``report``."""
 
     game_ref: str
     source: str
     spec: GameSpec
-    options: AnalysisOptions
+    closed_form: bool | None
     method: str
     solution: OptimalSolution
     report: CorrespondenceReport
@@ -64,20 +58,23 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     )
 
 
-def best_known_solution(spec: GameSpec, options: AnalysisOptions) -> tuple[str, OptimalSolution]:
+def best_known_solution(
+    spec: GameSpec, closed_form: bool | None = None
+) -> tuple[str, OptimalSolution]:
     """Pick the strategy source: closed form, planar optimizer, or fixed catalog strategy.
 
     Closed forms and the fixed qutrit strategy only apply to games whose
     tables match the catalog entry; a file-loaded variant that merely
-    reuses a catalog id goes through the optimizer. ``closed_form=True`` on
-    a game without a closed form raises ``UnknownGameError``.
+    reuses a catalog id goes through the optimizer. ``closed_form`` None
+    uses a closed form when one exists; True on a game without one raises
+    ``UnknownGameError``, and False skips it.
     """
     closed_available = closed_form_available(spec)
-    if options.closed_form and not closed_available:
+    if closed_form and not closed_available:
         raise UnknownGameError(
             f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
         )
-    if closed_available and options.closed_form is not False:
+    if closed_available and closed_form is not False:
         return "closed_form", closed_form_optimum(spec.id)
     if matches_catalog(spec, "cglmp"):
         strategy = cglmp_strategy()
@@ -86,25 +83,24 @@ def best_known_solution(spec: GameSpec, options: AnalysisOptions) -> tuple[str, 
             strategy=strategy, value=value, angles=None, residual=None
         )
     if (spec.n_x, spec.n_y, spec.n_a, spec.n_b) == (2, 2, 2, 2):
-        return "planar_grid", optimize_planar(spec, grid_points=options.grid_points)
+        return "planar_search", optimize_planar(spec)
     raise NotPlanarApplicableError(
         f"no optimization route for game {spec.id!r}: not 2x2 inputs/outputs "
         "and no fixed catalog strategy"
     )
 
 
-def run_analyze(game_ref: str, options: AnalysisOptions | None = None) -> AnalysisRun:
+def run_analyze(game_ref: str, closed_form: bool | None = None) -> AnalysisRun:
     """classical value -> optimal strategy -> relations -> steering -> verdict."""
-    options = options or AnalysisOptions()
     started = time.perf_counter()
     spec, source = resolve_game(game_ref)
-    method, solution = best_known_solution(spec, options)
+    method, solution = best_known_solution(spec, closed_form)
     report = correspondence_verdict(spec, solution.strategy)
     return AnalysisRun(
         game_ref=game_ref,
         source=source,
         spec=spec,
-        options=options,
+        closed_form=closed_form,
         method=method,
         solution=solution,
         report=report,
@@ -229,7 +225,7 @@ def run_document(run: AnalysisRun) -> dict:
             "outputs": [spec.n_a, spec.n_b],
             "binary_predicate": spec.binary_predicate,
         },
-        "options": asdict(run.options),
+        "options": {"closed_form": run.closed_form},
         "classical": {
             "value": tagged_values(spec, report.omega_c),
             "maximizer_count": len(report.classical_maximizers),

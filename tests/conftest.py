@@ -263,9 +263,7 @@ def g2_solution():
 
 @pytest.fixture(scope="session")
 def chsh_solution(chsh_spec):
-    # module-level tests use a coarser grid than the acceptance run; the
-    # golden refinement recovers the same optimum from it
-    return na.optimize_planar(chsh_spec, grid_points=181)
+    return na.optimize_planar(chsh_spec)
 
 
 @pytest.fixture(scope="session")

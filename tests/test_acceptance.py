@@ -79,7 +79,7 @@ def test_criterion_2_g1_quantum_value():
         failures.append(f"closed-form characteristic residual {closed.residual:.2e}")
 
     grid_started = time.perf_counter()
-    optimized = na.optimize_planar(na.builtin_game("g1"), grid_points=721)
+    optimized = na.optimize_planar(na.builtin_game("g1"))
     grid_elapsed = time.perf_counter() - grid_started
     if abs(optimized.value - OMEGA_Q_G1) > 1e-7:
         failures.append(f"optimizer value {optimized.value!r}")
@@ -110,7 +110,7 @@ def test_criterion_3_g2_quantum_value():
     if abs(closed.value - OMEGA_Q_G2) > 1e-7:
         failures.append(f"closed-form value {closed.value!r}")
     grid_started = time.perf_counter()
-    optimized = na.optimize_planar(na.builtin_game("g2"), grid_points=721)
+    optimized = na.optimize_planar(na.builtin_game("g2"))
     grid_elapsed = time.perf_counter() - grid_started
     if abs(optimized.value - OMEGA_Q_G2) > 1e-7:
         failures.append(f"optimizer value {optimized.value!r}")
@@ -230,7 +230,7 @@ def test_criterion_6_verdicts():
     strategies = {
         "g1": na.closed_form_optimum("g1").strategy,
         "g2": na.closed_form_optimum("g2").strategy,
-        "chsh": na.optimize_planar(na.builtin_game("chsh"), grid_points=181).strategy,
+        "chsh": na.optimize_planar(na.builtin_game("chsh")).strategy,
         "cglmp": na.cglmp_strategy(),
     }
     for game_id, expected in expectations.items():
@@ -254,7 +254,7 @@ def test_criterion_7_chsh_sanity():
     started = time.perf_counter()
     failures = []
     spec = na.builtin_game("chsh")
-    optimized = na.optimize_planar(spec, grid_points=721)
+    optimized = na.optimize_planar(spec)
     if abs(optimized.value - OMEGA_Q_CHSH) > 1e-7:
         failures.append(f"optimizer value {optimized.value!r}")
     for side in (na.Side.ALICE_STEERS_BOB, na.Side.BOB_STEERS_ALICE):
@@ -301,7 +301,7 @@ def test_criterion_8_property_suites():
                         f"{game_id} {side.value} {rel.pair}: xi {rel.xi!r} vs "
                         f"Bloch oracle {oracle!r}"
                     )
-    chsh_solution = na.optimize_planar(na.builtin_game("chsh"), grid_points=181)
+    chsh_solution = na.optimize_planar(na.builtin_game("chsh"))
     for rel in na.fine_grained_relations(
         na.builtin_game("chsh"), na.Side.ALICE_STEERS_BOB, chsh_solution.strategy.meas_b
     ):

@@ -16,7 +16,6 @@ from nonlocal_audit.games import swap_parties
 from nonlocal_audit.hermitian import is_hermitian
 from nonlocal_audit.quantum import (
     GAP_TOL,
-    GRID_MAX,
     _cell_bounds,
     _curvature_bound,
     _planar_jet,
@@ -205,7 +204,7 @@ class TestClosedForms:
 
 class TestOptimizePlanar:
     def test_g1(self, g1_spec):
-        sol = na.optimize_planar(g1_spec, grid_points=181)
+        sol = na.optimize_planar(g1_spec)
         assert abs(sol.value - OMEGA_Q_G1) <= 1e-8
         alpha_target, beta_target = na.closed_form_angles("g1")
         assert abs(sol.angles.alpha[1] - alpha_target) <= 1e-6
@@ -215,7 +214,7 @@ class TestOptimizePlanar:
         assert abs(sol.residual) <= 1e-8
 
     def test_g2(self, g2_spec):
-        sol = na.optimize_planar(g2_spec, grid_points=181)
+        sol = na.optimize_planar(g2_spec)
         assert abs(sol.value - OMEGA_Q_G2) <= 1e-8
         assert abs(sol.angles.alpha[1] - sol.angles.beta[1]) <= 1e-6
 
@@ -225,15 +224,12 @@ class TestOptimizePlanar:
 
     def test_beats_classical(self, g1_spec, g2_spec, chsh_spec):
         for spec in (g1_spec, g2_spec, chsh_spec):
-            sol = na.optimize_planar(spec, grid_points=121)
+            sol = na.optimize_planar(spec)
             assert sol.value >= na.classical_value(spec)[0] - 1e-9
 
-    def test_guards(self, cglmp_spec, g1_spec):
+    def test_guards(self, cglmp_spec):
         with pytest.raises(NotPlanarApplicableError):
             na.optimize_planar(cglmp_spec)
-        for grid_points in (32, 0, -5, GRID_MAX + 1):
-            with pytest.raises(ValueError, match="grid_points"):
-                na.optimize_planar(g1_spec, grid_points=grid_points)
 
     def test_fast_path_matches_jacobi(self, g1_spec):
         rng = np.random.default_rng(51)
@@ -245,17 +241,17 @@ class TestOptimizePlanar:
             assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
 
     def test_deterministic(self, chsh_spec):
-        first = na.optimize_planar(chsh_spec, grid_points=121)
-        second = na.optimize_planar(chsh_spec, grid_points=121)
+        first = na.optimize_planar(chsh_spec)
+        second = na.optimize_planar(chsh_spec)
         assert first.value == second.value
         assert first.angles == second.angles
 
     def test_worker_count_does_not_change_results(self, chsh_spec, monkeypatch):
         # The former thread setting is no longer read.
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "1")
-        serial = na.optimize_planar(chsh_spec, grid_points=121)
+        serial = na.optimize_planar(chsh_spec)
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", "3")
-        threaded = na.optimize_planar(chsh_spec, grid_points=121)
+        threaded = na.optimize_planar(chsh_spec)
         assert serial.value == threaded.value
         assert serial.angles == threaded.angles
         assert np.array_equal(serial.strategy.state, threaded.strategy.state)
@@ -270,7 +266,7 @@ class TestOptimizePlanar:
             predicate[entry] = 1.0
         spec = na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
                            predicate=predicate, input_dist=np.full((2, 2), 0.25))
-        solution = na.optimize_planar(spec, grid_points=121)
+        solution = na.optimize_planar(spec)
         assert solution.residual is None
         assert solution.value >= torus_grid_max(spec, 121) - 1e-12
         # lambda_max is 3/4 all along beta1 = 0, so the open cells double every
@@ -342,7 +338,7 @@ class TestPlanarKernel:
     def test_quarter_grid_holds_full_maximum(self):
         # The search covers only [0, pi]^2; its bound still covers the torus.
         for spec in self.GAMES:
-            search = branch_and_bound(_planar_kernel(spec), 7)
+            search = branch_and_bound(_planar_kernel(spec))
             full = torus_grid_max(spec, 121)
             assert search.upper >= full - 1e-12
             assert search.value >= full - 1e-3  # the best centre, before polishing
@@ -372,16 +368,13 @@ class TestCertificate:
             assert abs(solution.angles.alpha[1] - alpha1) <= 1e-12
             assert abs(solution.angles.beta[1] - abs(beta1)) <= 1e-12
 
-    def test_value_independent_of_first_partition(self):
-        for spec in (na.builtin_game("g1"), *random_weighted_games(72, count=2)):
-            coarse = na.optimize_planar(spec, grid_points=181)
-            fine = na.optimize_planar(spec, grid_points=721)
+    def test_value_independent_of_first_partition(self, monkeypatch):
+        specs = (na.builtin_game("g1"), *random_weighted_games(72, count=2))
+        default = [na.optimize_planar(spec) for spec in specs]
+        monkeypatch.setattr(quantum, "_FIRST_CELLS", 11)
+        for spec, fine in zip(specs, default):
+            coarse = na.optimize_planar(spec)
             assert abs(coarse.value - fine.value) <= 1e-12
-
-    def test_grid_max_completes(self, chsh_spec):
-        solution = na.optimize_planar(chsh_spec, grid_points=GRID_MAX)
-        assert abs(solution.value - OMEGA_Q_CHSH) <= 1e-12
-        assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL
 
     def test_cell_cap_stops_with_valid_bound(self, monkeypatch):
         # Bob's output and input never matter, so lambda_max is constant
@@ -393,7 +386,7 @@ class TestCertificate:
         spec = na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
                            input_dist=np.full((2, 2), 0.25), binary_predicate=False)
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
-        search = branch_and_bound(_planar_kernel(spec), 45)
+        search = branch_and_bound(_planar_kernel(spec))
         assert search.capped
         assert search.cells <= 2025 + (search.rounds - 1) * 4096
         assert search.upper >= torus_grid_max(spec, 65) - 1e-12
@@ -403,7 +396,7 @@ class TestCertificate:
     def test_search_solves_far_fewer_cells_than_the_grid(self):
         # The former scan solved 361^2 quarter-grid points at 721.
         for game_id in self.GAMES:
-            search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)), 45)
+            search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)))
             assert not search.capped
             assert 5 * search.cells < 361 * 361 // 2
 

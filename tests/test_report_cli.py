@@ -10,9 +10,8 @@ import pytest
 
 import nonlocal_audit as na
 from nonlocal_audit import cli
-from nonlocal_audit.cli import build_parser, main
-from nonlocal_audit.quantum import GRID_MAX
-from nonlocal_audit.report import AnalysisOptions, run_document
+from nonlocal_audit.cli import main
+from nonlocal_audit.report import run_document
 
 from conftest import OMEGA_Q_G1
 
@@ -70,8 +69,8 @@ class TestRunAnalyze:
     def test_file_game(self, tmp_path, chsh_spec):
         path = tmp_path / "mychsh.json"
         na.save_game(chsh_spec, path)
-        run = na.run_analyze(str(path), AnalysisOptions(grid_points=121))
-        assert run.method == "planar_grid"
+        run = na.run_analyze(str(path))
+        assert run.method == "planar_search"
         assert abs(run.solution.value - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-7
         assert run.report.correspondence_holds
 
@@ -85,8 +84,8 @@ class TestRunAnalyze:
         )
         path = tmp_path / "variant.json"
         na.save_game(variant, path)
-        run = na.run_analyze(str(path), AnalysisOptions(grid_points=121))
-        assert run.method == "planar_grid"
+        run = na.run_analyze(str(path))
+        assert run.method == "planar_search"
         assert abs(run.solution.value - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-7
 
     def test_residual_only_for_catalog_tables(self, tmp_path, chsh_spec):
@@ -97,10 +96,10 @@ class TestRunAnalyze:
         )
         path = tmp_path / "variant.json"
         na.save_game(variant, path)
-        run = na.run_analyze(str(path), AnalysisOptions(grid_points=121))
+        run = na.run_analyze(str(path))
         assert json.loads(na.render_report(run, "json"))["quantum"]["residual"] is None
-        catalog = na.run_analyze("g1", AnalysisOptions(grid_points=121, closed_form=False))
-        assert catalog.method == "planar_grid"
+        catalog = na.run_analyze("g1", closed_form=False)
+        assert catalog.method == "planar_search"
         assert abs(catalog.solution.residual) <= 1e-9
 
     def test_file_matching_catalog_gets_closed_form(self, tmp_path, g1_spec):
@@ -156,12 +155,11 @@ class TestJsonReport:
         second = na.render_report(na.run_analyze("g1"), "json")
         assert first == second
 
-    def test_byte_identical_with_grid(self, tmp_path, chsh_spec):
+    def test_byte_identical_planar(self, tmp_path, chsh_spec):
         path = tmp_path / "chsh.json"
         na.save_game(chsh_spec, path)
-        options = AnalysisOptions(grid_points=121)
-        first = na.render_report(na.run_analyze(str(path), options), "json")
-        second = na.render_report(na.run_analyze(str(path), options), "json")
+        first = na.render_report(na.run_analyze(str(path)), "json")
+        second = na.render_report(na.run_analyze(str(path)), "json")
         assert first == second
 
     def test_omega_q_upper(self, g1_run, cglmp_run, tmp_path, chsh_spec):
@@ -176,7 +174,7 @@ class TestJsonReport:
 
     def test_options_keys(self, g1_run):
         doc = json.loads(na.render_report(g1_run, "json"))
-        assert list(doc["options"]) == ["grid_points", "closed_form"]
+        assert list(doc["options"]) == ["closed_form"]
 
     def test_wall_time_not_in_json(self, g1_run):
         doc = run_document(g1_run)
@@ -259,7 +257,7 @@ class TestCli:
         assert main(["analyze", "g1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
         assert main(["quantum", "g1", "--no-closed-form"]) == 0
-        assert "[planar_grid]" in capsys.readouterr().out
+        assert "[planar_search]" in capsys.readouterr().out
 
     def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
         class ClosedPipe:
@@ -329,28 +327,24 @@ class TestCli:
         assert main(["uncertainty", "g1"]) == 2  # missing --side
         capsys.readouterr()
 
-    @pytest.mark.parametrize("grid", ["32", "0", "-5", str(GRID_MAX + 1)])
     @pytest.mark.parametrize("command", [
         ["quantum", "chsh"],
         ["uncertainty", "chsh", "--side", "alice"],
         ["steer", "chsh"],
         ["analyze", "chsh"],
     ])
-    def test_grid_out_of_range_exit_code(self, capsys, command, grid):
-        assert main([*command, "--grid", grid]) == 2
-        assert "argument --grid" in capsys.readouterr().err
-
-    def test_grid_cap_accepted_at_parse_time(self):
-        args = build_parser().parse_args(["analyze", "chsh", "--grid", str(GRID_MAX)])
-        assert args.grid == GRID_MAX
+    def test_grid_option_removed(self, capsys, command):
+        # The planar search starts from a fixed partition; no option sets it.
+        assert main([*command, "--grid", "721"]) == 2
+        assert "--grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_bad_thread_setting_exit_code(self, capsys, monkeypatch, raw):
         # The thread setting is gone: a value that used to exit 2 is not read.
-        assert main(["quantum", "chsh", "--grid", "64"]) == 0
+        assert main(["quantum", "chsh"]) == 0
         expected = capsys.readouterr()
         monkeypatch.setenv("NONLOCAL_AUDIT_THREADS", raw)
-        assert main(["quantum", "chsh", "--grid", "64"]) == 0
+        assert main(["quantum", "chsh"]) == 0
         assert capsys.readouterr() == expected
 
     def test_parser_built_once_and_reused(self, capsys):
@@ -359,7 +353,7 @@ class TestCli:
             ["quantum", "chsh", "--grid", "32"],
             ["quantum", "g1", "--closed-form"],
             ["list-games"],
-            ["steer", "chsh", "--grid", "64"],
+            ["steer", "chsh"],
             ["analyze", "nosuchgame"],
             ["classical", "g1"],
         ]
@@ -378,4 +372,4 @@ class TestCli:
         assert cli._parser.cache_info().misses == 1
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 0]
-        assert "argument --grid" in reused[1][2]
+        assert "unrecognized arguments: --grid 32" in reused[1][2]

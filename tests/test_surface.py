@@ -12,7 +12,6 @@ from pathlib import Path
 import nonlocal_audit as na
 
 PUBLIC_NAMES = [
-    "AnalysisOptions",
     "AnalysisRun",
     "Assemblage",
     "CorrespondenceReport",
