@@ -24,6 +24,7 @@ from .errors import (
 from .games import catalog
 from .report import (
     best_known_solution,
+    fmt_fixed,
     render_report,
     resolve_game,
     run_analyze,
@@ -61,12 +62,12 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     spec, _ = resolve_game(args.game)
-    method, solution = best_known_solution(spec, args.closed_form)
+    method, solution = best_known_solution(spec)
     print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
     if solution.upper_bound is not None:
-        print(f"certified upper bound over the planar family: {solution.upper_bound:.12g}")
+        print(f"certified upper bound: {solution.upper_bound:.12g}")
     if solution.angles is not None:
         print(f"alpha = {[f'{t:.9g}' for t in solution.angles.alpha]}")
         print(f"beta  = {[f'{t:.9g}' for t in solution.angles.beta]}")
@@ -79,7 +80,7 @@ def _cmd_quantum(args) -> int:
 def _print_state(state) -> None:
     print("state amplitudes:")
     for k, amp in enumerate(state):
-        print(f"  |{k}> : {amp.real:+.9f} {amp.imag:+.9f}i")
+        print(f"  |{k}> : {fmt_fixed(amp.real, '+.9f')} {fmt_fixed(amp.imag, '+.9f')}i")
 
 
 def _cmd_uncertainty(args) -> int:
@@ -105,7 +106,9 @@ def _cmd_uncertainty(args) -> int:
         )
         for k in range(rel.certain_space.shape[1]):
             vec = rel.certain_space[:, k]
-            amps = "  ".join(f"{v.real:+.6f}{v.imag:+.6f}i" for v in vec)
+            amps = "  ".join(
+                f"{fmt_fixed(v.real, '+.6f')}{fmt_fixed(v.imag, '+.6f')}i" for v in vec
+            )
             print(f"    certain state {k}: {amps}")
     return 0
 
@@ -117,7 +120,7 @@ def _cmd_steer(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    run = run_analyze(args.game, args.closed_form)
+    run = run_analyze(args.game)
     text = render_report(run, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -126,11 +129,6 @@ def _cmd_analyze(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _add_closed_form(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--closed-form", action=argparse.BooleanOptionalAction, default=None,
-                   help="force the closed form on or off (default: auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="quantum value (certified planar search or closed form)")
     p.add_argument("game")
-    _add_closed_form(p)
     p.set_defaults(func=_cmd_quantum)
 
     p = sub.add_parser("uncertainty", help="fine-grained relations for one side")
@@ -171,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file")
-    _add_closed_form(p)
     p.set_defaults(func=_cmd_analyze)
     return parser
 

@@ -101,8 +101,10 @@ class OptimalSolution:
 
     ``residual`` is the value of the game's closed-form characteristic
     polynomial at the solution (only for the catalog tables of a game that
-    has one, else None). ``upper_bound`` is the certified bound on the
-    planar family's value from ``optimize_planar`` (None on other routes).
+    has one, else None). ``upper_bound`` is the certified upper bound on the
+    game's quantum value from ``optimize_planar`` (None on other routes); by
+    Jordan's lemma it bounds every 2x2x2x2 strategy, in any dimension
+    (``docs/report-schema.md``).
     """
 
     strategy: QuantumStrategy

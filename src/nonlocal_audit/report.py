@@ -2,9 +2,9 @@
 
 The JSON document follows the schema in ``docs/report-schema.md``: every
 real number is printed with 12 significant digits, key order is fixed, and
-nothing volatile (wall time) enters the document, so identical inputs and
-options produce byte-identical reports. Wall time is reported on the text
-rendering only.
+nothing volatile (wall time) enters the document, so identical inputs
+produce byte-identical reports. Wall time is reported on the text rendering
+only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NotPlanarApplicableError, UnknownGameError
+from .errors import UnknownGameError
 from .games import GAME_IDS, GameSpec, builtin_game, load_game, matches_catalog
 from .quantum import (
     OptimalSolution,
@@ -38,7 +38,6 @@ class AnalysisRun:
     game_ref: str
     source: str
     spec: GameSpec
-    closed_form: bool | None
     method: str
     solution: OptimalSolution
     report: CorrespondenceReport
@@ -58,23 +57,15 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     )
 
 
-def best_known_solution(
-    spec: GameSpec, closed_form: bool | None = None
-) -> tuple[str, OptimalSolution]:
-    """Pick the strategy source: closed form, planar optimizer, or fixed catalog strategy.
+def best_known_solution(spec: GameSpec) -> tuple[str, OptimalSolution]:
+    """Pick the strategy source: closed form, fixed catalog strategy, or planar optimizer.
 
     Closed forms and the fixed qutrit strategy only apply to games whose
     tables match the catalog entry; a file-loaded variant that merely
-    reuses a catalog id goes through the optimizer. ``closed_form`` None
-    uses a closed form when one exists; True on a game without one raises
-    ``UnknownGameError``, and False skips it.
+    reuses a catalog id goes through the optimizer, which refuses games
+    that are not 2x2x2x2 with ``NotPlanarApplicableError``.
     """
-    closed_available = closed_form_available(spec)
-    if closed_form and not closed_available:
-        raise UnknownGameError(
-            f"--closed-form applies to the catalog games g1 and g2, not {spec.id!r}"
-        )
-    if closed_available and closed_form is not False:
+    if closed_form_available(spec):
         return "closed_form", closed_form_optimum(spec.id)
     if matches_catalog(spec, "cglmp"):
         strategy = cglmp_strategy()
@@ -82,25 +73,19 @@ def best_known_solution(
         return "fixed_catalog_strategy", OptimalSolution(
             strategy=strategy, value=value, angles=None, residual=None
         )
-    if (spec.n_x, spec.n_y, spec.n_a, spec.n_b) == (2, 2, 2, 2):
-        return "planar_search", optimize_planar(spec)
-    raise NotPlanarApplicableError(
-        f"no optimization route for game {spec.id!r}: not 2x2 inputs/outputs "
-        "and no fixed catalog strategy"
-    )
+    return "planar_search", optimize_planar(spec)
 
 
-def run_analyze(game_ref: str, closed_form: bool | None = None) -> AnalysisRun:
+def run_analyze(game_ref: str) -> AnalysisRun:
     """classical value -> optimal strategy -> relations -> steering -> verdict."""
     started = time.perf_counter()
     spec, source = resolve_game(game_ref)
-    method, solution = best_known_solution(spec, closed_form)
+    method, solution = best_known_solution(spec)
     report = correspondence_verdict(spec, solution.strategy)
     return AnalysisRun(
         game_ref=game_ref,
         source=source,
         spec=spec,
-        closed_form=closed_form,
         method=method,
         solution=solution,
         report=report,
@@ -225,7 +210,6 @@ def run_document(run: AnalysisRun) -> dict:
             "outputs": [spec.n_a, spec.n_b],
             "binary_predicate": spec.binary_predicate,
         },
-        "options": {"closed_form": run.closed_form},
         "classical": {
             "value": tagged_values(spec, report.omega_c),
             "maximizer_count": len(report.classical_maximizers),
@@ -270,10 +254,14 @@ def run_document(run: AnalysisRun) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt6(v: float) -> str:
-    # A value that rounds to zero prints unsigned: a gap of -1e-12 is "0.000000".
-    text = f"{v:.6f}"
-    return text[1:] if text == "-0.000000" else text
+def fmt_fixed(v: float, spec: str = ".6f") -> str:
+    """``format(v, spec)``, except that a value that rounds to zero prints as 0.0 does.
+
+    Rounding noise carries no sign: a gap of -1e-12 prints "0.000000", and an
+    amplitude of -1e-17 under "+.9f" prints "+0.000000000".
+    """
+    text = format(v, spec)
+    return format(0.0, spec) if float(text) == 0.0 else text
 
 
 def _values_line(values: list[dict]) -> str:
@@ -292,8 +280,8 @@ def _verdict_table(title: str, verdicts: list[SteeringVerdict]) -> list[str]:
         if v.trivial_relation:
             status += " [trivial]"
         lines.append(
-            f"  ({v.pair[0]},{v.pair[1]})   {_fmt6(v.probability)}    {_fmt6(v.xi)}    "
-            f"{_fmt6(v.achieved)}    {_fmt6(v.gap)}    {status}"
+            f"  ({v.pair[0]},{v.pair[1]})   {fmt_fixed(v.probability)}    {fmt_fixed(v.xi)}    "
+            f"{fmt_fixed(v.achieved)}    {fmt_fixed(v.gap)}    {status}"
         )
     return lines
 
@@ -326,7 +314,7 @@ def render_text(run: AnalysisRun) -> str:
             f"  beta = ({a.beta[0]:.9g}, {a.beta[1]:.9g})"
         )
     if run.solution.upper_bound is not None:
-        lines.append(f"certified bound  : {run.solution.upper_bound:.9g} (normalized, planar family)")
+        lines.append(f"certified bound  : {run.solution.upper_bound:.9g} (normalized)")
     if run.solution.residual is not None:
         lines.append(f"charpoly residual: {run.solution.residual:.3e}")
     lines.append(f"uncertainty bound: {report.up_bound:.9g} (normalized)")

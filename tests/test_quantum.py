@@ -358,6 +358,15 @@ class TestCertificate:
         for spec, solution in solutions:
             assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL, spec.id
 
+    def test_bounds_reach_omega_c(self, solutions):
+        # The planar family holds every deterministic strategy (angles 0 or
+        # pi), so its maximum, and the bound on it, are at least omega_c:
+        # then the bound covers the deterministic Jordan blocks too.
+        for spec, solution in solutions:
+            omega_c = na.classical_value(spec)[0]
+            assert solution.upper_bound >= omega_c, spec.id
+            assert solution.value >= omega_c - GAP_TOL, spec.id
+
     def test_upper_bound_covers_torus_grid(self, solutions):
         for spec, solution in solutions:
             assert solution.upper_bound >= torus_grid_max(spec), spec.id

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from nonlocal_audit.cli import main
 from nonlocal_audit.report import run_document
 
 from conftest import OMEGA_Q_G1
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +102,7 @@ class TestRunAnalyze:
         na.save_game(variant, path)
         run = na.run_analyze(str(path))
         assert json.loads(na.render_report(run, "json"))["quantum"]["residual"] is None
-        catalog = na.run_analyze("g1", closed_form=False)
-        assert catalog.method == "planar_search"
-        assert abs(catalog.solution.residual) <= 1e-9
+        assert abs(na.optimize_planar(na.builtin_game("g1")).residual) <= 1e-9
 
     def test_file_matching_catalog_gets_closed_form(self, tmp_path, g1_spec):
         path = tmp_path / "same-g1.json"
@@ -172,9 +174,13 @@ class TestJsonReport:
         for run in (g1_run, cglmp_run):
             assert json.loads(na.render_report(run, "json"))["quantum"]["omega_q_upper"] is None
 
-    def test_options_keys(self, g1_run):
+    def test_top_level_keys_match_schema(self, g1_run):
+        schema = (ROOT / "docs" / "report-schema.md").read_text(encoding="utf-8")
+        key_block = schema.split("Top-level keys, in order:")[1].split("```")[1]
+        documented = re.findall(r"^(\w+) ", key_block, flags=re.MULTILINE)
         doc = json.loads(na.render_report(g1_run, "json"))
-        assert list(doc["options"]) == ["closed_form"]
+        assert list(doc) == documented
+        assert "options" not in doc
 
     def test_wall_time_not_in_json(self, g1_run):
         doc = run_document(g1_run)
@@ -229,7 +235,7 @@ class TestCli:
         assert "omega_c = 0.5" in out
 
     def test_quantum_closed_form(self, capsys):
-        assert main(["quantum", "g1", "--closed-form"]) == 0
+        assert main(["quantum", "g1"]) == 0
         out = capsys.readouterr().out
         assert "0.544598646541" in out
         assert "residual" in out
@@ -238,26 +244,11 @@ class TestCli:
         assert main(["quantum", "cglmp"]) == 0
         assert "[fixed_catalog_strategy]" in capsys.readouterr().out
 
-    def test_closed_form_refused_for_other_games(self, capsys):
-        assert main(["quantum", "cglmp", "--closed-form"]) == 2
-        assert "--closed-form" in capsys.readouterr().err
-
-    def test_analyze_closed_form_refused_like_quantum(self, capsys):
-        assert main(["analyze", "chsh", "--closed-form"]) == 2
-        analyze_err = capsys.readouterr().err
-        assert "--closed-form" in analyze_err
-        assert main(["quantum", "chsh", "--closed-form"]) == 2
-        assert capsys.readouterr().err == analyze_err
-        assert main(["analyze", "g1", "--closed-form", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
-
     def test_quantum_and_analyze_share_closed_form_default(self, capsys):
         assert main(["quantum", "g1"]) == 0
         assert "[closed_form]" in capsys.readouterr().out
         assert main(["analyze", "g1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
-        assert main(["quantum", "g1", "--no-closed-form"]) == 0
-        assert "[planar_search]" in capsys.readouterr().out
 
     def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
         class ClosedPipe:
@@ -318,6 +309,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nosuchgame" in err
 
+    def test_game_no_route_covers_exit_code(self, tmp_path, capsys):
+        doc = {
+            "id": "three-inputs", "inputs": [3, 2], "outputs": [2, 2],
+            "pi": [[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]],
+            "predicate": [{"x": x, "y": y, "a": 0, "b": (x + y) % 2, "v": 1}
+                          for x in range(3) for y in range(2)],
+        }
+        path = tmp_path / "three-inputs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+        assert "3x2 inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["quantum", "chsh"],
+        ["uncertainty", "cglmp", "--side", "alice"],
+    ])
+    def test_amplitudes_rounding_to_zero_print_unsigned(self, capsys, command):
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "0.000000" in out
+        assert "-0.000000" not in out
+
     def test_invalid_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -334,9 +347,11 @@ class TestCli:
         ["analyze", "chsh"],
     ])
     def test_grid_option_removed(self, capsys, command):
-        # The planar search starts from a fixed partition; no option sets it.
-        assert main([*command, "--grid", "721"]) == 2
-        assert "--grid" in capsys.readouterr().err
+        # The planar search starts from a fixed partition and the route
+        # follows from the game's tables; no option sets either.
+        for option in (["--grid", "721"], ["--closed-form"], ["--no-closed-form"]):
+            assert main([*command, *option]) == 2
+            assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["abc", "-3"])
     def test_bad_thread_setting_exit_code(self, capsys, monkeypatch, raw):
@@ -351,7 +366,7 @@ class TestCli:
         calls = [
             ["classical", "g1"],
             ["quantum", "chsh", "--grid", "32"],
-            ["quantum", "g1", "--closed-form"],
+            ["quantum", "g1"],
             ["list-games"],
             ["steer", "chsh"],
             ["analyze", "nosuchgame"],

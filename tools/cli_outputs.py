@@ -1,14 +1,16 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 77 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 66 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
-games: ``analyze --format json`` with and without ``--no-closed-form``,
-``uncertainty --side alice`` and ``--side bob``, ``steer`` and ``quantum``.
-On the 5 ``classical_scaling`` games: ``classical``. Game files are the
-benchmark's own inputs, ``perfbench/workloads.generate(workload, 0)``,
-written under ``.perfbench_work/`` in the checkout root; the program is the
-one in the checkout's ``src/``.
+games: ``analyze --format json``, ``uncertainty --side alice`` and
+``--side bob``, ``steer`` and ``quantum``. On the 5 ``classical_scaling``
+games: ``classical``. On ``classical-4x4x3``, which no quantum route
+covers: ``analyze --format json``, whose refusal (exit 2) is checked too.
+Game files are the benchmark's own inputs,
+``perfbench/workloads.generate(workload, 0)``, written under
+``.perfbench_work/`` in the checkout root; the program is the one in the
+checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -41,14 +43,14 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     for name, ref in games:
         out += [
             (f"analyze-{name}", ["analyze", ref, "--format", "json"]),
-            (f"analyze-{name}-no-closed-form",
-             ["analyze", ref, "--format", "json", "--no-closed-form"]),
             (f"uncertainty-{name}-alice", ["uncertainty", ref, "--side", "alice"]),
             (f"uncertainty-{name}-bob", ["uncertainty", ref, "--side", "bob"]),
             (f"steer-{name}", ["steer", ref]),
             (f"quantum-{name}", ["quantum", ref]),
         ]
     out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling]
+    refused = next(i for i in scaling if i.name == "classical-4x4x3")
+    out.append((f"analyze-{refused.name}", ["analyze", refused.ref, "--format", "json"]))
     return out
 
 
