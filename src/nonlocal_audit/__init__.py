@@ -11,6 +11,7 @@ from .games import (
     catalog,
     load_game,
     save_game,
+    swap_parties,
     validate_game,
 )
 from .hermitian import EigenSystem, eig_hermitian
@@ -28,6 +29,7 @@ from .quantum import (
     planar_measurements,
     quantum_game_value,
     refine_planar,
+    swap_strategy,
 )
 from .report import AnalysisRun, render_report, run_analyze
 from .steering import (
@@ -36,10 +38,9 @@ from .steering import (
     SteeringVerdict,
     certain_state_assemblage,
     correspondence_verdict,
-    saturation_report,
     steer_assemblage,
 )
-from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
+from .uncertainty import FineGrainedRelation, fine_grained_relations
 
 __all__ = [
     "__version__",
@@ -55,7 +56,6 @@ __all__ = [
     "OptimalSolution",
     "PlanarAngles",
     "QuantumStrategy",
-    "Side",
     "SteeringVerdict",
     "bell_operator",
     "builtin_game",
@@ -77,8 +77,9 @@ __all__ = [
     "refine_planar",
     "render_report",
     "run_analyze",
-    "saturation_report",
     "save_game",
     "steer_assemblage",
+    "swap_parties",
+    "swap_strategy",
     "validate_game",
 ]

@@ -390,18 +390,28 @@ def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]
 
 def game_from_dict(data: dict) -> GameSpec:
     """Build and validate a game from its JSON document; bad fields raise with their path."""
+    field = "game document"  # the part being read, named by a structural fault
     try:
+        if not isinstance(data, dict):
+            raise TypeError(f"{_shown(data)} is not an object")
+        field = "inputs"
         n_x, n_y = _sizes(data, "inputs")
+        field = "outputs"
         n_a, n_b = _sizes(data, "outputs")
         _check_table_size((n_x, n_y), (n_a, n_b))
+        field = "pi"
         pi = np.array(
             [[_number(p, f"pi[{i}][{j}]") for j, p in enumerate(row)]
              for i, row in enumerate(data["pi"])],
             dtype=float,
         )
+        field = "predicate"
+        if not isinstance(data["predicate"], list):  # an object would iterate its keys
+            raise TypeError(f"{_shown(data['predicate'])} is not an array")
         pred = np.zeros((max(n_x, 1), max(n_y, 1), max(n_a, 1), max(n_b, 1)))
         first_entry: dict[tuple[int, ...], int] = {}
         for k, entry in enumerate(data["predicate"]):
+            field = f"predicate[{k}]"
             index = _entry_index(k, entry, (n_x, n_y, n_a, n_b))
             earlier = first_entry.setdefault(index, k)
             if earlier != k:
@@ -409,15 +419,18 @@ def game_from_dict(data: dict) -> GameSpec:
                     [f"predicate[{k}]: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"]
                 )
             pred[index] = _number(entry["v"], f"predicate[{k}].v")
+        field = "id"
+        if not isinstance(data["id"], str):  # str() would read null as the id 'None'
+            raise ValidationError([f"id: {_shown(data['id'])} is not a string"])
         spec = GameSpec(
-            id=str(data["id"]),
+            id=data["id"],
             n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
             predicate=pred,
             input_dist=pi,
             binary_predicate=_flag(data.get("binary_predicate", True), "binary_predicate"),
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"malformed game document: {exc!r}") from exc
+        raise ParseError(f"{field}: malformed ({exc!r})") from exc
     violations = validate_game(spec)
     if violations:
         raise ValidationError(violations)

@@ -95,6 +95,13 @@ class QuantumStrategy:
         return violations
 
 
+def swap_strategy(strategy: QuantumStrategy) -> QuantumStrategy:
+    """The same strategy with the parties exchanged; it is not validated."""
+    # C-contiguous, so that an einsum sums over it in the same order as over any state
+    state = strategy.state.reshape(strategy.d_a, strategy.d_b).T.reshape(-1)
+    return QuantumStrategy(state=state, meas_a=strategy.meas_b, meas_b=strategy.meas_a)
+
+
 @dataclass(frozen=True)
 class OptimalSolution:
     """Best strategy found for a game, with the value and diagnostics.

@@ -25,9 +25,9 @@ import numpy as np
 
 from .classical import DeterministicStrategy, classical_value
 from .errors import AmbiguousDegenerateError, DimensionMismatchError
-from .games import GameSpec
-from .quantum import QuantumStrategy, quantum_game_value
-from .uncertainty import FineGrainedRelation, Side, fine_grained_relations
+from .games import GameSpec, swap_parties
+from .quantum import QuantumStrategy, quantum_game_value, swap_strategy
+from .uncertainty import FineGrainedRelation, fine_grained_relations
 
 SATURATION_ATOL = 1e-6
 VACUOUS_ATOL = 1e-9
@@ -66,24 +66,22 @@ def _check_strategy(strategy: QuantumStrategy) -> None:
         raise DimensionMismatchError("invalid strategy: " + "; ".join(violations))
 
 
-def steer_assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
-    """Conditional states prepared on the remote side by local measurements.
+def steer_assemblage(strategy: QuantumStrategy) -> Assemblage:
+    """Conditional states prepared on Bob's side by Alice's measurements.
 
-    For Alice steering: sigma_{a|x} = tr_A[(Pi^x_a (x) 1) |psi><psi|].
-    The strategy is validated first (``DimensionMismatchError``).
+    sigma_{a|x} = tr_A[(Pi^x_a (x) 1) |psi><psi|]; Bob steering Alice is
+    ``steer_assemblage(swap_strategy(strategy))``. The strategy is validated
+    first (``DimensionMismatchError``).
     """
     _check_strategy(strategy)
-    return _assemblage(strategy, steering_party)
+    return _assemblage(strategy)
 
 
-def _assemblage(strategy: QuantumStrategy, steering_party: Side) -> Assemblage:
+def _assemblage(strategy: QuantumStrategy) -> Assemblage:
     """``steer_assemblage`` for a strategy that has already been validated."""
-    psi, projectors = strategy.state.reshape(strategy.d_a, strategy.d_b), strategy.meas_a
-    if steering_party is Side.BOB_STEERS_ALICE:
-        # Bob's index first; contiguous, since einsum sums a strided view in another order
-        psi, projectors = psi.T.copy(), strategy.meas_b
+    psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
     # sigma[x, a][k, l] = sum_{i,j} Pi^x_a[i, j] psi[j, k] conj(psi[i, l])
-    sigmas = np.einsum("xaij,jk,il->xakl", projectors, psi, psi.conj())
+    sigmas = np.einsum("xaij,jk,il->xakl", strategy.meas_a, psi, psi.conj())
     probabilities = np.einsum("xakk->xa", sigmas).real
     return Assemblage(probabilities=probabilities, sigmas=sigmas)
 
@@ -135,28 +133,12 @@ def _verdicts(
 
 
 def _side_audit(
-    spec: GameSpec, strategy: QuantumStrategy, side: Side
+    spec: GameSpec, strategy: QuantumStrategy
 ) -> tuple[list[FineGrainedRelation], Assemblage, list[SteeringVerdict]]:
-    """Relations on the steered party, the steered assemblage, and their verdicts.
-
-    The strategy must already be validated.
-    """
-    remote = strategy.meas_b if side is Side.ALICE_STEERS_BOB else strategy.meas_a
-    relations = fine_grained_relations(spec, side, remote)
-    assemblage = _assemblage(strategy, side)
+    """Bob's relations, Alice's steered assemblage and their verdicts, for a validated strategy."""
+    relations = fine_grained_relations(spec, strategy.meas_b)
+    assemblage = _assemblage(strategy)
     return relations, assemblage, _verdicts(relations, assemblage)
-
-
-def saturation_report(
-    spec: GameSpec, strategy: QuantumStrategy, side: Side
-) -> list[SteeringVerdict]:
-    """Per-pair saturation verdicts for one steering direction.
-
-    Ordered lexicographically by pair; ``achieved`` is the steered state's
-    value in the matching relation.
-    """
-    _check_strategy(strategy)
-    return _side_audit(spec, strategy, side)[2]
 
 
 def certain_state_assemblage(
@@ -242,10 +224,9 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     omega_c, maximizers = classical_value(spec)
     omega_q = quantum_game_value(spec, strategy)
 
-    relations_ab, assemblage_ab, verdicts_alice = _side_audit(
-        spec, strategy, Side.ALICE_STEERS_BOB
-    )
-    relations_ba, _, verdicts_bob = _side_audit(spec, strategy, Side.BOB_STEERS_ALICE)
+    relations_ab, assemblage_ab, verdicts_alice = _side_audit(spec, strategy)
+    # Bob steering Alice is Alice steering Bob in the game with the parties exchanged
+    relations_ba, _, verdicts_bob = _side_audit(swap_parties(spec), swap_strategy(strategy))
 
     ns_deviation = certain_state_assemblage(relations_ab, assemblage_ab).no_signaling_deviation()
 

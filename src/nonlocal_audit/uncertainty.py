@@ -19,29 +19,20 @@ exactly 1; for relations where every input participates the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .games import GameSpec, swap_parties
+from .games import GameSpec
 from .hermitian import eig_hermitian
 
 TRIVIAL_ATOL = 1e-9
 
 
-class Side(Enum):
-    """Which party steers; relations live on the other party's system."""
-
-    ALICE_STEERS_BOB = "alice_steers_bob"
-    BOB_STEERS_ALICE = "bob_steers_alice"
-
-
 @dataclass(frozen=True)
 class FineGrainedRelation:
-    """One uncertainty relation, for one (input, output) pair of the steering party.
+    """One uncertainty relation, for one (input, output) pair (x, a) of Alice, who steers.
 
-    ``pair`` is (x, a) when Alice steers and (y, b) when Bob steers.
     ``weights`` is the table pi_B(y|x) V(a,b|x,y) indexed [y, b] (the
     steered party's input and output) that ``operator`` sums the steered
     party's projectors against. ``certain_space`` holds an orthonormal basis (columns) of the top
@@ -60,16 +51,13 @@ class FineGrainedRelation:
     trivial: bool | None
 
 
-def fine_grained_relations(
-    spec: GameSpec, side: Side, remote_meas: np.ndarray
-) -> list[FineGrainedRelation]:
-    """All relations for one steering direction, ordered lexicographically by pair.
+def fine_grained_relations(spec: GameSpec, remote_meas: np.ndarray) -> list[FineGrainedRelation]:
+    """The relations on Bob's system, one per pair (x, a) of Alice, in lexicographic order.
 
-    ``remote_meas`` is the steered party's (inputs, outputs, d, d) projector
-    array: Bob's when Alice steers, Alice's when Bob steers.
+    ``remote_meas`` is Bob's (inputs, outputs, d, d) projector array. The
+    relations on Alice's system, with Bob steering, are those of
+    ``swap_parties(spec)`` against Alice's projectors.
     """
-    if side is Side.BOB_STEERS_ALICE:
-        spec = swap_parties(spec)  # the steering party is "Alice" from here on
     if remote_meas.shape[:2] != (spec.n_y, spec.n_b):
         raise DimensionMismatchError(
             f"steered party's projectors have (inputs, outputs) {remote_meas.shape[:2]}, "

@@ -49,13 +49,21 @@ def random_strategy(
     )
 
 
-def swap_strategy(strategy: na.QuantumStrategy) -> na.QuantumStrategy:
-    """The same strategy with the parties exchanged.
+def random_weighted_case(seed: int) -> tuple[na.GameSpec, na.QuantumStrategy]:
+    """A random weighted game with 3x2 inputs and a random strategy with d_a = 2, d_b = 3.
 
-    The reference for the Bob-steers-Alice side of ``steer_assemblage``.
+    Outputs equal the local dimensions (rank-1 measurements). Input x = 2
+    has pi = 0, so its relation operators must come out zero.
     """
-    state = strategy.state.reshape(strategy.d_a, strategy.d_b).T.reshape(-1)
-    return na.QuantumStrategy(state=state, meas_a=strategy.meas_b, meas_b=strategy.meas_a)
+    rng = np.random.default_rng([77, seed])
+    n_x, n_y, d_a, d_b = 3, 2, 2, 3
+    predicate = np.where(rng.random((n_x, n_y, d_a, d_b)) < 0.6,
+                         rng.uniform(0.5, 1.5, (n_x, n_y, d_a, d_b)), 0.0)
+    pi = rng.uniform(0.5, 1.5, (n_x, n_y))
+    pi[2] = 0.0
+    spec = na.GameSpec(id=f"random-{seed}", n_x=n_x, n_y=n_y, n_a=d_a, n_b=d_b,
+                       predicate=predicate, input_dist=pi / pi.sum(), binary_predicate=False)
+    return spec, random_strategy(rng, d_a, d_b, n_x, n_y)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +91,20 @@ def partial_trace_first(m: np.ndarray, d_first: int, d_second: int) -> np.ndarra
             f"expected shape ({d}, {d}) for dims ({d_first}, {d_second}), got {m.shape}"
         )
     return m.reshape(d_first, d_second, d_first, d_second).trace(axis1=0, axis2=2)
+
+
+def partial_trace_second(m: np.ndarray, d_first: int, d_second: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (d_first*d_second)-dim operator.
+
+    Preserves the trace: tr(result) = tr(m).
+    """
+    m = np.asarray(m, dtype=complex)
+    d = d_first * d_second
+    if m.shape != (d, d):
+        raise DimensionMismatchError(
+            f"expected shape ({d}, {d}) for dims ({d_first}, {d_second}), got {m.shape}"
+        )
+    return m.reshape(d_first, d_second, d_first, d_second).trace(axis1=1, axis2=3)
 
 
 def strategy_value(spec: na.GameSpec, strategy: na.DeterministicStrategy) -> float:

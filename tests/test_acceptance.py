@@ -41,7 +41,7 @@ def _verdict(num: int, ok: bool, elapsed: float, detail: str) -> None:
 def _alice_relations(spec, strategy):
     return {
         r.pair: r
-        for r in na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b)
+        for r in na.fine_grained_relations(spec, strategy.meas_b)
     }
 
 
@@ -174,9 +174,7 @@ def test_criterion_5_steering_gaps():
     g2 = na.closed_form_optimum("g2")
     verdicts = {
         v.pair: v
-        for v in na.saturation_report(
-            na.builtin_game("g2"), g2.strategy, na.Side.ALICE_STEERS_BOB
-        )
+        for v in na.correspondence_verdict(na.builtin_game("g2"), g2.strategy).verdicts_alice
     }
     for pair in ((0, 0), (0, 1)):
         if abs(verdicts[pair].achieved - 0.8446) > 5e-4:
@@ -191,14 +189,9 @@ def test_criterion_5_steering_gaps():
 
     g1 = na.closed_form_optimum("g1")
     spec_g1 = na.builtin_game("g1")
-    alice = {
-        v.pair: v
-        for v in na.saturation_report(spec_g1, g1.strategy, na.Side.ALICE_STEERS_BOB)
-    }
-    bob = {
-        v.pair: v
-        for v in na.saturation_report(spec_g1, g1.strategy, na.Side.BOB_STEERS_ALICE)
-    }
+    report_g1 = na.correspondence_verdict(spec_g1, g1.strategy)
+    alice = {v.pair: v for v in report_g1.verdicts_alice}
+    bob = {v.pair: v for v in report_g1.verdicts_bob}
     if not alice[(1, 0)].saturated:
         failures.append("g1 Alice-side (1,0) not saturated")
     if not bob[(0, 0)].saturated:
@@ -257,10 +250,12 @@ def test_criterion_7_chsh_sanity():
     optimized = na.optimize_planar(spec)
     if abs(optimized.value - OMEGA_Q_CHSH) > 1e-7:
         failures.append(f"optimizer value {optimized.value!r}")
-    for side in (na.Side.ALICE_STEERS_BOB, na.Side.BOB_STEERS_ALICE):
-        for v in na.saturation_report(spec, optimized.strategy, side):
+    report = na.correspondence_verdict(spec, optimized.strategy)
+    for side, verdicts in (("alice_steers_bob", report.verdicts_alice),
+                           ("bob_steers_alice", report.verdicts_bob)):
+        for v in verdicts:
             if not v.saturated:
-                failures.append(f"{side.value} {v.pair} not saturated (gap {v.gap:.2e})")
+                failures.append(f"{side} {v.pair} not saturated (gap {v.gap:.2e})")
     elapsed = time.perf_counter() - started
     _verdict(7, not failures, elapsed,
              "optimizer recovers (2+sqrt(2))/4 with all relations saturated")
@@ -290,21 +285,19 @@ def test_criterion_8_property_suites():
     for game_id in ("g1", "g2"):
         solution = na.closed_form_optimum(game_id)
         spec = na.builtin_game(game_id)
-        for side, meas in (
-            (na.Side.ALICE_STEERS_BOB, solution.strategy.meas_b),
-            (na.Side.BOB_STEERS_ALICE, solution.strategy.meas_a),
+        for side, game, meas in (
+            ("alice_steers_bob", spec, solution.strategy.meas_b),
+            ("bob_steers_alice", na.swap_parties(spec), solution.strategy.meas_a),
         ):
-            for rel in na.fine_grained_relations(spec, side, meas):
+            for rel in na.fine_grained_relations(game, meas):
                 oracle = bloch_grid_max(rel.operator)
                 if abs(rel.xi - oracle) > 1e-6:
                     failures.append(
-                        f"{game_id} {side.value} {rel.pair}: xi {rel.xi!r} vs "
+                        f"{game_id} {side} {rel.pair}: xi {rel.xi!r} vs "
                         f"Bloch oracle {oracle!r}"
                     )
     chsh_solution = na.optimize_planar(na.builtin_game("chsh"))
-    for rel in na.fine_grained_relations(
-        na.builtin_game("chsh"), na.Side.ALICE_STEERS_BOB, chsh_solution.strategy.meas_b
-    ):
+    for rel in na.fine_grained_relations(na.builtin_game("chsh"), chsh_solution.strategy.meas_b):
         if abs(rel.xi - bloch_grid_max(rel.operator)) > 1e-6:
             failures.append(f"chsh {rel.pair}: xi vs Bloch oracle")
 
@@ -314,7 +307,7 @@ def test_criterion_8_property_suites():
         d_a, d_b = (int(v) for v in rng.choice([2, 3], size=2))
         n_x, n_y = (int(v) for v in rng.integers(2, 4, size=2))
         strategy = random_strategy(rng, d_a, d_b, n_x, n_y)
-        assemblage = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(strategy)
         if assemblage.no_signaling_deviation() > 1e-9:
             failures.append("quantum assemblage violated no-signaling")
             break

@@ -6,29 +6,16 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.uncertainty import Side
 
-from conftest import kron, partial_trace_first, random_strategy
+from conftest import kron, partial_trace_first, partial_trace_second, random_weighted_case
 
-N_X, N_Y, D_A, D_B = 3, 2, 2, 3
+N_X, N_Y, D_A, D_B = 3, 2, 2, 3  # the sizes of random_weighted_case
 ATOL = 1e-12
-
-
-def _random_weighted_game(rng: np.random.Generator) -> na.GameSpec:
-    # n_a = d_a and n_b = d_b (rank-1 measurements); input x = 2 has pi = 0,
-    # so its relation operators must come out zero.
-    predicate = np.where(rng.random((N_X, N_Y, D_A, D_B)) < 0.6,
-                         rng.uniform(0.5, 1.5, (N_X, N_Y, D_A, D_B)), 0.0)
-    pi = rng.uniform(0.5, 1.5, (N_X, N_Y))
-    pi[2] = 0.0
-    return na.GameSpec(id="random", n_x=N_X, n_y=N_Y, n_a=D_A, n_b=D_B,
-                       predicate=predicate, input_dist=pi / pi.sum(), binary_predicate=False)
 
 
 @pytest.fixture(scope="module", params=range(5))
 def case(request):
-    rng = np.random.default_rng([77, request.param])
-    return _random_weighted_game(rng), random_strategy(rng, D_A, D_B, N_X, N_Y)
+    return random_weighted_case(request.param)
 
 
 def test_bell_operator(case):
@@ -52,7 +39,7 @@ def test_correlation_table(case):
 
 def test_relation_operators(case):
     spec, strat = case
-    for rel in na.fine_grained_relations(spec, Side.ALICE_STEERS_BOB, strat.meas_b):
+    for rel in na.fine_grained_relations(spec, strat.meas_b):
         x, a = rel.pair
         pi_y = spec.pi_b_given_x(x)
         expected = sum(
@@ -62,9 +49,8 @@ def test_relation_operators(case):
         assert np.abs(rel.operator - expected).max() <= ATOL
         if x == 2:
             assert not rel.operator.any() and rel.weight_mass == 0.0
-    for side, remote in ((Side.ALICE_STEERS_BOB, strat.meas_b),
-                         (Side.BOB_STEERS_ALICE, strat.meas_a)):
-        for rel in na.fine_grained_relations(spec, side, remote):
+    for game, remote in ((spec, strat.meas_b), (na.swap_parties(spec), strat.meas_a)):
+        for rel in na.fine_grained_relations(game, remote):
             n_in, n_out = rel.weights.shape
             rebuilt = sum(rel.weights[y, b] * remote[y, b]
                           for y, b in product(range(n_in), range(n_out)))
@@ -73,7 +59,7 @@ def test_relation_operators(case):
 
 def test_steered_assemblage(case):
     _, strat = case
-    assemblage = na.steer_assemblage(strat, Side.ALICE_STEERS_BOB)
+    assemblage = na.steer_assemblage(strat)
     rho = np.outer(strat.state, strat.state.conj())
     for x, a in product(range(N_X), range(D_A)):
         sigma = partial_trace_first(
@@ -81,3 +67,25 @@ def test_steered_assemblage(case):
         )
         assert np.abs(assemblage.sigmas[x, a] - sigma).max() <= ATOL
         assert abs(assemblage.probabilities[x, a] - np.real(np.trace(sigma))) <= ATOL
+
+
+def test_bob_steered_assemblage(case):
+    _, strat = case
+    assemblage = na.steer_assemblage(na.swap_strategy(strat))
+    rho = np.outer(strat.state, strat.state.conj())
+    for y, b in product(range(N_Y), range(D_B)):
+        sigma = partial_trace_second(
+            kron(np.eye(D_A), strat.meas_b[y, b]) @ rho, D_A, D_B
+        )
+        assert np.abs(assemblage.sigmas[y, b] - sigma).max() <= ATOL
+        assert abs(assemblage.probabilities[y, b] - np.real(np.trace(sigma))) <= ATOL
+
+
+def test_swap_strategy(case):
+    spec, strat = case
+    swapped = na.swap_strategy(strat)
+    assert swapped.state.flags.c_contiguous
+    assert np.array_equal(na.swap_strategy(swapped).state, strat.state)
+    table = na.correlation_table(spec, strat)
+    swapped_table = na.correlation_table(na.swap_parties(spec), swapped)
+    assert np.abs(swapped_table - table.transpose(1, 0, 3, 2)).max() <= ATOL

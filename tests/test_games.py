@@ -411,6 +411,43 @@ def test_game_file_huge_value_not_echoed(tmp_path, capsys, g1_spec, corrupt, fie
     assert err.startswith(f"error: {field}") and len(err.encode()) < 300
 
 
+@pytest.mark.parametrize("game_id", [None, 5, True, {"a": 1}, ["g1"]],
+                         ids=["null", "number", "boolean", "object", "array"])
+def test_game_file_id_not_a_string_exit_2(tmp_path, capsys, g1_spec, game_id):
+    # str() read these as the games 'None', '5', 'True', ...
+    doc = game_to_dict(g1_spec)
+    doc["id"] = game_id
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: id: {game_id!r} is not a string\n"
+
+
+def _replaced(path, value):
+    def corrupt(doc):
+        _set(path, value)(doc)
+        return doc
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_replaced(("inputs",), [2, 2, 5]), "inputs"),
+    (_replaced(("outputs",), 4), "outputs"),
+    (_replaced(("pi",), 0.25), "pi"),
+    (_replaced(("pi",), [[0.5], [0.25, 0.25]]), "pi"),
+    (_replaced(("predicate",), {"x": 0}), "predicate"),
+    (_replaced(("predicate", 0), [0, 0, 0, 0, 1]), "predicate[0]"),
+    (lambda doc: [doc], "game document"),
+], ids=["inputs", "outputs", "pi-number", "pi-ragged", "predicate-object", "entry-array",
+        "document-array"])
+def test_structural_fault_names_field(tmp_path, capsys, g1_spec, corrupt, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupt(game_to_dict(g1_spec))))
+    assert main(["classical", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: malformed (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content, fault", [
     (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "nested too deeply"),

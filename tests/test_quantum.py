@@ -32,7 +32,6 @@ from conftest import (
     OMEGA_Q_G1,
     OMEGA_Q_G2,
     planar_strategy,
-    swap_strategy,
     torus_grid_max,
 )
 
@@ -457,6 +456,6 @@ class TestCglmpStrategy:
 def test_swap_strategy_transposes_correlations(g2_spec, g2_solution):
     table = na.correlation_table(g2_spec, g2_solution.strategy)
     swapped_table = na.correlation_table(
-        swap_parties(g2_spec), swap_strategy(g2_solution.strategy)
+        swap_parties(g2_spec), na.swap_strategy(g2_solution.strategy)
     )
     assert np.allclose(table, np.transpose(swapped_table, (1, 0, 3, 2)), atol=1e-12)

@@ -49,7 +49,7 @@ class TestRunAnalyze:
             original = getattr(na, name)
 
             def counted(spec, *args, _name=name, _original=original):
-                calls.append((_name, *args[:1]))
+                calls.append((_name, spec.id))
                 return _original(spec, *args)
 
             # patch every module of the package that imported the function
@@ -58,10 +58,10 @@ class TestRunAnalyze:
                 if in_package and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         na.run_analyze("g1")
-        assert sorted(calls, key=str) == [
-            ("classical_value",),
-            ("fine_grained_relations", na.Side.ALICE_STEERS_BOB),
-            ("fine_grained_relations", na.Side.BOB_STEERS_ALICE),
+        assert sorted(calls) == [
+            ("classical_value", "g1"),
+            ("fine_grained_relations", "g1"),
+            ("fine_grained_relations", "g1:swapped"),
         ]
 
     def test_unknown_game_raises(self):
@@ -206,7 +206,7 @@ class TestTextReport:
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0
         strat = na.QuantumStrategy(state=ket, meas_a=meas_a, meas_b=g1_solution.strategy.meas_b)
-        verdicts = na.saturation_report(g1_spec, strat, na.Side.ALICE_STEERS_BOB)
+        verdicts = na.correspondence_verdict(g1_spec, strat).verdicts_alice
         assert any(v.vacuous for v in verdicts)
 
 

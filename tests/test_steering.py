@@ -8,7 +8,7 @@ import pytest
 import nonlocal_audit as na
 from nonlocal_audit.errors import AmbiguousDegenerateError, DimensionMismatchError
 
-from conftest import planar_strategy, random_strategy, swap_strategy
+from conftest import planar_strategy, random_strategy
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -22,16 +22,17 @@ def _unnormalized(strategy: na.QuantumStrategy) -> na.QuantumStrategy:
 
 
 class TestSteerAssemblage:
-    @pytest.mark.parametrize("side", list(na.Side))
-    def test_invalid_strategy_refused(self, g1_solution, side):
+    @pytest.mark.parametrize("swap", [False, True], ids=["alice_steers_bob", "bob_steers_alice"])
+    def test_invalid_strategy_refused(self, g1_solution, swap):
+        bad = _unnormalized(g1_solution.strategy)
         with pytest.raises(DimensionMismatchError, match="state: not normalized"):
-            na.steer_assemblage(_unnormalized(g1_solution.strategy), side)
+            na.steer_assemblage(na.swap_strategy(bad) if swap else bad)
 
     def test_bell_state_projection(self, g1_spec):
         meas_a = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
         meas_b = na.planar_measurement(0.0)[None]
         strat = na.QuantumStrategy(state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b)
-        assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(strat)
         p, sigma = assemblage.probabilities[0, 0], assemblage.sigmas[0, 0]
         assert abs(p - 0.5) <= 1e-12
         assert np.allclose(sigma, 0.5 * np.diag([1.0, 0.0]), atol=1e-12)
@@ -40,7 +41,7 @@ class TestSteerAssemblage:
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0  # |0>|0>
         strat = _strategy_with_state(g1_solution.strategy, ket)
-        assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(strat)
         target = np.diag([1.0, 0.0]).astype(complex)
         for x in range(2):
             for a in range(2):
@@ -49,49 +50,32 @@ class TestSteerAssemblage:
                     assert np.linalg.norm(normalized - target) <= 1e-10
 
     def test_probabilities_normalize(self, g2_solution):
-        assemblage = na.steer_assemblage(g2_solution.strategy, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(g2_solution.strategy)
         sums = assemblage.probabilities.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_positive_semidefinite_and_trace(self, g2_solution):
-        assemblage = na.steer_assemblage(g2_solution.strategy, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(g2_solution.strategy)
         for x, a in np.ndindex(assemblage.probabilities.shape):
             p, sigma = assemblage.probabilities[x, a], assemblage.sigmas[x, a]
             eigenvalues = na.eig_hermitian(sigma).eigenvalues
             assert eigenvalues.min() >= -1e-10
             assert abs(np.trace(sigma).real - p) <= 1e-10
 
-    def test_bob_side_matches_swapped_reference(
-        self, g2_solution, chsh_solution, cglmp_strategy_fixture
-    ):
-        # bit for bit: the Bob side must sum in the order of the swapped strategy
-        rng = np.random.default_rng(74)
-        strategies = [g2_solution.strategy, chsh_solution.strategy, cglmp_strategy_fixture] + [
-            random_strategy(rng, d_a, d_b, n_x, n_y)
-            for d_a, d_b, n_x, n_y in ((2, 3, 2, 3), (3, 2, 3, 2), (3, 3, 2, 2))
-        ]
-        for strat in strategies:
-            bob = na.steer_assemblage(strat, na.Side.BOB_STEERS_ALICE)
-            reference = na.steer_assemblage(swap_strategy(strat), na.Side.ALICE_STEERS_BOB)
-            assert np.array_equal(bob.sigmas, reference.sigmas)
-            assert np.array_equal(bob.probabilities, reference.probabilities)
-
     def test_quantum_assemblage_is_no_signaling(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             d_a, d_b = rng.choice([2, 3], size=2)
             strat = random_strategy(rng, int(d_a), int(d_b), 2, 2)
-            for side in (na.Side.ALICE_STEERS_BOB, na.Side.BOB_STEERS_ALICE):
-                assemblage = na.steer_assemblage(strat, side)
+            for steering in (strat, na.swap_strategy(strat)):
+                assemblage = na.steer_assemblage(steering)
                 assert assemblage.no_signaling_deviation() <= 1e-9
 
     def test_g2_steers_to_certain_state_at_10(self, g2_spec, g2_solution):
-        assemblage = na.steer_assemblage(g2_solution.strategy, na.Side.ALICE_STEERS_BOB)
+        assemblage = na.steer_assemblage(g2_solution.strategy)
         rels = {
             r.pair: r
-            for r in na.fine_grained_relations(
-                g2_spec, na.Side.ALICE_STEERS_BOB, g2_solution.strategy.meas_b
-            )
+            for r in na.fine_grained_relations(g2_spec, g2_solution.strategy.meas_b)
         }
         steered = assemblage.normalized_state(1, 0)
         certain = rels[(1, 0)].certain_space[:, 0]
@@ -110,7 +94,7 @@ class TestSteerAssemblage:
             proj = np.outer(conj, conj.conj())
             meas_a = np.array([[proj, np.eye(2) - proj]])
             strat = na.QuantumStrategy(state=BELL_PHI_PLUS, meas_a=meas_a, meas_b=meas_b)
-            assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
+            assemblage = na.steer_assemblage(strat)
             steered = assemblage.normalized_state(0, 0)
             fidelity = float(np.real(target.conj() @ steered @ target))
             assert fidelity >= 1.0 - 1e-10
@@ -120,9 +104,7 @@ class TestSaturationReport:
     def test_g1_alice_side(self, g1_spec, g1_solution):
         verdicts = {
             v.pair: v
-            for v in na.saturation_report(
-                g1_spec, g1_solution.strategy, na.Side.ALICE_STEERS_BOB
-            )
+            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).verdicts_alice
         }
         assert verdicts[(1, 0)].saturated
         assert abs(verdicts[(1, 0)].xi - 0.8838) <= 5e-4
@@ -137,9 +119,7 @@ class TestSaturationReport:
     def test_g1_bob_side(self, g1_spec, g1_solution):
         verdicts = {
             v.pair: v
-            for v in na.saturation_report(
-                g1_spec, g1_solution.strategy, na.Side.BOB_STEERS_ALICE
-            )
+            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).verdicts_bob
         }
         assert verdicts[(0, 0)].saturated
         for pair in ((0, 1), (1, 0), (1, 1)):
@@ -148,9 +128,7 @@ class TestSaturationReport:
     def test_g2_values(self, g2_spec, g2_solution):
         verdicts = {
             v.pair: v
-            for v in na.saturation_report(
-                g2_spec, g2_solution.strategy, na.Side.ALICE_STEERS_BOB
-            )
+            for v in na.correspondence_verdict(g2_spec, g2_solution.strategy).verdicts_alice
         }
         assert abs(verdicts[(0, 0)].achieved - 0.8446) <= 5e-4
         assert abs(verdicts[(0, 1)].achieved - 0.8446) <= 5e-4
@@ -160,13 +138,13 @@ class TestSaturationReport:
             assert not verdicts[pair].saturated
 
     def test_chsh_all_saturated(self, chsh_spec, chsh_solution):
-        for side in (na.Side.ALICE_STEERS_BOB, na.Side.BOB_STEERS_ALICE):
-            verdicts = na.saturation_report(chsh_spec, chsh_solution.strategy, side)
+        report = na.correspondence_verdict(chsh_spec, chsh_solution.strategy)
+        for verdicts in (report.verdicts_alice, report.verdicts_bob):
             assert all(v.saturated for v in verdicts)
 
     def test_cglmp_all_saturated(self, cglmp_spec, cglmp_strategy_fixture):
-        for side in (na.Side.ALICE_STEERS_BOB, na.Side.BOB_STEERS_ALICE):
-            verdicts = na.saturation_report(cglmp_spec, cglmp_strategy_fixture, side)
+        report = na.correspondence_verdict(cglmp_spec, cglmp_strategy_fixture)
+        for verdicts in (report.verdicts_alice, report.verdicts_bob):
             assert all(v.saturated for v in verdicts)
 
     def test_achieved_never_exceeds_xi(self):
@@ -176,22 +154,18 @@ class TestSaturationReport:
             strat = planar_strategy(
                 spec, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
             )
-            for v in na.saturation_report(spec, strat, na.Side.ALICE_STEERS_BOB):
+            for v in na.correspondence_verdict(spec, strat).verdicts_alice:
                 assert v.gap >= -1e-8
 
     def test_ordering(self, g2_spec, g2_solution):
-        verdicts = na.saturation_report(
-            g2_spec, g2_solution.strategy, na.Side.ALICE_STEERS_BOB
-        )
+        verdicts = na.correspondence_verdict(g2_spec, g2_solution.strategy).verdicts_alice
         assert [v.pair for v in verdicts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestNoSignalingCheck:
     def _deviation(self, spec, strategy):
-        relations = na.fine_grained_relations(
-            spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
-        )
-        assemblage = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        relations = na.fine_grained_relations(spec, strategy.meas_b)
+        assemblage = na.steer_assemblage(strategy)
         return na.certain_state_assemblage(relations, assemblage).no_signaling_deviation()
 
     def test_g1_fails(self, g1_spec, g1_solution):
@@ -214,10 +188,8 @@ class TestNoSignalingCheck:
 class TestCertainStateAssemblage:
     def test_weights_certain_states_by_reference(self, g1_spec, g1_solution):
         strategy = g1_solution.strategy
-        relations = na.fine_grained_relations(
-            g1_spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
-        )
-        reference = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        relations = na.fine_grained_relations(g1_spec, strategy.meas_b)
+        reference = na.steer_assemblage(strategy)
         certain = na.certain_state_assemblage(relations, reference)
         assert certain.probabilities is reference.probabilities
         for rel in relations:
@@ -235,7 +207,7 @@ class TestCertainStateAssemblage:
             input_dist=np.array([[1.0]]),
         )
         meas_b = np.eye(3, dtype=complex)[:, :, None] * np.eye(3)[:, None, :]
-        relations = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, meas_b[None])
+        relations = na.fine_grained_relations(spec, meas_b[None])
         assert relations[0].degenerate
         reference = na.Assemblage(
             probabilities=np.array([[1.0]]), sigmas=meas_b[2][None, None]
@@ -245,10 +217,8 @@ class TestCertainStateAssemblage:
 
     def test_reference_grid_mismatch(self, g1_spec, g1_solution):
         strategy = g1_solution.strategy
-        relations = na.fine_grained_relations(
-            g1_spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
-        )
-        steered = na.steer_assemblage(strategy, na.Side.ALICE_STEERS_BOB)
+        relations = na.fine_grained_relations(g1_spec, strategy.meas_b)
+        steered = na.steer_assemblage(strategy)
         reference = na.Assemblage(steered.probabilities[:1], steered.sigmas[:1])
         with pytest.raises(DimensionMismatchError, match=r"\(1, 2\)"):
             na.certain_state_assemblage(relations, reference)
@@ -283,8 +253,6 @@ class TestCorrespondenceVerdict:
         bad = _unnormalized(g1_solution.strategy)
         with pytest.raises(DimensionMismatchError, match="state: not normalized"):
             na.correspondence_verdict(g1_spec, bad)
-        with pytest.raises(DimensionMismatchError, match="state: not normalized"):
-            na.saturation_report(g1_spec, bad, na.Side.BOB_STEERS_ALICE)
 
     def test_strategy_validated_once(self, g1_spec, g1_solution, monkeypatch):
         calls = []

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "OptimalSolution",
     "PlanarAngles",
     "QuantumStrategy",
-    "Side",
     "SteeringVerdict",
     "__version__",
     "bell_operator",
@@ -47,9 +46,10 @@ PUBLIC_NAMES = [
     "refine_planar",
     "render_report",
     "run_analyze",
-    "saturation_report",
     "save_game",
     "steer_assemblage",
+    "swap_parties",
+    "swap_strategy",
     "validate_game",
 ]
 

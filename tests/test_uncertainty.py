@@ -17,9 +17,10 @@ from conftest import (
 )
 
 
-def _relations(spec, strategy, side=na.Side.ALICE_STEERS_BOB):
-    meas = strategy.meas_b if side is na.Side.ALICE_STEERS_BOB else strategy.meas_a
-    return {r.pair: r for r in na.fine_grained_relations(spec, side, meas)}
+def _relations(spec, strategy, bob_steers=False):
+    if bob_steers:
+        spec, strategy = na.swap_parties(spec), na.swap_strategy(strategy)
+    return {r.pair: r for r in na.fine_grained_relations(spec, strategy.meas_b)}
 
 
 class TestG1Relations:
@@ -45,7 +46,7 @@ class TestG1Relations:
         assert abs(abs(np.vdot(plus, basis[:, 0])) - 1.0) <= 1e-10
 
     def test_mirror_side(self, g1_spec, g1_solution):
-        rels = _relations(g1_spec, g1_solution.strategy, na.Side.BOB_STEERS_ALICE)
+        rels = _relations(g1_spec, g1_solution.strategy, bob_steers=True)
         assert abs(rels[(0, 0)].xi_normalized - 0.8838) <= 5e-4
         for pair in ((0, 1), (1, 0), (1, 1)):
             assert rels[pair].trivial
@@ -90,7 +91,7 @@ class TestCglmpRelations:
             assert not rel.degenerate
 
     def test_mirror_side_equal_bounds(self, cglmp_spec, cglmp_strategy_fixture):
-        rels = _relations(cglmp_spec, cglmp_strategy_fixture, na.Side.BOB_STEERS_ALICE)
+        rels = _relations(cglmp_spec, cglmp_strategy_fixture, bob_steers=True)
         for rel in rels.values():
             assert abs(rel.xi - CGLMP_XI_CANONICAL) <= 1e-9
 
@@ -115,9 +116,7 @@ class TestProperties:
         # both inputs project onto complementary outcomes of the same basis:
         # U = (Pi_0 + Pi_1)/2 = I/2, every state is maximally certain
         meas = na.planar_measurement(0.3)
-        rels = na.fine_grained_relations(
-            spec, na.Side.ALICE_STEERS_BOB, np.array([meas, meas])
-        )
+        rels = na.fine_grained_relations(spec, np.array([meas, meas]))
         rel = rels[0]
         assert abs(rel.xi - 0.5) <= 1e-12
         basis, degenerate = rel.certain_space, rel.degenerate
@@ -130,9 +129,7 @@ class TestProperties:
             strat = planar_strategy(
                 spec, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
             )
-            for rel in na.fine_grained_relations(
-                spec, na.Side.ALICE_STEERS_BOB, strat.meas_b
-            ):
+            for rel in na.fine_grained_relations(spec, strat.meas_b):
                 x, a = rel.pair
                 bound = sum(
                     spec.pi_b_given_x(x)[y] * spec.predicate[x, y, a, :].max()
@@ -146,17 +143,13 @@ class TestProperties:
         rng = np.random.default_rng(62)
         u = random_unitary(rng, 2)
         rotated = u @ g2_solution.strategy.meas_b @ u.conj().T
-        base = na.fine_grained_relations(
-            g2_spec, na.Side.ALICE_STEERS_BOB, g2_solution.strategy.meas_b
-        )
-        conj = na.fine_grained_relations(g2_spec, na.Side.ALICE_STEERS_BOB, rotated)
+        base = na.fine_grained_relations(g2_spec, g2_solution.strategy.meas_b)
+        conj = na.fine_grained_relations(g2_spec, rotated)
         for r0, r1 in zip(base, conj):
             assert abs(r0.xi - r1.xi) <= 1e-10
 
     def test_bloch_oracle_agreement(self, g1_spec, g1_solution):
-        for rel in na.fine_grained_relations(
-            g1_spec, na.Side.ALICE_STEERS_BOB, g1_solution.strategy.meas_b
-        ):
+        for rel in na.fine_grained_relations(g1_spec, g1_solution.strategy.meas_b):
             assert abs(rel.xi - bloch_grid_max(rel.operator)) <= 1e-9
 
     def test_certain_space_attains_bound(self, g2_solution, cglmp_strategy_fixture):
@@ -165,9 +158,7 @@ class TestProperties:
             (na.builtin_game("cglmp"), cglmp_strategy_fixture),
         ]
         for spec, strategy in cases:
-            for rel in na.fine_grained_relations(
-                spec, na.Side.ALICE_STEERS_BOB, strategy.meas_b
-            ):
+            for rel in na.fine_grained_relations(spec, strategy.meas_b):
                 basis = rel.certain_space
                 for k in range(basis.shape[1]):
                     v = basis[:, k]
@@ -182,8 +173,8 @@ class TestProperties:
             d = 2 if spec.n_a == 2 else 3
             strat = random_strategy(rng, d, d, spec.n_x, spec.n_y)
             value = na.quantum_game_value(spec, strat)
-            rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, strat.meas_b)
-            assemblage = na.steer_assemblage(strat, na.Side.ALICE_STEERS_BOB)
+            rels = na.fine_grained_relations(spec, strat.meas_b)
+            assemblage = na.steer_assemblage(strat)
             bound = sum(
                 spec.pi_a()[x] * assemblage.probabilities[x, a] * rel.xi
                 for rel in rels
@@ -202,22 +193,20 @@ class TestProperties:
             predicate=pred, input_dist=np.array([[0.5, 0.5]]),
         )
         same = na.planar_measurement(0.4)
-        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, np.array([same, same]))
+        rels = na.fine_grained_relations(spec, np.array([same, same]))
         assert rels[0].trivial
         assert abs(rels[0].xi_normalized - 1.0) <= 1e-12
         other = na.planar_measurement(1.9)
-        rels = na.fine_grained_relations(spec, na.Side.ALICE_STEERS_BOB, np.array([same, other]))
+        rels = na.fine_grained_relations(spec, np.array([same, other]))
         assert not rels[0].trivial
         assert rels[0].xi_normalized < 1.0 - 1e-3
 
     def test_measurement_count_mismatch(self, g1_spec, g1_solution):
         with pytest.raises(DimensionMismatchError):
-            na.fine_grained_relations(
-                g1_spec, na.Side.ALICE_STEERS_BOB, g1_solution.strategy.meas_b[:1]
-            )
+            na.fine_grained_relations(g1_spec, g1_solution.strategy.meas_b[:1])
 
     def test_outcome_count_mismatch(self, g1_spec):
         rng = np.random.default_rng(64)
         meas = np.array([random_measurement(rng, 3), random_measurement(rng, 3)])
         with pytest.raises(DimensionMismatchError):
-            na.fine_grained_relations(g1_spec, na.Side.ALICE_STEERS_BOB, meas)
+            na.fine_grained_relations(g1_spec, meas)
