@@ -379,6 +379,25 @@ def _flag(v, field: str) -> bool:
     return v
 
 
+def _array(v) -> list:
+    # A JSON array; a string or an object would iterate its characters or keys.
+    if not isinstance(v, list):
+        raise TypeError(f"{_shown(v)} is not an array")
+    return v
+
+
+def _known_fields(data, fields: set[str], path: str) -> None:
+    # A JSON object with no key outside ``fields``: a misspelt field would
+    # otherwise go unread. The first such key is named, bare if it is a
+    # short identifier and by its repr otherwise.
+    if not isinstance(data, dict):
+        raise TypeError(f"{_shown(data)} is not an object")
+    if not data.keys() <= fields:
+        key = next(key for key in data if key not in fields)
+        plain = isinstance(key, str) and key.isidentifier() and len(key) <= SHOWN_CHARS
+        raise ValidationError([f"{path}{key if plain else _shown(key)}: unknown field"])
+
+
 def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]:
     index = tuple(entry[key] for key in "xyab")
     for key, i, n in zip("xyab", index, shape):
@@ -392,26 +411,25 @@ def game_from_dict(data: dict) -> GameSpec:
     """Build and validate a game from its JSON document; bad fields raise with their path."""
     field = "game document"  # the part being read, named by a structural fault
     try:
-        if not isinstance(data, dict):
-            raise TypeError(f"{_shown(data)} is not an object")
+        _known_fields(data, {"id", "inputs", "outputs", "pi", "predicate", "binary_predicate"}, "")
         field = "inputs"
         n_x, n_y = _sizes(data, "inputs")
         field = "outputs"
         n_a, n_b = _sizes(data, "outputs")
         _check_table_size((n_x, n_y), (n_a, n_b))
         field = "pi"
-        pi = np.array(
-            [[_number(p, f"pi[{i}][{j}]") for j, p in enumerate(row)]
-             for i, row in enumerate(data["pi"])],
-            dtype=float,
-        )
+        rows = []
+        for i, row in enumerate(_array(data["pi"])):
+            field = f"pi[{i}]"
+            rows.append([_number(p, f"{field}[{j}]") for j, p in enumerate(_array(row))])
+        field = "pi"
+        pi = np.array(rows, dtype=float)
         field = "predicate"
-        if not isinstance(data["predicate"], list):  # an object would iterate its keys
-            raise TypeError(f"{_shown(data['predicate'])} is not an array")
         pred = np.zeros((max(n_x, 1), max(n_y, 1), max(n_a, 1), max(n_b, 1)))
         first_entry: dict[tuple[int, ...], int] = {}
-        for k, entry in enumerate(data["predicate"]):
+        for k, entry in enumerate(_array(data["predicate"])):
             field = f"predicate[{k}]"
+            _known_fields(entry, {"x", "y", "a", "b", "v"}, f"{field}.")
             index = _entry_index(k, entry, (n_x, n_y, n_a, n_b))
             earlier = first_entry.setdefault(index, k)
             if earlier != k:

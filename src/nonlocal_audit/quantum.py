@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -250,15 +251,12 @@ def closed_form_optimum(game_id: str) -> OptimalSolution:
 # Certified gap: the search ends once no point of the quarter can beat the
 # reported value by more than GAP_TOL.
 GAP_TOL = 1e-9
-# Branch-and-bound cells per LAPACK batch (one to five real 4x4 solves
-# each), and caps on the cells a split may produce and on the rounds; when
-# a cap binds the search stops and reports the bound it reached. The first
-# partition has _FIRST_CELLS^2 cells; the value does not depend on it.
-_BATCH_CELLS = 1024
+# The first partition has _FIRST_CELLS^2 cells; the value does not depend on
+# it. Caps on the cells a split may produce and on the rounds; when a cap
+# binds the search stops and reports the bound it reached.
 _FIRST_CELLS = 45
 MAX_CELLS = 1 << 14
 MAX_ROUNDS = 40
-_CHILD_OFFSETS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 # An ascent step is kept unless it lowers lambda_max by more than rounding;
 # one that does is halved at most this often.
 _ROUNDING = 1e-13
@@ -300,15 +298,18 @@ def _trig(t) -> np.ndarray:
     ])
 
 
-def _curvature_bound(kernel: np.ndarray) -> float:
-    """K_aa + 2 K_ab + K_bb, with |d^T (d^2 B) d| <= (K_aa + 2 K_ab + K_bb) max|d_i|^2.
+def _curvature_bounds(kernel: np.ndarray) -> tuple[float, float]:
+    """K_aa + K_bb and K_aa + 2 K_ab + K_bb, bounds on the second derivatives of B.
 
     Each second derivative of B contracts the M[u, v] with coefficients of
     modulus at most 1, and zero where u (for alpha1) or v (for beta1) is the
-    constant term, so its norm is at most the sum of those ||M[u, v]||.
+    constant term, so its norm is at most the sum of those ||M[u, v]||:
+    K_aa bounds ||d^2 B / d alpha1^2||, K_bb ||d^2 B / d beta1^2|| and K_ab
+    the mixed one, and |d^T (d^2 B) d| <= (K_aa + 2 K_ab + K_bb) max|d_i|^2.
     """
     norms = np.abs(np.linalg.eigvalsh(kernel)).max(axis=-1)
-    return float(norms[1:, :].sum() + 2.0 * norms[1:, 1:].sum() + norms[:, 1:].sum())
+    k_aa, k_ab, k_bb = norms[1:, :].sum(), norms[1:, 1:].sum(), norms[:, 1:].sum()
+    return float(k_aa + k_bb), float(k_aa + 2.0 * k_ab + k_bb)
 
 
 def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
@@ -333,63 +334,23 @@ def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
     return float(lam[-1]), grad, hess
 
 
-def _cell_terms(flat_kernel: np.ndarray, centres: np.ndarray, halfwidth: float):
-    """B(c), r dB/d alpha1 and r dB/d beta1 at cell centres c, each (n, 16)."""
-    fa, fb = _trig(centres[:, 0]), _trig(centres[:, 1])
-    half, d_half = (fa[:2] @ flat_kernel).reshape(2, -1, 3, 16)
-    return (
-        np.einsum("nv,nvk->nk", fb[0], half),
-        halfwidth * np.einsum("nv,nvk->nk", fb[0], d_half),
-        halfwidth * np.einsum("nv,nvk->nk", fb[1], half),
-    )
-
-
-def _top_eigenvalues(ops: np.ndarray) -> np.ndarray:
+def _top_eigenvalues(kernel: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """lambda_max of B at the angles alpha1 + 1j beta1 of each point, one real 4x4 solve each."""
+    fa, fb = (np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1)
+              for t in (points.real, points.imag))
+    ops = (fa[:, :, None] * fb[:, None, :]).reshape(-1, 9) @ kernel.reshape(9, 16)
     return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1]
-
-
-def _cell_bounds(
-    kernel: np.ndarray, centres: np.ndarray, halfwidth: float, curvature: float,
-    incumbent: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_max at each cell centre, and an upper bound on it over the cell.
-
-    A cell is the square of half-width r around its centre c. On it
-    B(c + d) = B(c) + d_a dB/d alpha1 + d_b dB/d beta1 + R with
-    ||R|| <= curvature r^2 / 2. By Weyl's inequality lambda_max stays below
-    lambda_max(B(c)) + ||r dB/d alpha1||_F + ||r dB/d beta1||_F + ||R||.
-    Where that does not settle the cell against the best value known
-    (``incumbent`` or a centre of this round), the bound is tightened to the
-    largest top eigenvalue of the affine part at the four corners, which is
-    its maximum over the cell since lambda_max is convex, plus ||R||.
-    """
-    flat = kernel.reshape(3, 48)
-    remainder = 0.5 * curvature * halfwidth * halfwidth
-    values, bounds = np.empty(len(centres)), np.empty(len(centres))
-    for start in range(0, len(centres), _BATCH_CELLS):
-        cells = slice(start, start + _BATCH_CELLS)
-        op, d_alpha, d_beta = _cell_terms(flat, centres[cells], halfwidth)
-        values[cells] = _top_eigenvalues(op)
-        bounds[cells] = (values[cells] + np.linalg.norm(d_alpha, axis=1)
-                         + np.linalg.norm(d_beta, axis=1) + remainder)
-    unsettled = np.flatnonzero(bounds > max(incumbent, values.max()) + 0.5 * GAP_TOL)
-    for start in range(0, len(unsettled), _BATCH_CELLS):
-        cells = unsettled[start : start + _BATCH_CELLS]
-        op, d_alpha, d_beta = _cell_terms(flat, centres[cells], halfwidth)
-        corners = np.stack([op + d_alpha + d_beta, op + d_alpha - d_beta,
-                            op - d_alpha + d_beta, op - d_alpha - d_beta])
-        corner_max = _top_eigenvalues(corners).reshape(4, -1).max(axis=0)
-        bounds[cells] = np.minimum(bounds[cells], corner_max + remainder)
-    return values, bounds
 
 
 @dataclass(frozen=True)
 class PlanarSearch:
-    """Branch-and-bound result: the best cell centre found and a bound over the quarter.
+    """Branch-and-bound result: the best lattice point found and a bound over the quarter.
 
     ``upper`` bounds lambda_max over all of [0, pi]^2; it lies within
     GAP_TOL / 2 of ``value`` unless ``capped`` (MAX_CELLS or MAX_ROUNDS
-    stopped the search first). ``cells`` counts the cells evaluated.
+    stopped the search first). ``cells`` counts the lambda_max solves, one
+    per distinct lattice point: the (_FIRST_CELLS + 1)^2 vertices of the
+    first partition and the new vertices of every split.
     """
 
     alpha1: float
@@ -404,34 +365,59 @@ class PlanarSearch:
 def branch_and_bound(kernel: np.ndarray) -> PlanarSearch:
     """Certified maximum of lambda_max over the quarter [0, pi]^2.
 
-    Starts from _FIRST_CELLS^2 square cells. Each round evaluates the
-    open cells, discards those whose bound does not exceed the best centre
-    value by more than GAP_TOL / 2, and splits the rest in four.
+    lambda_max is solved only at the vertices of a dyadic lattice, each
+    once. A square cell of half-width r is bounded by the largest
+    lambda_max at its four corners plus (K_aa + K_bb) r^2 / 2: at any point
+    of the cell lambda_max is the Rayleigh quotient of that point's top
+    eigenvector, whose bilinear interpolant from the corners is at most the
+    largest corner lambda_max and misses it by at most r^2 / 2 times its
+    two second derivatives. Starts from _FIRST_CELLS^2 cells. Each round
+    drops the cells whose bound does not exceed the best vertex value by
+    more than GAP_TOL / 2 and splits the rest in four, solving only the
+    new edge midpoints and centres, once each where neighbours share them:
+    about one solve per child cell.
     """
-    curvature = _curvature_bound(kernel)
-    halfwidth = math.pi / (2 * _FIRST_CELLS)
-    axis = (2 * np.arange(_FIRST_CELLS) + 1) * halfwidth
-    centres = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    best, best_value, upper, evaluated = centres[0], -math.inf, -math.inf, 0
+    curvature, _ = _curvature_bounds(kernel)
+    spacing = math.pi / _FIRST_CELLS
+    # a lattice point is i + 1j j, exact in floats for indices below 2^53
+    side = np.arange(_FIRST_CELLS + 1.0)
+    lattice = side[:, None] + 1j * side
+    vertices = _top_eigenvalues(kernel, spacing * lattice.ravel()).reshape(lattice.shape)
+    k = int(np.argmax(vertices))  # first in row-major order
+    best, best_value, evaluated = spacing * lattice.flat[k], float(vertices.flat[k]), vertices.size
+    # each cell: its lower-left lattice point and its 2x2 corner values
+    cells = lattice[:-1, :-1].ravel()
+    corners = sliding_window_view(vertices, (2, 2)).reshape(-1, 2, 2)
+    # a cell's 3x3 block of child vertices; all but its own corners are new
+    block = np.arange(3.0)[:, None] + 1j * np.arange(3.0)
+    fresh = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    upper = -math.inf
     for rounds in range(1, MAX_ROUNDS + 1):
-        values, bounds = _cell_bounds(kernel, centres, halfwidth, curvature, best_value)
-        evaluated += len(centres)
-        k = int(np.argmax(values))  # first occurrence = lexicographic tie-break
-        if values[k] > best_value:
-            best, best_value = centres[k], float(values[k])
+        bounds = corners.max(axis=(1, 2)) + 0.5 * curvature * (0.5 * spacing) ** 2
         open_cells = bounds > best_value + 0.5 * GAP_TOL
         if not open_cells.all():
             upper = max(upper, float(bounds[~open_cells].max()))
-        centres = centres[open_cells]
-        capped = len(centres) > 0 and (rounds == MAX_ROUNDS or 4 * len(centres) > MAX_CELLS)
+        cells, corners = cells[open_cells], corners[open_cells]
+        capped = len(cells) > 0 and (rounds == MAX_ROUNDS or 4 * len(cells) > MAX_CELLS)
         if capped:
             upper = max(upper, float(bounds[open_cells].max()))
-        if capped or len(centres) == 0:
+        if capped or len(cells) == 0:
             break
-        halfwidth /= 2.0
-        centres = (centres[:, None, :] + halfwidth * _CHILD_OFFSETS).reshape(-1, 2)
+        spacing /= 2.0
+        children = 2.0 * cells[:, None, None] + block
+        points, shared = np.unique(children[:, fresh], return_inverse=True)
+        values = _top_eigenvalues(kernel, spacing * points)
+        evaluated += len(values)
+        k = int(np.argmax(values))  # first in np.unique (row-major) order
+        if values[k] > best_value:
+            best, best_value = spacing * points[k], float(values[k])
+        grid = np.empty((len(cells), 3, 3))
+        grid[:, ::2, ::2] = corners
+        grid[:, fresh] = values[shared].reshape(len(cells), -1)
+        cells = children[:, :2, :2].ravel()
+        corners = sliding_window_view(grid, (2, 2), axis=(1, 2)).reshape(-1, 2, 2)
     return PlanarSearch(
-        alpha1=float(best[0]), beta1=float(best[1]), value=best_value,
+        alpha1=float(best.real), beta1=float(best.imag), value=best_value,
         upper=max(upper, best_value), rounds=rounds, cells=evaluated, capped=capped,
     )
 
@@ -446,14 +432,14 @@ def refine_planar(
     the Newton step along g (where g^T H g < 0) and g itself, each
     shortened to move neither angle by more than ``halfwidth`` and halved
     until lambda_max does not fall by more than rounding. If none is kept
-    it takes the step g / K, with K from ``_curvature_bound``: along it the
+    it takes the step g / K, with K = K_aa + 2 K_ab + K_bb: along it the
     Rayleigh quotient of the current top eigenvector, and so lambda_max,
     rises by at least |g|^2 / 2K. Stops after a step that moves neither
     angle by more than _STEP_TOL, or after _POLISH_ROUNDS rounds. Returns
     (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
-    curvature = _curvature_bound(kernel)
+    _, curvature = _curvature_bounds(kernel)
     point = np.array([alpha1, beta1], dtype=float)
     value, grad, hess = _planar_jet(kernel, *point)
     for _ in range(_POLISH_ROUNDS):
@@ -505,9 +491,11 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     the representative with alpha1 >= 0 and beta1 >= 0 is reported, and
     only the quarter [0, pi]^2 is searched, on the real trigonometric
     kernel of ``_planar_kernel``. ``branch_and_bound`` starts from a fixed
-    partition of _FIRST_CELLS cells per axis, ``refine_planar`` polishes its
-    best point by Newton steps of at most a first cell's half-width, and the
-    solution is recomputed from the complex Bell operator. Its
+    partition of _FIRST_CELLS cells per axis and bounds each cell from
+    lambda_max at its corners, solved once per lattice vertex (about one
+    solve per child cell); ``refine_planar`` polishes its best vertex by
+    Newton steps of at most a first cell's half-width, and the solution is
+    recomputed from the complex Bell operator. Its
     ``upper_bound`` is the bound the search certified, at most GAP_TOL
     above the value unless a cap stopped the search. Only
     2-input/2-output games are supported.

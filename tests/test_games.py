@@ -448,6 +448,39 @@ def test_structural_fault_names_field(tmp_path, capsys, g1_spec, corrupt, field)
     assert err.startswith(f"error: {field}: malformed (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (_set(("binary_predicat",), False), "binary_predicat: unknown field"),
+    (_set(("predicate", 3, "w"), 5), "predicate[3].w: unknown field"),
+    (_set(("bad key",), 1), "'bad key': unknown field"),
+    (_set(("predicate", 0, _LONG_TEXT), 1), "predicate[0].'" + "z" * 36 + "...: unknown field"),
+], ids=["top-level", "entry", "not-an-identifier", "long"])
+def test_game_file_unknown_field_exit_2(tmp_path, capsys, g1_spec, corrupt, message):
+    # a misspelt field was dropped unread: "binary_predicat" loaded as binary
+    doc = game_to_dict(g1_spec)
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("pi, field", [
+    ("ab", "pi"),
+    ({"0": [0.5, 0.5]}, "pi"),
+    ([[0.25, 0.25], {"0": 0.25, "1": 0.25}], "pi[1]"),
+], ids=["string", "object", "row-object"])
+def test_game_file_pi_not_an_array_exit_2(tmp_path, capsys, g1_spec, pi, field):
+    # iterated as an array, these were refused as pi[0][0]: 'a' is not a number
+    doc = game_to_dict(g1_spec)
+    doc["pi"] = pi
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    shown = repr(pi if field == "pi" else pi[1])
+    assert capsys.readouterr().err == (
+        f"error: {field}: malformed ({TypeError(f'{shown} is not an array')!r})\n")
+
+
 @pytest.mark.parametrize("content, fault", [
     (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "nested too deeply"),

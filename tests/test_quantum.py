@@ -16,10 +16,10 @@ from nonlocal_audit.games import swap_parties
 from nonlocal_audit.hermitian import is_hermitian
 from nonlocal_audit.quantum import (
     GAP_TOL,
-    _cell_bounds,
-    _curvature_bound,
+    _curvature_bounds,
     _planar_jet,
     _planar_kernel,
+    _top_eigenvalues,
     _trig,
     branch_and_bound,
     scaled_bell_charpoly_g1,
@@ -269,8 +269,9 @@ class TestOptimizePlanar:
         assert solution.residual is None
         assert solution.value >= torus_grid_max(spec, 121) - 1e-12
         # lambda_max is 3/4 all along beta1 = 0, so the open cells double every
-        # round until MAX_CELLS stops the search; the bound reached is reported.
-        assert 0.0 <= solution.upper_bound - solution.value <= 1e-7
+        # round until MAX_CELLS stops the search; the bound reached, about
+        # 9.3e-9 above the value, is reported.
+        assert 0.0 <= solution.upper_bound - solution.value <= 2e-8
 
 
 def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
@@ -318,21 +319,32 @@ class TestPlanarKernel:
                     assert np.abs(kernel_spectrum(kernel, *flipped) - spectrum).max() <= 1e-12
 
     def test_grid_cells_match_objective(self):
-        # Branch-and-bound cells: the centre value is lambda_max of the complex
-        # Bell operator, and the bound holds at every sampled point of the cell.
+        # Lattice cells: a vertex value is lambda_max of the complex Bell
+        # operator, and the largest corner value plus (K_aa + K_bb) r^2 / 2
+        # bounds every sampled point of the cell. The last five cells hold
+        # the maximum, which their corners alone fall short of.
         rng = np.random.default_rng(64)
-        halfwidth = 0.05
+        offsets = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         for spec in self.GAMES:
             kernel = _planar_kernel(spec)
-            centres = rng.uniform(0.0, math.pi, (10, 2))
-            values, bounds = _cell_bounds(
-                kernel, centres, halfwidth, _curvature_bound(kernel), -math.inf)
-            for (a1, b1), value, bound in zip(centres, values, bounds):
-                strat = planar_strategy(spec, a1, b1)
-                op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
-                assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
-                for da, db in rng.uniform(-halfwidth, halfwidth, (10, 2)):
-                    assert kernel_spectrum(kernel, a1 + da, b1 + db)[-1] <= bound + 1e-12
+            curvature, _ = _curvature_bounds(kernel)
+            angles = na.optimize_planar(spec).angles
+            peak = np.array([angles.alpha[1], angles.beta[1]])
+            for halfwidth in (0.5, 0.05):
+                lower = np.concatenate([rng.uniform(0.0, math.pi - 2.0 * halfwidth, (5, 2)),
+                                        peak - rng.uniform(0.0, 2.0 * halfwidth, (5, 2))])
+                corners = (lower[:, None, :] + 2.0 * halfwidth * offsets).reshape(-1, 2)
+                values = _top_eigenvalues(kernel, corners @ [1.0, 1.0j])
+                wrapped = np.remainder(corners + math.pi, 2.0 * math.pi) - math.pi
+                for (a1, b1), value in zip(wrapped, values):
+                    strat = planar_strategy(spec, a1, b1)
+                    op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
+                    assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
+                bounds = values.reshape(-1, 4).max(axis=1) + 0.5 * curvature * halfwidth**2
+                for cell, bound in zip(lower, bounds):
+                    for point in cell + rng.uniform(0.0, 2.0 * halfwidth, (10, 2)):
+                        assert kernel_spectrum(kernel, *point)[-1] <= bound + 1e-12
+                assert np.all(bounds[5:] >= kernel_spectrum(kernel, *peak)[-1] - 1e-12)
 
     def test_quarter_grid_holds_full_maximum(self):
         # The search covers only [0, pi]^2; its bound still covers the torus.
@@ -340,7 +352,7 @@ class TestPlanarKernel:
             search = branch_and_bound(_planar_kernel(spec))
             full = torus_grid_max(spec, 121)
             assert search.upper >= full - 1e-12
-            assert search.value >= full - 1e-3  # the best centre, before polishing
+            assert search.value >= full - 1e-3  # the best vertex, before polishing
             assert search.upper - search.value <= 0.5 * GAP_TOL
 
 
@@ -396,17 +408,38 @@ class TestCertificate:
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
         search = branch_and_bound(_planar_kernel(spec))
         assert search.capped
-        assert search.cells <= 2025 + (search.rounds - 1) * 4096
+        # one solve per lattice point: the 46^2 first vertices, then each
+        # split's new points, solved once where cells share them (on this
+        # ridge fewer than one per child, so fewer than the cap per round)
+        assert search.cells <= 46 * 46 + (search.rounds - 1) * 4096
         assert search.upper >= torus_grid_max(spec, 65) - 1e-12
         solution = na.optimize_planar(spec)
         assert solution.upper_bound >= solution.value
 
     def test_search_solves_far_fewer_cells_than_the_grid(self):
-        # The former scan solved 361^2 quarter-grid points at 721.
+        # The former scan solved 361^2 quarter-grid points at 721; the search
+        # solves each lattice point once, and ``cells`` counts those solves.
         for game_id in self.GAMES:
             search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)))
             assert not search.capped
-            assert 5 * search.cells < 361 * 361 // 2
+            assert search.cells < 361 * 361 // 2
+
+    def test_search_solves_each_lattice_point_once(self, monkeypatch):
+        # A lattice point's angles are its integer index times the spacing,
+        # so a point solved again, at its own or at a finer level, repeats
+        # the same complex number alpha1 + 1j beta1.
+        solved = []
+
+        def recording(kernel, points):
+            solved.extend(points.tolist())
+            return _top_eigenvalues(kernel, points)
+
+        monkeypatch.setattr(quantum, "_top_eigenvalues", recording)
+        for spec in (*(na.builtin_game(game_id) for game_id in self.GAMES),
+                     *random_weighted_games(73, count=2)):
+            solved.clear()
+            search = branch_and_bound(_planar_kernel(spec))
+            assert len(solved) == len(set(solved)) == search.cells, spec.id
 
 
 class TestRefinePlanar:
