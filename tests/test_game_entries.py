@@ -1,0 +1,118 @@
+"""Predicate entries against the per-entry reference loop.
+
+``game_from_dict`` checks a game file's predicate entries with numpy and
+sends only the entries it marks through the per-entry checks. Checking
+every entry in turn, the loop below, must give the same table, or refuse
+with the same message: the same entry, and the same first fault in it.
+"""
+
+import enum
+
+import numpy as np
+import pytest
+
+from nonlocal_audit.errors import ParseError, ValidationError
+from nonlocal_audit.games import (
+    GameSpec, _entry_index, _known_fields, _number, game_from_dict, validate_game,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class Label(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class Entry(dict):
+    pass
+
+
+def reference_table(entries, shape) -> np.ndarray:
+    """The predicate table read one entry at a time, each entry checked in full."""
+    table = np.zeros(tuple(max(n, 1) for n in shape))
+    first_entry = {}
+    for k, entry in enumerate(entries):
+        field = f"predicate[{k}]"
+        try:
+            _known_fields(entry, {"x", "y", "a", "b", "v"}, f"{field}.")
+            index = _entry_index(k, entry, shape)
+            earlier = first_entry.setdefault(index, k)
+            if earlier != k:
+                raise ValidationError(
+                    [f"{field}: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"])
+            table[index] = _number(entry["v"], f"{field}.v")
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"{field}: malformed ({exc!r})") from exc
+    return table
+
+
+def reference_game(doc) -> GameSpec:
+    n_x, n_y = doc["inputs"]
+    n_a, n_b = doc["outputs"]
+    spec = GameSpec(id=doc["id"], n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
+                    predicate=reference_table(doc["predicate"], (n_x, n_y, n_a, n_b)),
+                    input_dist=np.array(doc["pi"], dtype=float), binary_predicate=False)
+    violations = validate_game(spec)
+    if violations:
+        raise ValidationError(violations)
+    return spec
+
+
+def _outcome(load, doc):
+    try:
+        return "table", load(doc).predicate.tobytes()
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(), st.text("x1", max_size=2),
+    st.sampled_from([Label.ZERO, Label.ONE, np.int64(1), np.float64(0.5)]),
+    st.sampled_from([10**400, -(10**400), 2**1024 - 2**971, 2**1024 - 2**970, 2**63,
+                     [], {}, [0, 1]]),
+)
+
+
+@st.composite
+def entry_lists(draw):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    index = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    entries = [{"x": x, "y": y, "a": a, "b": b, "v": draw(st.sampled_from([1, 1.0, 0.5, 0]))}
+               for x, y, a, b in draw(st.lists(index, max_size=30, unique=True))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not entries:
+            break
+        k = draw(st.integers(0, len(entries) - 1))
+        fault = draw(st.sampled_from(
+            ["index", "weight", "drop", "extra", "replace", "subclass", "repeat"]))
+        if fault == "replace":
+            entries[k] = draw(ODD_VALUES)
+        elif fault == "repeat":
+            entries.insert(draw(st.integers(k + 1, len(entries))), entries[k])
+        elif not isinstance(entries[k], dict):
+            continue
+        elif fault == "index":
+            entries[k] = dict(entries[k], **{draw(st.sampled_from("xyab")): draw(ODD_VALUES)})
+        elif fault == "weight":
+            entries[k] = dict(entries[k], v=draw(ODD_VALUES))
+        elif fault == "drop":
+            dropped = draw(st.sampled_from("xyabv"))
+            entries[k] = {key: v for key, v in entries[k].items() if key != dropped}
+        elif fault == "extra":
+            entries[k] = dict(entries[k], w=1)
+        else:
+            entries[k] = Entry(entries[k])
+    return entries, shape
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(entry_lists())
+def test_entries_read_as_the_reference_loop_reads_them(case):
+    entries, (n_x, n_y, n_a, n_b) = case
+    doc = {"id": "entries", "inputs": [n_x, n_y], "outputs": [n_a, n_b],
+           "pi": [[1.0 / (n_x * n_y)] * n_y for _ in range(n_x)], "predicate": entries,
+           "binary_predicate": False}
+    assert _outcome(game_from_dict, doc) == _outcome(reference_game, doc)

@@ -270,8 +270,8 @@ class TestOptimizePlanar:
         assert solution.value >= torus_grid_max(spec, 121) - 1e-12
         # lambda_max is 3/4 all along beta1 = 0, so the open cells double every
         # round until MAX_CELLS stops the search; the bound reached, about
-        # 9.3e-9 above the value, is reported.
-        assert 0.0 <= solution.upper_bound - solution.value <= 2e-8
+        # 4.6e-9 above the value, is reported.
+        assert 0.0 <= solution.upper_bound - solution.value <= 1e-8
 
 
 def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
@@ -391,10 +391,14 @@ class TestCertificate:
     def test_value_independent_of_first_partition(self, monkeypatch):
         specs = (na.builtin_game("g1"), *random_weighted_games(72, count=2))
         default = [na.optimize_planar(spec) for spec in specs]
-        monkeypatch.setattr(quantum, "_FIRST_CELLS", 11)
-        for spec, fine in zip(specs, default):
-            coarse = na.optimize_planar(spec)
-            assert abs(coarse.value - fine.value) <= 1e-12
+        for first_cells in (11, 45):
+            monkeypatch.setattr(quantum, "_FIRST_CELLS", first_cells)
+            for spec, reference in zip(specs, default):
+                other = na.optimize_planar(spec)
+                assert abs(other.value - reference.value) <= 1e-12
+                angles = np.subtract(other.angles.alpha + other.angles.beta,
+                                     reference.angles.alpha + reference.angles.beta)
+                assert np.abs(angles).max() <= 1e-9
 
     def test_cell_cap_stops_with_valid_bound(self, monkeypatch):
         # Bob's output and input never matter, so lambda_max is constant
@@ -408,21 +412,25 @@ class TestCertificate:
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
         search = branch_and_bound(_planar_kernel(spec))
         assert search.capped
-        # one solve per lattice point: the 46^2 first vertices, then each
-        # split's new points, solved once where cells share them (on this
-        # ridge fewer than one per child, so fewer than the cap per round)
-        assert search.cells <= 46 * 46 + (search.rounds - 1) * 4096
+        # one solve per lattice point: the (_FIRST_CELLS + 1)^2 first
+        # vertices, then each split's new points, solved once where cells
+        # share them (on this ridge fewer than one per child, so fewer than
+        # the cap per round)
+        first = (quantum._FIRST_CELLS + 1) ** 2
+        assert search.cells <= first + (search.rounds - 1) * 4096
         assert search.upper >= torus_grid_max(spec, 65) - 1e-12
         solution = na.optimize_planar(spec)
         assert solution.upper_bound >= solution.value
 
     def test_search_solves_far_fewer_cells_than_the_grid(self):
-        # The former scan solved 361^2 quarter-grid points at 721; the search
-        # solves each lattice point once, and ``cells`` counts those solves.
+        # The former scan solved 361^2 quarter-grid points at 721, and the
+        # first round from 45 cells per axis alone solved 46^2 vertices; the
+        # search solves each lattice point once, and ``cells`` counts those
+        # solves.
         for game_id in self.GAMES:
             search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)))
             assert not search.capped
-            assert search.cells < 361 * 361 // 2
+            assert search.cells < 46 * 46
 
     def test_search_solves_each_lattice_point_once(self, monkeypatch):
         # A lattice point's angles are its integer index times the spacing,
