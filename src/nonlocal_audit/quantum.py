@@ -217,19 +217,19 @@ def closed_form_angles(game_id: str) -> tuple[float, float]:
     raise UnknownGameError(f"no closed-form optimum for {game_id!r}")
 
 
-def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolution:
+def _planar_solution(spec: GameSpec, alpha1: float, beta1: float, catalog: bool) -> OptimalSolution:
     """The top eigenvector of the Bell operator at planar angles (0, alpha1), (0, beta1).
 
     The residual is the closed-form characteristic polynomial at 4x the value
-    (the scaled operator's eigenvalue), set only when the tables are those of
-    the catalog game that has one.
+    (the scaled operator's eigenvalue), set only when ``catalog`` says that
+    the tables are those of the catalog game that has one.
     """
     angles = PlanarAngles(alpha=(0.0, alpha1), beta=(0.0, beta1))
     meas_a, meas_b = planar_measurements(angles)
     eig = eig_hermitian(bell_operator(spec, meas_a, meas_b))
     value = eig.max_eigenvalue
     residual = None
-    if closed_form_available(spec):
+    if catalog:
         residual = float(_CHARPOLYS[spec.id](4.0 * value, alpha1, beta1))
     return OptimalSolution(
         strategy=QuantumStrategy(state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b),
@@ -239,9 +239,13 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolu
     )
 
 
-def closed_form_optimum(game_id: str) -> OptimalSolution:
-    """Exact-radical optimal strategy for g1 or g2, with its charpoly residual."""
-    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id))
+def closed_form_optimum(game: str | GameSpec) -> OptimalSolution:
+    """Exact-radical optimal strategy for g1 or g2, with its charpoly residual.
+
+    ``game`` is the catalog id, or a spec that ``closed_form_available`` accepted.
+    """
+    spec = builtin_game(game) if isinstance(game, str) else game
+    return _planar_solution(spec, *closed_form_angles(spec.id), catalog=True)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +369,13 @@ class PlanarSearch:
     capped: bool
 
 
-def branch_and_bound(kernel: np.ndarray) -> PlanarSearch:
+def branch_and_bound(kernel: np.ndarray, curvature: float) -> PlanarSearch:
     """Certified maximum of lambda_max over the quarter [0, pi]^2.
 
     lambda_max is solved only at the vertices of a dyadic lattice, each
     once. A square cell of half-width r is bounded by the largest
-    lambda_max at its four corners plus (K_aa + K_bb) r^2 / 2: at any point
+    lambda_max at its four corners plus ``curvature`` r^2 / 2 (K_aa + K_bb,
+    from ``_curvature_bounds``): at any point
     of the cell lambda_max is the Rayleigh quotient of that point's top
     eigenvector, whose bilinear interpolant from the corners is at most the
     largest corner lambda_max and misses it by at most r^2 / 2 times its
@@ -381,7 +386,6 @@ def branch_and_bound(kernel: np.ndarray) -> PlanarSearch:
     about one solve per child cell, in 13 or 14 rounds on a game whose
     maximum is isolated.
     """
-    curvature, _ = _curvature_bounds(kernel)
     spacing = math.pi / _FIRST_CELLS
     # a lattice point is i + 1j j, exact in floats for indices below 2^53
     side = np.arange(_FIRST_CELLS + 1.0)
@@ -443,7 +447,13 @@ def refine_planar(
     (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
-    _, curvature = _curvature_bounds(kernel)
+    return _polish(kernel, _curvature_bounds(kernel)[1], alpha1, beta1, halfwidth)
+
+
+def _polish(
+    kernel: np.ndarray, curvature: float, alpha1: float, beta1: float, halfwidth: float
+) -> tuple[float, float, float]:
+    """``refine_planar`` on a built kernel, with K = K_aa + 2 K_ab + K_bb from it."""
     point = np.array([alpha1, beta1], dtype=float)
     value, grad, hess = _planar_jet(kernel, *point)
     for _ in range(_POLISH_ROUNDS):
@@ -497,11 +507,11 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     kernel of ``_planar_kernel``. ``branch_and_bound`` starts from a fixed
     partition of _FIRST_CELLS = 16 cells per axis and bounds each cell from
     lambda_max at its corners, solved once per lattice vertex (about one
-    solve per child cell); ``refine_planar`` polishes its best vertex by
-    Newton steps of at most a first cell's half-width, pi / 32, and the
-    solution is recomputed from the complex Bell operator. Its
-    ``upper_bound`` is the bound the search certified, at most GAP_TOL
-    above the value unless a cap stopped the search. Only
+    solve per child cell); ``refine_planar``'s ascent, on the same kernel,
+    polishes its best vertex by Newton steps of at most a first cell's
+    half-width, pi / 32, and the solution is recomputed from the complex
+    Bell operator. Its ``upper_bound`` is the bound the search certified,
+    at most GAP_TOL above the value unless a cap stopped the search. Only
     2-input/2-output games are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
@@ -509,14 +519,16 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
             f"game {spec.id!r} is {spec.n_x}x{spec.n_y} inputs / "
             f"{spec.n_a}x{spec.n_b} outputs; the planar family covers 2x2x2x2"
         )
-    search = branch_and_bound(_planar_kernel(spec))
-    alpha1, beta1, _ = refine_planar(
-        spec, search.alpha1, search.beta1, halfwidth=math.pi / (2 * _FIRST_CELLS)
+    kernel = _planar_kernel(spec)
+    search_curvature, polish_curvature = _curvature_bounds(kernel)
+    search = branch_and_bound(kernel, search_curvature)
+    alpha1, beta1, _ = _polish(
+        kernel, polish_curvature, search.alpha1, search.beta1, math.pi / (2 * _FIRST_CELLS)
     )
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
     alpha1, beta1 = abs(_wrap_angle(alpha1)), abs(_wrap_angle(beta1))
-    solution = _planar_solution(spec, alpha1, beta1)
+    solution = _planar_solution(spec, alpha1, beta1, closed_form_available(spec))
     return replace(solution, upper_bound=max(search.upper, solution.value))
 
 

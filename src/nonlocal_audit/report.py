@@ -4,7 +4,8 @@ The JSON document follows the schema in ``docs/report-schema.md``: every
 real number is printed with 12 significant digits, key order is fixed, and
 nothing volatile (wall time) enters the document, so identical inputs
 produce byte-identical reports. Wall time is reported on the text rendering
-only.
+only. ``canonical_json`` writes a document in one loop, with each value's
+form looked up by its exact type.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def best_known_solution(spec: GameSpec) -> tuple[str, OptimalSolution]:
     that are not 2x2x2x2 with ``NotPlanarApplicableError``.
     """
     if closed_form_available(spec):
-        return "closed_form", closed_form_optimum(spec.id)
+        return "closed_form", closed_form_optimum(spec)
     if matches_catalog(spec, "cglmp"):
         strategy = cglmp_strategy()
         value = quantum_game_value(spec, strategy)
@@ -99,15 +100,16 @@ def run_analyze(game_ref: str) -> AnalysisRun:
 # ---------------------------------------------------------------------------
 
 
-def tagged_values(spec: GameSpec, normalized: float) -> list[dict]:
+def tagged_values(spec: GameSpec, normalized: float, uniform: bool) -> list[dict]:
     """A normalized game value plus its conventional rescalings.
 
-    Uniform-input binary games also quote ``times4`` (the raw Bell sum for
-    2x2 games); weighted-predicate games quote ``raw_sum``. Both equal the
-    normalized value times the number of input pairs.
+    Uniform-input binary games (``uniform``, from ``spec.is_uniform()``)
+    also quote ``times4`` (the raw Bell sum for 2x2 games); weighted-predicate
+    games quote ``raw_sum``. Both equal the normalized value times the
+    number of input pairs.
     """
     values = [{"convention": "normalized", "value": normalized}]
-    if spec.is_uniform():
+    if uniform:
         scale = float(spec.n_x * spec.n_y)
         tag = "times4" if (spec.binary_predicate and scale == 4.0) else "raw_sum"
         values.append({"convention": tag, "value": normalized * scale})
@@ -126,39 +128,64 @@ def _fmt_real(v: float) -> str:
     return format(float(v) + 0.0, ".12g")
 
 
-def _write_json(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(v, out)
-        out.append("]")
-    elif isinstance(obj, (bool, np.bool_)) or obj is None:
-        out.append(json.dumps(bool(obj) if obj is not None else None))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_real(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+# Each JSON form, in the order of precedence of the isinstance tests: the
+# opening bracket of a container, or the function that writes a scalar.
+_KINDS = (
+    ((dict,), "{"),
+    ((list, tuple), "["),
+    ((bool, np.bool_, type(None)), lambda v: "null" if v is None else "true" if v else "false"),
+    ((int, np.integer), lambda v: str(int(v))),
+    ((float, np.floating), _fmt_real),
+    ((str,), json.dumps),
+)
+# the form of each exact type that reports hold, found without the isinstance tests
+_FORMS = {t: form for types, form in _KINDS for t in types}
+_FORMS.update({int: str, np.int64: _FORMS[np.integer], np.float64: _fmt_real})
+_CLOSERS = {"{": "}", "[": "]"}
+
+
+def _form(value):
+    for types, form in _KINDS:
+        if isinstance(value, types):
+            return form
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _write_json(obj, out)
-    return "".join(out)
+    """Compact JSON, keys in insertion order and reals by ``_fmt_real``, in one loop.
+
+    Each ``"key":`` text is encoded once; a value of any other type raises
+    TypeError.
+    """
+    out = ["["]  # the document is the one item of a list whose brackets are dropped
+    keys: dict = {}  # key -> its "key": text
+    stack = [(iter((obj,)), False, "]")]  # open containers: children left, is a dict, closer
+    while stack:
+        children, is_dict, closer = stack[-1]
+        for value in children:
+            if is_dict:
+                key, value = value
+                # 1, 1.0 and True are one dict key but three texts: only str keys are looked up
+                text = keys.get(key) if type(key) is str else None
+                if text is None:
+                    text = keys[key] = json.dumps(key) + ":"
+                out.append(text)
+            form = _FORMS.get(type(value)) or _form(value)
+            if form not in _CLOSERS:
+                out += (form(value), ",")
+                continue
+            out.append(form)
+            stack.append((iter(value.items() if form == "{" else value), form == "{",
+                          _CLOSERS[form]))
+            break
+        else:  # all children written: their trailing separator becomes the closer
+            stack.pop()
+            if out[-1] == ",":
+                out[-1] = closer
+            else:
+                out.append(closer)
+            out.append(",")
+    return "".join(out[1:-2])
 
 
 def _state_doc(state: np.ndarray) -> dict:
@@ -200,6 +227,7 @@ def run_document(run: AnalysisRun) -> dict:
     solution = run.solution
     angles = solution.angles
     report = run.report
+    uniform = spec.is_uniform()
     doc = {
         "tool": {"name": "nonlocal-audit", "version": run.version},
         "game": {
@@ -211,7 +239,7 @@ def run_document(run: AnalysisRun) -> dict:
             "binary_predicate": spec.binary_predicate,
         },
         "classical": {
-            "value": tagged_values(spec, report.omega_c),
+            "value": tagged_values(spec, report.omega_c, uniform),
             "maximizer_count": len(report.classical_maximizers),
             "maximizers": [
                 {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in report.classical_maximizers
@@ -219,7 +247,7 @@ def run_document(run: AnalysisRun) -> dict:
         },
         "quantum": {
             "method": run.method,
-            "value": tagged_values(spec, solution.value),
+            "value": tagged_values(spec, solution.value, uniform),
             "omega_q_upper": solution.upper_bound,
             "angles": None
             if angles is None
@@ -240,8 +268,8 @@ def run_document(run: AnalysisRun) -> dict:
             "passes": report.ns_passes,
         },
         "verdict": {
-            "omega_c": tagged_values(spec, report.omega_c),
-            "omega_q": tagged_values(spec, report.omega_q),
+            "omega_c": tagged_values(spec, report.omega_c, uniform),
+            "omega_q": tagged_values(spec, report.omega_q, uniform),
             "up_bound": report.up_bound,
             "correspondence_holds": report.correspondence_holds,
         },
@@ -301,10 +329,11 @@ def steering_lines(report: CorrespondenceReport) -> list[str]:
 
 def render_text(run: AnalysisRun) -> str:
     report = run.report
+    uniform = run.spec.is_uniform()
     lines = [
         f"nonlocal-audit {run.version}: analysis of game {run.spec.id!r} ({run.source})",
-        f"classical value  : {_values_line(tagged_values(run.spec, report.omega_c))}",
-        f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value))}"
+        f"classical value  : {_values_line(tagged_values(run.spec, report.omega_c, uniform))}",
+        f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value, uniform))}"
         f"  [method: {run.method}]",
     ]
     if run.solution.angles is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .games import GameSpec
-from .hermitian import eig_hermitian
+from .hermitian import EigenSystem, eig_hermitian
 
 TRIVIAL_ATOL = 1e-9
 
@@ -68,10 +68,11 @@ def fine_grained_relations(spec: GameSpec, remote_meas: np.ndarray) -> list[Fine
     # pi-mass of the inputs y whose predicate row (x, y, a, .) is non-zero
     participates = spec.predicate.max(axis=3) > 0.0  # [x, y, a]
     masses = np.einsum("xy,xya->xa", pi_b, participates)
+    spectra = eig_hermitian(operators)  # every pair's operator in one call
     relations = []
     for x, a in np.ndindex(spec.n_x, spec.n_a):
         op = operators[x, a]
-        eig = eig_hermitian(op)
+        eig = EigenSystem(spectra.eigenvalues[x, a], spectra.eigenvectors[x, a])
         xi = eig.max_eigenvalue
         basis, degenerate = eig.top_eigenspace()
         mass = float(masses[x, a])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from nonlocal_audit.classical import TIE_ATOL
 from nonlocal_audit.errors import DimensionMismatchError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,16 @@ def random_weighted_case(seed: int) -> tuple[na.GameSpec, na.QuantumStrategy]:
     spec = na.GameSpec(id=f"random-{seed}", n_x=n_x, n_y=n_y, n_a=d_a, n_b=d_b,
                        predicate=predicate, input_dist=pi / pi.sum(), binary_predicate=False)
     return spec, random_strategy(rng, d_a, d_b, n_x, n_y)
+
+
+def planar_sweep_games() -> dict[str, dict]:
+    """The benchmark's ``planar_sweep`` game documents by name, read without writing under
+    perfbench/."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        from perfbench import workloads
+    return {i.name: i.game for i in workloads.generate("planar_sweep", 0) if i.game is not None}
 
 
 # ---------------------------------------------------------------------------

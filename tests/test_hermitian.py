@@ -14,14 +14,20 @@ from nonlocal_audit.errors import (
     NotSquareError,
 )
 
+from nonlocal_audit.games import game_from_dict
+from nonlocal_audit.report import best_known_solution
+
 from conftest import (
     OMEGA_Q_G1,
     bloch_grid_max,
     kron,
     partial_trace_first,
     planar_strategy,
+    planar_sweep_games,
     random_hermitian,
 )
+
+PLANAR_SWEEP = planar_sweep_games()
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -184,3 +190,42 @@ def test_eig_matches_bloch_oracle_on_planar_operator(g1_spec):
     strat = planar_strategy(g1_spec, 1.0, -0.5)
     op = strat.meas_b[1, 0] * 0.5 + strat.meas_b[0, 1] * 0.5
     assert abs(na.eig_hermitian(op).max_eigenvalue - bloch_grid_max(op)) <= 1e-9
+
+
+def _relation_stacks(name: str):
+    """Each side's relations and their (pairs, d, d) operator stack, at the best known strategy."""
+    spec = game_from_dict(PLANAR_SWEEP[name]) if name in PLANAR_SWEEP else na.builtin_game(name)
+    strategy = best_known_solution(spec)[1].strategy
+    for side_spec, side_strategy in ((spec, strategy),
+                                     (na.swap_parties(spec), na.swap_strategy(strategy))):
+        relations = na.fine_grained_relations(side_spec, side_strategy.meas_b)
+        yield relations, np.array([rel.operator for rel in relations])
+
+
+class TestStackedEig:
+    @pytest.mark.parametrize("name", [*na.GAME_IDS, *sorted(PLANAR_SWEEP)])
+    def test_stack_matches_one_matrix_at_a_time(self, name):
+        for relations, stack in _relation_stacks(name):
+            stacked = na.eig_hermitian(stack)
+            assert stacked.eigenvalues.shape == stack.shape[:2]
+            assert stacked.eigenvectors.shape == stack.shape
+            for k, (rel, op) in enumerate(zip(relations, stack)):
+                single = na.eig_hermitian(op)
+                assert np.array_equal(stacked.eigenvalues[k], single.eigenvalues), (name, k)
+                assert np.array_equal(stacked.eigenvectors[k], single.eigenvectors), (name, k)
+                assert rel.xi == single.max_eigenvalue
+                assert np.array_equal(rel.certain_space, single.top_eigenspace()[0])
+
+    def test_stack_with_one_non_hermitian_member_raises(self):
+        (_, stack), _ = _relation_stacks("g1")
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(NotHermitianError):
+            na.eig_hermitian(stack)
+        with pytest.raises(NotHermitianError):
+            na.eig_hermitian(stack[2])
+        na.eig_hermitian(np.delete(stack, 2, axis=0))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3), (4,), ()])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(NotSquareError, match=r"expected a square matrix, got shape"):
+            na.eig_hermitian(np.zeros(shape))

@@ -7,9 +7,6 @@ the benchmark's ``planar_sweep`` games with their best known strategies,
 and the random weighted 3x2-input cases of ``test_contractions.py``.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -17,21 +14,9 @@ import nonlocal_audit as na
 from nonlocal_audit.games import game_from_dict
 from nonlocal_audit.report import best_known_solution
 
-from conftest import random_weighted_case
+from conftest import planar_sweep_games, random_weighted_case
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _planar_sweep_games() -> dict[str, dict]:
-    """The ``planar_sweep`` game documents by name, read without writing under perfbench/."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT))
-        mp.setattr(sys, "dont_write_bytecode", True)
-        from perfbench import workloads
-    return {i.name: i.game for i in workloads.generate("planar_sweep", 0) if i.game is not None}
-
-
-PLANAR_SWEEP = _planar_sweep_games()
+PLANAR_SWEEP = planar_sweep_games()
 RANDOM_CASES = 5
 
 

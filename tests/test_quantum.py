@@ -291,6 +291,12 @@ def kernel_spectrum(kernel: np.ndarray, alpha1: float, beta1: float) -> np.ndarr
     return np.linalg.eigvalsh(np.einsum("u,v,uvij->ij", _trig(alpha1)[0], _trig(beta1)[0], kernel))
 
 
+def planar_search(spec: na.GameSpec):
+    """``branch_and_bound`` on the game's kernel, as ``optimize_planar`` runs it."""
+    kernel = _planar_kernel(spec)
+    return branch_and_bound(kernel, _curvature_bounds(kernel)[0])
+
+
 class TestPlanarKernel:
     GAMES = random_weighted_games(61)
 
@@ -349,7 +355,7 @@ class TestPlanarKernel:
     def test_quarter_grid_holds_full_maximum(self):
         # The search covers only [0, pi]^2; its bound still covers the torus.
         for spec in self.GAMES:
-            search = branch_and_bound(_planar_kernel(spec))
+            search = planar_search(spec)
             full = torus_grid_max(spec, 121)
             assert search.upper >= full - 1e-12
             assert search.value >= full - 1e-3  # the best vertex, before polishing
@@ -410,7 +416,7 @@ class TestCertificate:
         spec = na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
                            input_dist=np.full((2, 2), 0.25), binary_predicate=False)
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
-        search = branch_and_bound(_planar_kernel(spec))
+        search = planar_search(spec)
         assert search.capped
         # one solve per lattice point: the (_FIRST_CELLS + 1)^2 first
         # vertices, then each split's new points, solved once where cells
@@ -428,7 +434,7 @@ class TestCertificate:
         # search solves each lattice point once, and ``cells`` counts those
         # solves.
         for game_id in self.GAMES:
-            search = branch_and_bound(_planar_kernel(na.builtin_game(game_id)))
+            search = planar_search(na.builtin_game(game_id))
             assert not search.capped
             assert search.cells < 46 * 46
 
@@ -446,7 +452,7 @@ class TestCertificate:
         for spec in (*(na.builtin_game(game_id) for game_id in self.GAMES),
                      *random_weighted_games(73, count=2)):
             solved.clear()
-            search = branch_and_bound(_planar_kernel(spec))
+            search = planar_search(spec)
             assert len(solved) == len(set(solved)) == search.cells, spec.id
 
 
