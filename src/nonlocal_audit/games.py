@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -338,7 +336,7 @@ def _is_int(v) -> bool:
 
 
 def _sizes(data: dict, field: str) -> tuple[int, int]:
-    first, second = data[field]
+    first, second = _array(data[field])
     for k, v in enumerate((first, second)):
         if not _is_int(v):
             raise ValidationError([f"{field}[{k}]: {_shown(v)} is not an integer"])
@@ -401,51 +399,18 @@ def _known_fields(data, fields: set[str], path: str) -> None:
         raise ValidationError([f"{path}{key if plain else _shown(key)}: unknown field"])
 
 
+_ENTRY_FIELDS = {"x", "y", "a", "b", "v"}
+_entry_indices = itemgetter("x", "y", "a", "b")
+
+
 def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]:
-    index = tuple(entry[key] for key in "xyab")
+    index = _entry_indices(entry)
     for key, i, n in zip("xyab", index, shape):
-        if not (_is_int(i) and 0 <= i < n):
+        # _is_int written out: this runs four times per entry
+        if isinstance(i, bool) or not (isinstance(i, int) and 0 <= i < n):
             raise ValidationError(
                 [f"predicate[{k}].{key}: {_shown(i)} is not an index in [0, {n})"])
     return index
-
-
-_ENTRY_FIELDS = {"x", "y", "a", "b", "v"}
-_entry_values = itemgetter("x", "y", "a", "b", "v")
-# Kind of a value: 0 an integer (as _is_int has it), 1 a float, 2 anything else.
-_KINDS = {int: 0, float: 1}
-
-
-def _read_entries(entries: list, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Each predicate entry's position in the flat table and its weight, and
-    a mark on every entry that the per-entry checks could refuse.
-
-    One pass reads the values of every object with exactly the fields x, y,
-    a, b and v. Numpy marks the other entries, and those whose index is not
-    integers in range or repeats an earlier entry's, or whose weight is not
-    a float or an integer within the float range. An entry whose index is
-    not sound gets a negative position of its own.
-    """
-    rows = [_entry_values(entry) if isinstance(entry, dict) and entry.keys() == _ENTRY_FIELDS
-            else (None,) * 5 for entry in entries]
-    values = list(chain.from_iterable(rows))
-    kinds = np.fromiter(map(_KINDS.get, map(type, values), repeat(2)), np.int8, len(values))
-    odd = np.flatnonzero(kinds == 2)  # an int subclass other than bool is an integer too
-    kinds[odd] = [0 if _is_int(values[i]) else 2 for i in odd]
-    kinds = kinds.reshape(-1, 5)
-    values = np.fromiter(values, object, len(values)).reshape(-1, 5)
-    index = np.where(kinds[:, :4] == 0, values[:, :4], -1)
-    sound = ((index >= 0) & (index < shape)).all(axis=1)
-    order = np.arange(len(rows))
-    index = np.where(sound[:, None], index, 0).astype(np.intp)
-    position = np.where(sound, np.ravel_multi_index(index.T, [max(n, 1) for n in shape]),
-                        -1 - order)
-    first: dict[int, int] = {}  # position -> the first entry there
-    earliest = np.fromiter(map(first.setdefault, position.tolist(), range(len(rows))),
-                           np.intp, len(rows))
-    weights, ints = values[:, 4], kinds[:, 4] == 0
-    number = (kinds[:, 4] == 1) | ints & (abs(np.where(ints, weights, 0)) <= sys.float_info.max)
-    return position, weights, ~sound | (earliest < order) | ~number
 
 
 def game_from_dict(data: dict) -> GameSpec:
@@ -466,21 +431,18 @@ def game_from_dict(data: dict) -> GameSpec:
         field = "pi"
         pi = np.array(rows, dtype=float)
         field = "predicate"
-        entries = _array(data["predicate"])
-        position, weights, marked = _read_entries(entries, (n_x, n_y, n_a, n_b))
-        # only a marked entry can be refused; the first refused names its first fault
-        for k in np.flatnonzero(marked):
+        shape = (n_x, n_y, n_a, n_b)
+        pred = np.zeros(tuple(max(n, 1) for n in shape))
+        first: dict[tuple[int, ...], int] = {}  # (x, y, a, b) -> the first entry there
+        for k, entry in enumerate(_array(data["predicate"])):
             field = f"predicate[{k}]"
-            _known_fields(entries[k], _ENTRY_FIELDS, f"{field}.")
-            index = _entry_index(k, entries[k], (n_x, n_y, n_a, n_b))
-            earlier = np.flatnonzero(position[:k] == position[k])
-            if earlier.size:
+            _known_fields(entry, _ENTRY_FIELDS, f"{field}.")
+            index = _entry_index(k, entry, shape)
+            earlier = first.setdefault(index, k)
+            if earlier != k:
                 raise ValidationError(
-                    [f"{field}: duplicates predicate[{earlier[0]}] at (x, y, a, b) = {index}"]
-                )
-            _number(entries[k]["v"], f"{field}.v")
-        pred = np.zeros((max(n_x, 1), max(n_y, 1), max(n_a, 1), max(n_b, 1)))
-        pred.flat[position] = np.fromiter(map(float, weights), float, len(weights))
+                    [f"{field}: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"])
+            pred[index] = _number(entry["v"], f"{field}.v")
         field = "id"
         if not isinstance(data["id"], str):  # str() would read null as the id 'None'
             raise ValidationError([f"id: {_shown(data['id'])} is not a string"])

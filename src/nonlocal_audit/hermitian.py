@@ -71,10 +71,6 @@ class EigenSystem:
         basis = self.eigenvectors[:, members]
         return basis, basis.shape[1] > 1
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(h: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix, or of a stack of them, by LAPACK ``eigh``.

@@ -92,6 +92,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def reconstruct(eig: na.EigenSystem) -> np.ndarray:
+    """The matrix V diag(lambda) V^dagger that an eigensystem decomposes."""
+    v = eig.eigenvectors
+    return (v * eig.eigenvalues) @ v.conj().T
+
+
 def partial_trace_first(m: np.ndarray, d_first: int, d_second: int) -> np.ndarray:
     """Trace out the first tensor factor of a (d_first*d_second)-dim operator.
 

@@ -30,6 +30,7 @@ from conftest import (
     planar_strategy,
     random_hermitian,
     random_strategy,
+    reconstruct,
 )
 
 
@@ -273,7 +274,7 @@ def test_criterion_8_property_suites():
             h = random_hermitian(rng, d)
             hnorm = np.linalg.norm(h)
             eig = na.eig_hermitian(h)
-            if np.linalg.norm(eig.reconstruct() - h) > 1e-9 * hnorm:
+            if np.linalg.norm(reconstruct(eig) - h) > 1e-9 * hnorm:
                 failures.append(f"reconstruction failure at d={d}")
                 break
             gram = eig.eigenvectors.conj().T @ eig.eigenvectors

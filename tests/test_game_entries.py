@@ -1,9 +1,10 @@
-"""Predicate entries against the per-entry reference loop.
+"""Predicate entries against an independent per-entry reference loop.
 
-``game_from_dict`` checks a game file's predicate entries with numpy and
-sends only the entries it marks through the per-entry checks. Checking
-every entry in turn, the loop below, must give the same table, or refuse
-with the same message: the same entry, and the same first fault in it.
+``game_from_dict`` checks each predicate entry of a game file in turn. The
+loop below checks them again with its own code, writing each refusal as
+docs/game-file-format.md states it. Both must give the same table, or
+refuse with the same message: the same entry, and the same first fault in
+it.
 """
 
 import enum
@@ -12,9 +13,7 @@ import numpy as np
 import pytest
 
 from nonlocal_audit.errors import ParseError, ValidationError
-from nonlocal_audit.games import (
-    GameSpec, _entry_index, _known_fields, _number, game_from_dict, validate_game,
-)
+from nonlocal_audit.games import GameSpec, game_from_dict, validate_game
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -30,22 +29,50 @@ class Entry(dict):
     pass
 
 
+def shown(value) -> str:
+    """A refusal echoes at most 40 characters of a value, a cut marked by '...'."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def malformed(field: str, exc: Exception) -> ParseError:
+    return ParseError(f"{field}: malformed ({exc!r})")
+
+
 def reference_table(entries, shape) -> np.ndarray:
-    """The predicate table read one entry at a time, each entry checked in full."""
+    """The predicate table read one entry at a time, each entry checked in full:
+    its keys, then its four indices, then a repeat, then its weight."""
     table = np.zeros(tuple(max(n, 1) for n in shape))
     first_entry = {}
     for k, entry in enumerate(entries):
         field = f"predicate[{k}]"
+        if not isinstance(entry, dict):
+            raise malformed(field, TypeError(f"{shown(entry)} is not an object"))
+        for key in entry:
+            if key not in ("x", "y", "a", "b", "v"):
+                plain = isinstance(key, str) and key.isidentifier() and len(key) <= 40
+                raise ValidationError([f"{field}.{key if plain else shown(key)}: unknown field"])
+        for key in "xyab":
+            if key not in entry:
+                raise malformed(field, KeyError(key))
+        index = tuple(entry[key] for key in "xyab")
+        for key, i, n in zip("xyab", index, shape):
+            # a JSON integer: bool is an int in Python but not in JSON
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+                raise ValidationError([f"{field}.{key}: {shown(i)} is not an index in [0, {n})"])
+        if index in first_entry:
+            raise ValidationError([
+                f"{field}: duplicates predicate[{first_entry[index]}] at (x, y, a, b) = {index}"])
+        first_entry[index] = k
+        if "v" not in entry:
+            raise malformed(field, KeyError("v"))
+        v = entry["v"]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError([f"{field}.v: {shown(v)} is not a number"])
         try:
-            _known_fields(entry, {"x", "y", "a", "b", "v"}, f"{field}.")
-            index = _entry_index(k, entry, shape)
-            earlier = first_entry.setdefault(index, k)
-            if earlier != k:
-                raise ValidationError(
-                    [f"{field}: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"])
-            table[index] = _number(entry["v"], f"{field}.v")
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{field}: malformed ({exc!r})") from exc
+            table[index] = float(v)
+        except OverflowError:
+            raise ValidationError([f"{field}.v: integer outside the float range"]) from None
     return table
 
 

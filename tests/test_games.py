@@ -481,6 +481,19 @@ def test_game_file_pi_not_an_array_exit_2(tmp_path, capsys, g1_spec, pi, field):
         f"error: {field}: malformed ({TypeError(f'{shown} is not an array')!r})\n")
 
 
+@pytest.mark.parametrize("field", ["inputs", "outputs"])
+@pytest.mark.parametrize("sizes", ["22", {"a": 2, "b": 2}], ids=["string", "object"])
+def test_game_file_sizes_not_an_array_exit_2(tmp_path, capsys, g1_spec, field, sizes):
+    # unpacked as an array, these were refused as inputs[0]: '2' is not an integer
+    doc = game_to_dict(g1_spec)
+    doc[field] = sizes
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classical", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: malformed ({TypeError(f'{sizes!r} is not an array')!r})\n")
+
+
 @pytest.mark.parametrize("content, fault", [
     (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "nested too deeply"),

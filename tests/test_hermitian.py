@@ -25,6 +25,7 @@ from conftest import (
     planar_strategy,
     planar_sweep_games,
     random_hermitian,
+    reconstruct,
 )
 
 PLANAR_SWEEP = planar_sweep_games()
@@ -107,7 +108,7 @@ class TestEigHermitian:
                 hnorm = np.linalg.norm(h)
                 eig = na.eig_hermitian(h)
                 assert np.all(np.diff(eig.eigenvalues) >= 0.0)
-                assert np.linalg.norm(eig.reconstruct() - h) <= 1e-9 * hnorm
+                assert np.linalg.norm(reconstruct(eig) - h) <= 1e-9 * hnorm
                 gram = eig.eigenvectors.conj().T @ eig.eigenvectors
                 assert np.abs(gram - np.eye(d)).max() <= 1e-10
                 for k in range(d):
