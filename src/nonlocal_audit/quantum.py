@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -256,12 +255,12 @@ def closed_form_optimum(game: str | GameSpec) -> OptimalSolution:
 # reported value by more than GAP_TOL.
 GAP_TOL = 1e-9
 # The first partition has _FIRST_CELLS^2 cells; the value does not depend on
-# it. From 16 cells per axis the whole search solves fewer lattice points
-# than the 46^2 vertices of a 45-cell first round. Caps on the cells a split
-# may produce and on the rounds; when a cap binds the search stops and
+# it, and from 16 cells per axis a game takes 0.35 to 0.9 thousand solves.
+# Caps on the cells a split may produce (at 2^16 a ridge maximum closes
+# within GAP_TOL) and on the rounds; when a cap binds the search stops and
 # reports the bound it reached.
 _FIRST_CELLS = 16
-MAX_CELLS = 1 << 14
+MAX_CELLS = 1 << 16
 MAX_ROUNDS = 40
 # An ascent step is kept unless it lowers lambda_max by more than rounding;
 # one that does is halved at most this often.
@@ -304,18 +303,19 @@ def _trig(t) -> np.ndarray:
     ])
 
 
-def _curvature_bounds(kernel: np.ndarray) -> tuple[float, float]:
-    """K_aa + K_bb and K_aa + 2 K_ab + K_bb, bounds on the second derivatives of B.
+def _curvature_bounds(kernel: np.ndarray) -> tuple[float, float, float]:
+    """K_a, K_b and K_aa + 2 K_ab + K_bb, bounds on the second derivatives of B.
 
-    Each second derivative of B contracts the M[u, v] with coefficients of
-    modulus at most 1, and zero where u (for alpha1) or v (for beta1) is the
-    constant term, so its norm is at most the sum of those ||M[u, v]||:
-    K_aa bounds ||d^2 B / d alpha1^2||, K_bb ||d^2 B / d beta1^2|| and K_ab
-    the mixed one, and |d^T (d^2 B) d| <= (K_aa + 2 K_ab + K_bb) max|d_i|^2.
+    For a unit v, d^2 (v^T B v) / d alpha1^2 = -sum_{u=1,2} f_u(alpha1) w_u, where
+    |w_u| <= ||M[u, 0]|| + hypot(||M[u, 1]||, ||M[u, 2]||); by Cauchy-Schwarz
+    K_a, the hypot of those two, bounds it, and K_b likewise in beta1. K_aa,
+    K_ab and K_bb sum the ||M[u, v]|| that each second derivative of B
+    contracts, so |d^T (d^2 B) d| <= (K_aa + 2 K_ab + K_bb) max|d_i|^2.
     """
     norms = np.abs(np.linalg.eigvalsh(kernel)).max(axis=-1)
+    k_a, k_b = (math.hypot(*(n[1:, 0] + np.hypot(n[1:, 1], n[1:, 2]))) for n in (norms, norms.T))
     k_aa, k_ab, k_bb = norms[1:, :].sum(), norms[1:, 1:].sum(), norms[:, 1:].sum()
-    return float(k_aa + k_bb), float(k_aa + 2.0 * k_ab + k_bb)
+    return k_a, k_b, float(k_aa + 2.0 * k_ab + k_bb)
 
 
 def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
@@ -342,8 +342,9 @@ def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
 
 def _top_eigenvalues(kernel: np.ndarray, points: np.ndarray) -> np.ndarray:
     """lambda_max of B at the angles alpha1 + 1j beta1 of each point, one real 4x4 solve each."""
-    fa, fb = (np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1)
-              for t in (points.real, points.imag))
+    fa, fb = trig = np.ones((2, len(points), 3))
+    angles = np.array([points.real, points.imag])
+    trig[:, :, 1], trig[:, :, 2] = np.cos(angles), np.sin(angles)
     ops = (fa[:, :, None] * fb[:, None, :]).reshape(-1, 9) @ kernel.reshape(9, 16)
     return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1]
 
@@ -352,12 +353,11 @@ def _top_eigenvalues(kernel: np.ndarray, points: np.ndarray) -> np.ndarray:
 class PlanarSearch:
     """Branch-and-bound result: the best lattice point found and a bound over the quarter.
 
-    ``upper`` bounds lambda_max over all of [0, pi]^2; it lies within
-    GAP_TOL / 2 of ``value`` unless ``capped`` (MAX_CELLS or MAX_ROUNDS
-    stopped the search first). ``cells`` counts the lambda_max solves, one
-    per distinct lattice point: the (_FIRST_CELLS + 1)^2 = 289 vertices of
-    the first partition and the new vertices of every split (1.2 to 1.6
-    thousand in all on chsh, g1 and g2).
+    ``upper`` bounds lambda_max over all of [0, pi]^2; it lies within GAP_TOL / 2 of
+    ``value`` unless ``capped`` (MAX_CELLS or MAX_ROUNDS stopped the search first).
+    ``cells`` counts the lambda_max solves, one per distinct lattice point: the
+    (_FIRST_CELLS + 1)^2 = 289 vertices of the first partition and the new vertices
+    of every split (0.35 to 0.9 thousand per game on the catalog and benchmark games).
     """
 
     alpha1: float
@@ -369,22 +369,44 @@ class PlanarSearch:
     capped: bool
 
 
-def branch_and_bound(kernel: np.ndarray, curvature: float) -> PlanarSearch:
+# A cell's 3x3 block of child lattice points, row-major. _QUAD picks corners
+# (0, 0), (0, 1), (1, 0), (1, 1): the cell's own are 2 * _QUAD, child k's _QUAD[k] + _QUAD.
+_BLOCK = (np.arange(3.0)[:, None] + 1j * np.arange(3.0)).ravel()
+_QUAD, _FRESH = np.array([0, 1, 3, 4]), np.array([1, 3, 4, 5, 7])
+# corner values to the mean, alpha1, beta1 and cross coefficients of their interpolant
+_INTERPOLANT = 0.25 * np.array([[1, -1, -1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, 1, 1, 1]])
+
+
+def _cell_bounds(corners: np.ndarray, k_a: float, k_b: float, halfwidth: float) -> np.ndarray:
+    """Bounds on lambda_max over square cells of half-width r, from their (n, 4) corner values.
+
+    At p lambda_max is q(p), the Rayleigh quotient of p's top eigenvector, at
+    most lambda_max at each corner; at offset (s, t) from the centre
+    q + K_a s^2 / 2 + K_b t^2 / 2 is convex along each axis, so lies below its
+    bilinear interpolant. So with I = m + c_s s/r + c_t t/r + c_st st/r^2 that
+    of the corner values, A = K_a r^2 / 2 and B = K_b r^2 / 2, lambda_max(p) <=
+    I + A (1 - s^2/r^2) + B (1 - t^2/r^2) <= m + |c_st| + h(c_s, A) + h(c_t, B)
+    and <= the largest corner + A + B. h(c, A), the largest c s + A (1 - s^2)
+    over |s| <= 1, is A + c^2 / 4A if |c| <= 2A, else |c| (|c| at A = 0, not nan).
+    """
+    mean, *slopes, cross = (corners @ _INTERPOLANT).T
+    bounds = mean + np.abs(cross)
+    for slope, k in zip(slopes, (k_a, k_b)):
+        a, c = 0.5 * k * halfwidth**2, np.abs(slope)
+        bounds += c if a == 0.0 else np.where(c <= 2.0 * a, a + c * c / (4.0 * a), c)
+    return np.minimum(bounds, corners.max(axis=1) + 0.5 * (k_a + k_b) * halfwidth**2)
+
+
+def branch_and_bound(kernel: np.ndarray, k_a: float, k_b: float) -> PlanarSearch:
     """Certified maximum of lambda_max over the quarter [0, pi]^2.
 
     lambda_max is solved only at the vertices of a dyadic lattice, each
-    once. A square cell of half-width r is bounded by the largest
-    lambda_max at its four corners plus ``curvature`` r^2 / 2 (K_aa + K_bb,
-    from ``_curvature_bounds``): at any point
-    of the cell lambda_max is the Rayleigh quotient of that point's top
-    eigenvector, whose bilinear interpolant from the corners is at most the
-    largest corner lambda_max and misses it by at most r^2 / 2 times its
-    two second derivatives. Starts from _FIRST_CELLS^2 = 256 cells. Each
-    round drops the cells whose bound does not exceed the best vertex value
-    by more than GAP_TOL / 2 and splits the rest in four, solving only the
-    new edge midpoints and centres, once each where neighbours share them:
-    about one solve per child cell, in 13 or 14 rounds on a game whose
-    maximum is isolated.
+    once; ``_cell_bounds`` bounds a square cell from its corner values.
+    Starts from _FIRST_CELLS^2 = 256 cells. Each round drops the cells whose
+    bound does not exceed the best vertex value by more than GAP_TOL / 2 and
+    splits the rest in four, solving only the new edge midpoints and centres,
+    once each where neighbours share them: about one solve per child cell,
+    in 12 or 13 rounds on a game whose maximum is isolated.
     """
     spacing = math.pi / _FIRST_CELLS
     # a lattice point is i + 1j j, exact in floats for indices below 2^53
@@ -393,15 +415,13 @@ def branch_and_bound(kernel: np.ndarray, curvature: float) -> PlanarSearch:
     vertices = _top_eigenvalues(kernel, spacing * lattice.ravel()).reshape(lattice.shape)
     k = int(np.argmax(vertices))  # first in row-major order
     best, best_value, evaluated = spacing * lattice.flat[k], float(vertices.flat[k]), vertices.size
-    # each cell: its lower-left lattice point and its 2x2 corner values
+    # each cell: its lower-left lattice point and its four corner values
     cells = lattice[:-1, :-1].ravel()
-    corners = sliding_window_view(vertices, (2, 2)).reshape(-1, 2, 2)
-    # a cell's 3x3 block of child vertices; all but its own corners are new
-    block = np.arange(3.0)[:, None] + 1j * np.arange(3.0)
-    fresh = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    corners = np.stack([vertices[:-1, :-1], vertices[:-1, 1:], vertices[1:, :-1], vertices[1:, 1:]],
+                       axis=-1).reshape(-1, 4)
     upper = -math.inf
     for rounds in range(1, MAX_ROUNDS + 1):
-        bounds = corners.max(axis=(1, 2)) + 0.5 * curvature * (0.5 * spacing) ** 2
+        bounds = _cell_bounds(corners, k_a, k_b, 0.5 * spacing)
         open_cells = bounds > best_value + 0.5 * GAP_TOL
         if not open_cells.all():
             upper = max(upper, float(bounds[~open_cells].max()))
@@ -412,18 +432,18 @@ def branch_and_bound(kernel: np.ndarray, curvature: float) -> PlanarSearch:
         if capped or len(cells) == 0:
             break
         spacing /= 2.0
-        children = 2.0 * cells[:, None, None] + block
-        points, shared = np.unique(children[:, fresh], return_inverse=True)
+        children = 2.0 * cells[:, None] + _BLOCK
+        points, shared = np.unique(children[:, _FRESH], return_inverse=True)
         values = _top_eigenvalues(kernel, spacing * points)
         evaluated += len(values)
         k = int(np.argmax(values))  # first in np.unique (row-major) order
         if values[k] > best_value:
             best, best_value = spacing * points[k], float(values[k])
-        grid = np.empty((len(cells), 3, 3))
-        grid[:, ::2, ::2] = corners
-        grid[:, fresh] = values[shared].reshape(len(cells), -1)
-        cells = children[:, :2, :2].ravel()
-        corners = sliding_window_view(grid, (2, 2), axis=(1, 2)).reshape(-1, 2, 2)
+        block = np.empty((len(cells), 9))
+        block[:, 2 * _QUAD] = corners
+        block[:, _FRESH] = values[shared].reshape(len(cells), -1)
+        cells = children[:, _QUAD].ravel()
+        corners = block[:, _QUAD[:, None] + _QUAD].reshape(-1, 4)
     return PlanarSearch(
         alpha1=float(best.real), beta1=float(best.imag), value=best_value,
         upper=max(upper, best_value), rounds=rounds, cells=evaluated, capped=capped,
@@ -447,7 +467,7 @@ def refine_planar(
     (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
-    return _polish(kernel, _curvature_bounds(kernel)[1], alpha1, beta1, halfwidth)
+    return _polish(kernel, _curvature_bounds(kernel)[2], alpha1, beta1, halfwidth)
 
 
 def _polish(
@@ -506,8 +526,8 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     only the quarter [0, pi]^2 is searched, on the real trigonometric
     kernel of ``_planar_kernel``. ``branch_and_bound`` starts from a fixed
     partition of _FIRST_CELLS = 16 cells per axis and bounds each cell from
-    lambda_max at its corners, solved once per lattice vertex (about one
-    solve per child cell); ``refine_planar``'s ascent, on the same kernel,
+    lambda_max at its corners and per-axis curvature bounds K_a, K_b (0.35 to
+    0.9 thousand solves per game); ``refine_planar``'s ascent, on the same kernel,
     polishes its best vertex by Newton steps of at most a first cell's
     half-width, pi / 32, and the solution is recomputed from the complex
     Bell operator. Its ``upper_bound`` is the bound the search certified,
@@ -520,8 +540,8 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
             f"{spec.n_a}x{spec.n_b} outputs; the planar family covers 2x2x2x2"
         )
     kernel = _planar_kernel(spec)
-    search_curvature, polish_curvature = _curvature_bounds(kernel)
-    search = branch_and_bound(kernel, search_curvature)
+    k_a, k_b, polish_curvature = _curvature_bounds(kernel)
+    search = branch_and_bound(kernel, k_a, k_b)
     alpha1, beta1, _ = _polish(
         kernel, polish_curvature, search.alpha1, search.beta1, math.pi / (2 * _FIRST_CELLS)
     )

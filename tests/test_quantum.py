@@ -16,6 +16,7 @@ from nonlocal_audit.games import swap_parties
 from nonlocal_audit.hermitian import is_hermitian
 from nonlocal_audit.quantum import (
     GAP_TOL,
+    _cell_bounds,
     _curvature_bounds,
     _planar_jet,
     _planar_kernel,
@@ -258,20 +259,37 @@ class TestOptimizePlanar:
     def test_widening_game_finishes_above_grid(self):
         # On this game the former golden-section bracket doubled every round
         # until it could no longer shrink below its tolerance.
-        wins = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
-                (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)]
-        predicate = np.zeros((2, 2, 2, 2))
-        for entry in wins:
-            predicate[entry] = 1.0
-        spec = na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
-                           predicate=predicate, input_dist=np.full((2, 2), 0.25))
+        spec = widening_game()
         solution = na.optimize_planar(spec)
         assert solution.residual is None
         assert solution.value >= torus_grid_max(spec, 121) - 1e-12
-        # lambda_max is 3/4 all along beta1 = 0, so the open cells double every
-        # round until MAX_CELLS stops the search; the bound reached, about
-        # 4.6e-9 above the value, is reported.
-        assert 0.0 <= solution.upper_bound - solution.value <= 1e-8
+        # lambda_max is 3/4 all along beta1 = 0, so the open cells along that
+        # ridge double every round; within MAX_CELLS they close, and the
+        # certified gap is within GAP_TOL (about 3.4e-10).
+        assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL
+
+
+def widening_game() -> na.GameSpec:
+    """A binary game whose lambda_max is 3/4 all along beta1 = 0."""
+    wins = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
+            (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)]
+    predicate = np.zeros((2, 2, 2, 2))
+    for entry in wins:
+        predicate[entry] = 1.0
+    return na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
+                       predicate=predicate, input_dist=np.full((2, 2), 0.25))
+
+
+def ridge_game() -> na.GameSpec:
+    """A weighted game in which Bob's input and output never matter.
+
+    So lambda_max is constant along beta1: its maximum is a whole ridge.
+    """
+    predicate = np.zeros((2, 2, 2, 2))
+    predicate[0, :, 0, :] = 1.0
+    predicate[:, :, 1, :] = 0.5
+    return na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
+                       input_dist=np.full((2, 2), 0.25), binary_predicate=False)
 
 
 def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
@@ -294,7 +312,7 @@ def kernel_spectrum(kernel: np.ndarray, alpha1: float, beta1: float) -> np.ndarr
 def planar_search(spec: na.GameSpec):
     """``branch_and_bound`` on the game's kernel, as ``optimize_planar`` runs it."""
     kernel = _planar_kernel(spec)
-    return branch_and_bound(kernel, _curvature_bounds(kernel)[0])
+    return branch_and_bound(kernel, *_curvature_bounds(kernel)[:2])
 
 
 class TestPlanarKernel:
@@ -326,17 +344,18 @@ class TestPlanarKernel:
 
     def test_grid_cells_match_objective(self):
         # Lattice cells: a vertex value is lambda_max of the complex Bell
-        # operator, and the largest corner value plus (K_aa + K_bb) r^2 / 2
-        # bounds every sampled point of the cell. The last five cells hold
-        # the maximum, which their corners alone fall short of.
+        # operator, and ``_cell_bounds`` from the four corner values bounds
+        # every sampled point of the cell. The last five cells hold the
+        # maximum, which their corners alone fall short of. On the widening
+        # and ridge games one of K_a, K_b is exactly 0.
         rng = np.random.default_rng(64)
         offsets = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        for spec in self.GAMES:
+        for spec in (*self.GAMES, widening_game(), ridge_game()):
             kernel = _planar_kernel(spec)
-            curvature, _ = _curvature_bounds(kernel)
+            k_a, k_b, _ = _curvature_bounds(kernel)
             angles = na.optimize_planar(spec).angles
             peak = np.array([angles.alpha[1], angles.beta[1]])
-            for halfwidth in (0.5, 0.05):
+            for halfwidth in (0.5, 0.05, 0.005):
                 lower = np.concatenate([rng.uniform(0.0, math.pi - 2.0 * halfwidth, (5, 2)),
                                         peak - rng.uniform(0.0, 2.0 * halfwidth, (5, 2))])
                 corners = (lower[:, None, :] + 2.0 * halfwidth * offsets).reshape(-1, 2)
@@ -346,11 +365,29 @@ class TestPlanarKernel:
                     strat = planar_strategy(spec, a1, b1)
                     op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
                     assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12
-                bounds = values.reshape(-1, 4).max(axis=1) + 0.5 * curvature * halfwidth**2
+                bounds = _cell_bounds(values.reshape(-1, 4), k_a, k_b, halfwidth)
                 for cell, bound in zip(lower, bounds):
                     for point in cell + rng.uniform(0.0, 2.0 * halfwidth, (10, 2)):
-                        assert kernel_spectrum(kernel, *point)[-1] <= bound + 1e-12
+                        assert kernel_spectrum(kernel, *point)[-1] <= bound + 1e-12, spec.id
                 assert np.all(bounds[5:] >= kernel_spectrum(kernel, *peak)[-1] - 1e-12)
+
+    def test_axis_constants_bound_second_derivatives(self):
+        # K_a bounds d^2 (v^T B v) / d alpha1^2 and K_b the beta1 one, for
+        # random unit v and for the worst v (an extreme eigenvector), with the
+        # second derivatives of B contracted from those of f = (1, cos, sin).
+        rng = np.random.default_rng(65)
+        for spec in (*self.GAMES, widening_game(), ridge_game()):
+            kernel = _planar_kernel(spec)
+            k_a, k_b, _ = _curvature_bounds(kernel)
+            for a1, b1 in rng.uniform(-math.pi, math.pi, (20, 2)):
+                fa, fb = _trig(a1), _trig(b1)
+                units = rng.normal(size=(10, 4))
+                units /= np.linalg.norm(units, axis=1, keepdims=True)
+                for order, bound in (((2, 0), k_a), ((0, 2), k_b)):
+                    second = np.einsum("u,v,uvij->ij", fa[order[0]], fb[order[1]], kernel)
+                    along = np.einsum("ni,ij,nj->n", units, second, units)
+                    assert np.abs(along).max() <= bound + 1e-12, spec.id
+                    assert np.abs(np.linalg.eigvalsh(second)).max() <= bound + 1e-12, spec.id
 
     def test_quarter_grid_holds_full_maximum(self):
         # The search covers only [0, pi]^2; its bound still covers the torus.
@@ -410,11 +447,7 @@ class TestCertificate:
         # Bob's output and input never matter, so lambda_max is constant
         # along beta1: the maximum is a ridge, and the open cells double
         # every round until the cap stops the search.
-        predicate = np.zeros((2, 2, 2, 2))
-        predicate[0, :, 0, :] = 1.0
-        predicate[:, :, 1, :] = 0.5
-        spec = na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
-                           input_dist=np.full((2, 2), 0.25), binary_predicate=False)
+        spec = ridge_game()
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
         search = planar_search(spec)
         assert search.capped
@@ -428,15 +461,24 @@ class TestCertificate:
         solution = na.optimize_planar(spec)
         assert solution.upper_bound >= solution.value
 
+    def test_ridge_maxima_certified(self):
+        # Along a ridge the open cells double every round; below MAX_CELLS
+        # both ridge games still close uncapped, after about 66 thousand solves.
+        for spec in (widening_game(), ridge_game()):
+            search = planar_search(spec)
+            assert not search.capped, spec.id
+            assert 0.0 <= search.upper - search.value <= 0.5 * GAP_TOL, spec.id
+            assert search.upper >= torus_grid_max(spec, 65) - 1e-12, spec.id
+
     def test_search_solves_far_fewer_cells_than_the_grid(self):
         # The former scan solved 361^2 quarter-grid points at 721, and the
         # first round from 45 cells per axis alone solved 46^2 vertices; the
         # search solves each lattice point once, and ``cells`` counts those
-        # solves.
+        # solves (481 to 849 on these games).
         for game_id in self.GAMES:
             search = planar_search(na.builtin_game(game_id))
             assert not search.capped
-            assert search.cells < 46 * 46
+            assert search.cells < 1000
 
     def test_search_solves_each_lattice_point_once(self, monkeypatch):
         # A lattice point's angles are its integer index times the spacing,
