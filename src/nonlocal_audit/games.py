@@ -76,7 +76,7 @@ class GameSpec:
 
     def is_uniform(self) -> bool:
         return bool(
-            np.allclose(self.input_dist, 1.0 / (self.n_x * self.n_y), atol=PI_SUM_ATOL)
+            np.allclose(self.input_dist, 1.0 / (self.n_x * self.n_y), rtol=0.0, atol=PI_SUM_ATOL)
         )
 
     def equals(self, other: "GameSpec") -> bool:

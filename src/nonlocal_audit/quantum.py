@@ -238,13 +238,10 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float, catalog: bool)
     )
 
 
-def closed_form_optimum(game: str | GameSpec) -> OptimalSolution:
-    """Exact-radical optimal strategy for g1 or g2, with its charpoly residual.
-
-    ``game`` is the catalog id, or a spec that ``closed_form_available`` accepted.
-    """
-    spec = builtin_game(game) if isinstance(game, str) else game
-    return _planar_solution(spec, *closed_form_angles(spec.id), catalog=True)
+def closed_form_optimum(game_id: str) -> OptimalSolution:
+    """Exact-radical optimal strategy for the catalog game g1 or g2, with its
+    charpoly residual."""
+    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id), catalog=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """End-to-end analysis runs and their text/JSON rendering.
 
-The JSON document follows the schema in ``docs/report-schema.md``: every
-real number is printed with 12 significant digits, key order is fixed, and
-nothing volatile (wall time) enters the document, so identical inputs
-produce byte-identical reports. Wall time is reported on the text rendering
-only. ``canonical_json`` writes a document in one loop, with each value's
-form looked up by its exact type.
+The JSON document follows the schema in ``docs/report-schema.md``: key
+order is fixed, and nothing volatile (wall time) enters the document, so
+identical inputs produce byte-identical reports. Wall time is reported on
+the text rendering only. ``run_document`` rounds every real to 12
+significant digits (``_real``) where it builds the field, and
+``json.dumps`` writes the document compactly; the text rendering prints
+the unrounded values.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def best_known_solution(spec: GameSpec) -> tuple[str, OptimalSolution]:
     that are not 2x2x2x2 with ``NotPlanarApplicableError``.
     """
     if closed_form_available(spec):
-        return "closed_form", closed_form_optimum(spec)
+        return "closed_form", closed_form_optimum(spec.id)
     if matches_catalog(spec, "cglmp"):
         strategy = cglmp_strategy()
         value = quantum_game_value(spec, strategy)
@@ -121,77 +122,21 @@ def tagged_values(spec: GameSpec, normalized: float, uniform: bool) -> list[dict
 # ---------------------------------------------------------------------------
 
 
-def _fmt_real(v: float) -> str:
-    # 12 significant digits; repr-parse keeps the document a fixed point of
-    # render(parse(render(...))). Adding 0.0 turns -0.0 into 0.0: "-0" would
-    # re-parse as the integer 0 and re-serialize as "0".
-    return format(float(v) + 0.0, ".12g")
+def _real(v) -> float | int:
+    """A real rounded to 12 significant digits, as ``json.dumps`` should print it.
 
-
-# Each JSON form, in the order of precedence of the isinstance tests: the
-# opening bracket of a container, or the function that writes a scalar.
-_KINDS = (
-    ((dict,), "{"),
-    ((list, tuple), "["),
-    ((bool, np.bool_, type(None)), lambda v: "null" if v is None else "true" if v else "false"),
-    ((int, np.integer), lambda v: str(int(v))),
-    ((float, np.floating), _fmt_real),
-    ((str,), json.dumps),
-)
-# the form of each exact type that reports hold, found without the isinstance tests
-_FORMS = {t: form for types, form in _KINDS for t in types}
-_FORMS.update({int: str, np.int64: _FORMS[np.integer], np.float64: _fmt_real})
-_CLOSERS = {"{": "}", "[": "]"}
-
-
-def _form(value):
-    for types, form in _KINDS:
-        if isinstance(value, types):
-            return form
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def canonical_json(obj) -> str:
-    """Compact JSON, keys in insertion order and reals by ``_fmt_real``, in one loop.
-
-    Each ``"key":`` text is encoded once; a value of any other type raises
-    TypeError.
+    The nearest double to a decimal of at most 12 digits has that decimal as
+    its shortest repr, which is what the encoder prints. Whole values below
+    1e12 become ints, so 2.0 prints "2" and -0.0 prints "0".
     """
-    out = ["["]  # the document is the one item of a list whose brackets are dropped
-    keys: dict = {}  # key -> its "key": text
-    stack = [(iter((obj,)), False, "]")]  # open containers: children left, is a dict, closer
-    while stack:
-        children, is_dict, closer = stack[-1]
-        for value in children:
-            if is_dict:
-                key, value = value
-                # 1, 1.0 and True are one dict key but three texts: only str keys are looked up
-                text = keys.get(key) if type(key) is str else None
-                if text is None:
-                    text = keys[key] = json.dumps(key) + ":"
-                out.append(text)
-            form = _FORMS.get(type(value)) or _form(value)
-            if form not in _CLOSERS:
-                out += (form(value), ",")
-                continue
-            out.append(form)
-            stack.append((iter(value.items() if form == "{" else value), form == "{",
-                          _CLOSERS[form]))
-            break
-        else:  # all children written: their trailing separator becomes the closer
-            stack.pop()
-            if out[-1] == ",":
-                out[-1] = closer
-            else:
-                out.append(closer)
-            out.append(",")
-    return "".join(out[1:-2])
+    r = float(format(float(v), ".12g"))
+    return int(r) if r.is_integer() and abs(r) < 1e12 else r
 
 
 def _state_doc(state: np.ndarray) -> dict:
     return {
-        "re": [float(v) for v in np.real(state)],
-        "im": [float(v) for v in np.imag(state)],
+        "re": [_real(v) for v in np.real(state)],
+        "im": [_real(v) for v in np.imag(state)],
     }
 
 
@@ -199,9 +144,9 @@ def _relation_doc(rel: FineGrainedRelation) -> dict:
     basis = rel.certain_space
     return {
         "pair": [int(rel.pair[0]), int(rel.pair[1])],
-        "xi": float(rel.xi),
-        "weight_mass": float(rel.weight_mass),
-        "xi_normalized": float(rel.xi_normalized),
+        "xi": _real(rel.xi),
+        "weight_mass": _real(rel.weight_mass),
+        "xi_normalized": _real(rel.xi_normalized),
         "trivial": rel.trivial,
         "degenerate": bool(rel.degenerate),
         "certain_space": [_state_doc(basis[:, k]) for k in range(basis.shape[1])],
@@ -211,10 +156,10 @@ def _relation_doc(rel: FineGrainedRelation) -> dict:
 def _verdict_doc(v: SteeringVerdict) -> dict:
     return {
         "pair": [int(v.pair[0]), int(v.pair[1])],
-        "probability": float(v.probability),
-        "xi": float(v.xi),
-        "achieved": float(v.achieved),
-        "gap": float(v.gap),
+        "probability": _real(v.probability),
+        "xi": _real(v.xi),
+        "achieved": _real(v.achieved),
+        "gap": _real(v.gap),
         "saturated": bool(v.saturated),
         "vacuous": bool(v.vacuous),
         "trivial_relation": v.trivial_relation,
@@ -222,13 +167,20 @@ def _verdict_doc(v: SteeringVerdict) -> dict:
 
 
 def run_document(run: AnalysisRun) -> dict:
-    """The JSON-ready document for an analysis run (schema in docs/)."""
+    """The JSON-ready document for an analysis run (schema in docs/), every real
+    rounded by ``_real``."""
     spec = run.spec
     solution = run.solution
     angles = solution.angles
+    upper = solution.upper_bound
+    residual = solution.residual
     report = run.report
     uniform = spec.is_uniform()
-    doc = {
+
+    def tagged(normalized: float) -> list[dict]:
+        return [{**t, "value": _real(t["value"])} for t in tagged_values(spec, normalized, uniform)]
+
+    return {
         "tool": {"name": "nonlocal-audit", "version": run.version},
         "game": {
             "ref": run.game_ref,
@@ -239,7 +191,7 @@ def run_document(run: AnalysisRun) -> dict:
             "binary_predicate": spec.binary_predicate,
         },
         "classical": {
-            "value": tagged_values(spec, report.omega_c, uniform),
+            "value": tagged(report.omega_c),
             "maximizer_count": len(report.classical_maximizers),
             "maximizers": [
                 {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in report.classical_maximizers
@@ -247,12 +199,13 @@ def run_document(run: AnalysisRun) -> dict:
         },
         "quantum": {
             "method": run.method,
-            "value": tagged_values(spec, solution.value, uniform),
-            "omega_q_upper": solution.upper_bound,
+            "value": tagged(solution.value),
+            "omega_q_upper": None if upper is None else _real(upper),
             "angles": None
             if angles is None
-            else {"alpha": list(angles.alpha), "beta": list(angles.beta)},
-            "residual": solution.residual,
+            else {"alpha": [_real(a) for a in angles.alpha],
+                  "beta": [_real(b) for b in angles.beta]},
+            "residual": None if residual is None else _real(residual),
             "state": _state_doc(solution.strategy.state),
         },
         "uncertainty": {
@@ -264,17 +217,16 @@ def run_document(run: AnalysisRun) -> dict:
             "bob_steers_alice": [_verdict_doc(v) for v in report.verdicts_bob],
         },
         "no_signaling_certain_states": {
-            "deviation": report.ns_deviation,
+            "deviation": _real(report.ns_deviation),
             "passes": report.ns_passes,
         },
         "verdict": {
-            "omega_c": tagged_values(spec, report.omega_c, uniform),
-            "omega_q": tagged_values(spec, report.omega_q, uniform),
-            "up_bound": report.up_bound,
+            "omega_c": tagged(report.omega_c),
+            "omega_q": tagged(report.omega_q),
+            "up_bound": _real(report.up_bound),
             "correspondence_holds": report.correspondence_holds,
         },
     }
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +308,7 @@ def render_text(run: AnalysisRun) -> str:
 def render_report(run: AnalysisRun, fmt: str = "text") -> str:
     """Render an analysis run. ``fmt`` is 'text' or 'json'."""
     if fmt == "json":
-        return canonical_json(run_document(run)) + "\n"
+        return json.dumps(run_document(run), separators=(",", ":")) + "\n"
     if fmt == "text":
         return render_text(run)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -1,21 +1,30 @@
-"""The canonical JSON writer against the recursive reference writer.
+"""The canonical JSON report against the recursive reference writer.
 
-``report.canonical_json`` walks a document in one loop, with its scalar
-forms in a table by exact type and each ``"key":`` text encoded once. The
-recursion below, which it replaced, is the reference: on every document
-both must give the same text, or both raise TypeError.
+``run_document`` rounds every real with ``report._real`` and ``json.dumps``
+writes the document. The recursion below, which printed each real with
+``format(v, ".12g")``, is the reference: parsing a report and writing it
+again with the reference must give the same bytes.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from nonlocal_audit.report import _fmt_real, canonical_json
+import nonlocal_audit as na
+from nonlocal_audit.report import _real
+
+from conftest import planar_sweep_games
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+
+def reference_real(v) -> str:
+    # 12 significant digits; adding 0.0 turns -0.0 into 0.0
+    return format(float(v) + 0.0, ".12g")
 
 
 def reference_write(obj, out: list[str]) -> None:
@@ -40,7 +49,7 @@ def reference_write(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_real(float(obj)))
+        out.append(reference_real(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:
@@ -53,68 +62,56 @@ def reference_json(obj) -> str:
     return "".join(out)
 
 
-# where ".12g" rounds and repr does not: 1e12 to 1e16, either sign
-LARGE = st.floats(1e12, 1e16) | st.floats(-1e16, -1e12)
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.just(-0.0),
-    LARGE,
-    st.floats(allow_nan=False).map(np.float64),
-    LARGE.map(np.float64),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-    st.text(),  # non-ASCII too
-)
-DOCUMENTS = st.recursive(
-    SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(max_size=6), children, max_size=5),
-    ),
-    max_leaves=40,
-)
+def test_writes_what_the_reference_writes(tmp_path):
+    # every catalog game and every planar_sweep game, one report each
+    refs = list(na.GAME_IDS)
+    for name, game in planar_sweep_games().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(game))
+        refs.append(str(path))
+    differ = []
+    for ref in refs:
+        text = na.render_report(na.run_analyze(ref), "json")
+        if reference_json(json.loads(text)) + "\n" != text:
+            differ.append(ref)
+    assert len(refs) == 12
+    assert differ == []
 
 
-@settings(max_examples=200, deadline=None)
-@given(DOCUMENTS)
-def test_writes_what_the_reference_writes(doc):
-    assert canonical_json(doc) == reference_json(doc)
+def _in_band_or_subnormal(r: float) -> bool:
+    # where the encoder's repr spells a 12-digit value otherwise than ".12g":
+    # positionally from 1e12 to 1e16, and by its shorter repr below the normals
+    return 1e12 <= abs(r) < 1e16 or 0.0 < abs(r) < sys.float_info.min
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.dictionaries(st.sampled_from(["re", "im", "é", "键", " "]), SCALARS,
-                                max_size=5), max_size=6))
-def test_repeated_keys_write_as_the_reference_writes(doc):
-    # the key texts are cached per call; repeats must read the same
-    assert canonical_json(doc) == reference_json(doc)
-
-
-def test_keys_that_are_not_strings():
-    # 1, 1.0 and True are one dict key, but each writes its own text
-    doc = [{1: 0}, {True: 0}, {1.0: 0}, {None: 0}, {"1": 0}]
-    assert canonical_json(doc) == reference_json(doc) == \
-        '[{1:0},{true:0},{1.0:0},{null:0},{"1":0}]'
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(-10.0, 10.0)
+       | st.floats(1e12, 1e16) | st.floats(-1e16, -1e12)
+       | st.integers(-(10**13), 10**13).map(float))
+@example(-0.0)
+@example(4.68803383788e12)
+@example(5e-324)
+@example(1e16)
+@example(999999999999.5)
+def test_real_prints_as_format_12g(v):
+    rounded = reference_real(v)
+    text = json.dumps(_real(v))
+    if _in_band_or_subnormal(float(rounded)):
+        assert float(text) == float(rounded)
+    else:
+        assert text == rounded
 
 
 def test_numpy_and_subclass_scalars():
     class Label(int):
         pass
 
-    doc = {"f32": np.float32(0.1), "i8": np.int8(-3), "u64": np.uint64(2**64 - 1),
-           "sub": Label(7), "bools": [True, np.bool_(False)], "none": None,
-           "zero": [-0.0, np.float64(-0.0)], "big": 123456789012345.67}
-    assert canonical_json(doc) == reference_json(doc)
+    class Real(float):
+        pass
 
-
-@pytest.mark.parametrize("bad", [{1, 2}, object(), 1j, np.array([1.0]), b"bytes"])
-def test_unsupported_type_raises(bad):
-    for doc in (bad, [1.0, bad], {"a": {"b": [bad]}}):
-        with pytest.raises(TypeError):
-            reference_json(doc)
-        with pytest.raises(TypeError, match="cannot serialize"):
-            canonical_json(doc)
-
+    values = [np.float32(0.1), np.float16(-2.5), np.float64(1 / 3), np.float64(-1e-17),
+              np.int8(-3), Label(7), Real(2.5), np.float64(-0.0), 2.0]
+    for v in values:
+        assert type(_real(v)) in (int, float)
+        assert json.dumps(_real(v)) == reference_json(v)

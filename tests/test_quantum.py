@@ -26,6 +26,7 @@ from nonlocal_audit.quantum import (
     scaled_bell_charpoly_g1,
     scaled_bell_charpoly_g2,
 )
+from nonlocal_audit.report import best_known_solution
 
 from conftest import (
     CGLMP_RAW_QUANTUM,
@@ -200,6 +201,21 @@ class TestClosedForms:
     def test_unknown_id(self):
         with pytest.raises(UnknownGameError):
             na.closed_form_optimum("chsh")
+
+    def test_tables_come_from_the_catalog_id(self, chsh_spec):
+        # chsh's tables under the id "g1": the closed form is g1's own, built from
+        # the id, and the routed spec gets chsh's optimum with no residual
+        variant = na.GameSpec(
+            id="g1", n_x=2, n_y=2, n_a=2, n_b=2,
+            predicate=chsh_spec.predicate, input_dist=chsh_spec.input_dist,
+        )
+        closed = na.closed_form_optimum(variant.id)
+        assert abs(closed.value - OMEGA_Q_G1) <= 1e-12
+        assert abs(closed.residual) <= 1e-9
+        method, solution = best_known_solution(variant)
+        assert method == "planar_search"
+        assert abs(solution.value - OMEGA_Q_CHSH) <= 1e-9
+        assert solution.residual is None
 
 
 class TestOptimizePlanar:

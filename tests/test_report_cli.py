@@ -13,7 +13,7 @@ import pytest
 import nonlocal_audit as na
 from nonlocal_audit import cli
 from nonlocal_audit.cli import main
-from nonlocal_audit.report import run_document
+from nonlocal_audit.report import _real, run_document
 
 from conftest import OMEGA_Q_G1
 
@@ -132,17 +132,30 @@ class TestJsonReport:
     def test_round_trip_fixed_point(self, g1_run):
         text = na.render_report(g1_run, "json")
         doc = json.loads(text)
-        from nonlocal_audit.report import canonical_json
-
-        again = canonical_json(doc) + "\n"
+        again = json.dumps(doc, separators=(",", ":")) + "\n"
         assert again == text
 
     def test_round_trip_negative_zero(self):
-        from nonlocal_audit.report import canonical_json
-
-        text = canonical_json({"re": [-0.0, 0.5], "im": [-0.0, 0.0]})
+        doc = {"re": [_real(-0.0), _real(0.5)], "im": [_real(-0.0), _real(0.0)]}
+        text = json.dumps(doc, separators=(",", ":"))
         assert text == '{"re":[0,0.5],"im":[0,0]}'
-        assert canonical_json(json.loads(text)) == text
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+    def test_nearly_uniform_game_quotes_only_normalized(self, tmp_path, chsh_spec, capsys):
+        # pi off uniform by 2e-6, far above PI_SUM_ATOL: no rescaled value is quoted
+        pi = np.array([[0.25 + 2e-6, 0.25 - 2e-6], [0.25, 0.25]])
+        spec = na.GameSpec(id="chsh-tilted", n_x=2, n_y=2, n_a=2, n_b=2,
+                           predicate=chsh_spec.predicate, input_dist=pi)
+        assert na.validate_game(spec) == []
+        assert not spec.is_uniform()
+        path = tmp_path / "tilted.json"
+        na.save_game(spec, path)
+        doc = json.loads(na.render_report(na.run_analyze(str(path)), "json"))
+        for values in (doc["classical"]["value"], doc["quantum"]["value"],
+                       doc["verdict"]["omega_c"], doc["verdict"]["omega_q"]):
+            assert [v["convention"] for v in values] == ["normalized"]
+        assert main(["classical", str(path)]) == 0
+        assert "raw sum" not in capsys.readouterr().out
 
     def test_round_trip_matches_run_values(self, g1_run):
         doc = json.loads(na.render_report(g1_run, "json"))
