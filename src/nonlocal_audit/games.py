@@ -193,12 +193,10 @@ _BUILDERS = {
 
 def builtin_game(game_id: str) -> GameSpec:
     """One of the catalog games: g1, g2, chsh, cglmp."""
-    try:
+    if isinstance(game_id, str) and game_id in _BUILDERS:
         return _BUILDERS[game_id]()
-    except KeyError:
-        raise UnknownGameError(
-            f"unknown game {game_id!r}; catalog ids are {', '.join(GAME_IDS)}"
-        ) from None
+    raise UnknownGameError(
+        f"unknown game {_shown(game_id)}; catalog ids are {', '.join(GAME_IDS)}")
 
 
 def matches_catalog(spec: GameSpec, game_id: str) -> bool:

@@ -453,15 +453,16 @@ def refine_planar(
     """Ascent of lambda_max from a start point, by Newton steps where they rise.
 
     With g and H the perturbation-theory gradient and Hessian, each round
-    tries in turn the Newton step -H^-1 g (where H is negative definite),
-    the Newton step along g (where g^T H g < 0) and g itself, each
-    shortened to move neither angle by more than ``halfwidth`` and halved
-    until lambda_max does not fall by more than rounding. If none is kept
-    it takes the step g / K, with K = K_aa + 2 K_ab + K_bb: along it the
+    takes one candidate step, the first that applies of the Newton step
+    -H^-1 g (H negative definite), the Newton step along g (g^T H g < 0)
+    and g. It is shortened to move neither angle by more than ``halfwidth``
+    and halved, at most _HALVINGS times, until lambda_max does not fall by
+    more than rounding. If it is still not kept the round takes the step
+    g / K, K = K_aa + 2 K_ab + K_bb, shortened the same way: along it the
     Rayleigh quotient of the current top eigenvector, and so lambda_max,
-    rises by at least |g|^2 / 2K. Stops after a step that moves neither
-    angle by more than _STEP_TOL, or after _POLISH_ROUNDS rounds. Returns
-    (alpha1, beta1, value).
+    rises by at least |g|^2 / 2K (by less, but still rises, if shortened).
+    Stops after a step that moves neither angle by more than _STEP_TOL, or
+    after _POLISH_ROUNDS rounds. Returns (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
     return _polish(kernel, _curvature_bounds(kernel)[2], alpha1, beta1, halfwidth)
@@ -470,31 +471,27 @@ def refine_planar(
 def _polish(
     kernel: np.ndarray, curvature: float, alpha1: float, beta1: float, halfwidth: float
 ) -> tuple[float, float, float]:
-    """``refine_planar`` on a built kernel, with K = K_aa + 2 K_ab + K_bb from it."""
+    """``refine_planar`` on a built kernel, with K = K_aa + 2 K_ab + K_bb from it:
+    one candidate step per round, halved at most _HALVINGS times, else g / K."""
     point = np.array([alpha1, beta1], dtype=float)
     value, grad, hess = _planar_jet(kernel, *point)
     for _ in range(_POLISH_ROUNDS):
         if curvature == 0.0 or not grad.any():
             break
-        directions = []
+        step = grad
         if hess is not None:
-            if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
-                directions.append(-np.linalg.solve(hess, grad))
             slope_curvature = grad @ hess @ grad
-            if slope_curvature < 0.0:
-                directions.append(-(grad @ grad) / slope_curvature * grad)
-        directions.append(grad)
-        trial = None
-        for step in directions:
-            step = step * min(1.0, halfwidth / np.abs(step).max())
-            for _ in range(_HALVINGS):
-                trial = _planar_jet(kernel, *(point + step))
-                if trial[0] >= value - _ROUNDING:
-                    break
-                trial, step = None, 0.5 * step
-            if trial is not None:
+            if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
+                step = -np.linalg.solve(hess, grad)
+            elif slope_curvature < 0.0:
+                step = -(grad @ grad) / slope_curvature * grad
+        step = step * min(1.0, halfwidth / np.abs(step).max())
+        for _ in range(_HALVINGS):
+            trial = _planar_jet(kernel, *(point + step))
+            if trial[0] >= value - _ROUNDING:
                 break
-        if trial is None:
+            step = 0.5 * step
+        else:
             step = grad / curvature
             step *= min(1.0, halfwidth / np.abs(step).max())
             trial = _planar_jet(kernel, *(point + step))
@@ -503,15 +500,6 @@ def _polish(
         if np.abs(step).max() <= _STEP_TOL:
             break
     return float(point[0]), float(point[1]), value
-
-
-def _wrap_angle(t: float) -> float:
-    wrapped = math.remainder(t, 2.0 * math.pi)
-    # math.remainder returns values in [-pi, pi]; pin the -pi representative to pi
-    # so reported angles stay inside the closed interval deterministically.
-    if wrapped == -math.pi:
-        wrapped = math.pi
-    return wrapped
 
 
 def optimize_planar(spec: GameSpec) -> OptimalSolution:
@@ -525,10 +513,11 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     partition of _FIRST_CELLS = 16 cells per axis and bounds each cell from
     lambda_max at its corners and per-axis curvature bounds K_a, K_b (0.35 to
     0.9 thousand solves per game); ``refine_planar``'s ascent, on the same kernel,
-    polishes its best vertex by Newton steps of at most a first cell's
-    half-width, pi / 32, and the solution is recomputed from the complex
-    Bell operator. Its ``upper_bound`` is the bound the search certified,
-    at most GAP_TOL above the value unless a cap stopped the search. Only
+    polishes its best vertex by one candidate step per round, at most a
+    first cell's half-width, pi / 32; each angle is reduced mod 2 pi, its
+    sign dropped, and the solution recomputed from the complex Bell
+    operator. Its ``upper_bound`` is the bound the search certified, at
+    most GAP_TOL above the value unless a cap stopped the search. Only
     2-input/2-output games are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
@@ -544,7 +533,7 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     )
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
-    alpha1, beta1 = abs(_wrap_angle(alpha1)), abs(_wrap_angle(beta1))
+    alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))
     solution = _planar_solution(spec, alpha1, beta1, closed_form_available(spec))
     return replace(solution, upper_bound=max(search.upper, solution.value))
 

@@ -69,13 +69,19 @@ def random_weighted_case(seed: int) -> tuple[na.GameSpec, na.QuantumStrategy]:
     return spec, random_strategy(rng, d_a, d_b, n_x, n_y)
 
 
-def planar_sweep_games() -> dict[str, dict]:
-    """The benchmark's ``planar_sweep`` game documents by name, read without writing under
-    perfbench/."""
+def perfbench_modules():
+    """The benchmark's ``workloads`` and ``oracles`` modules, imported without writing
+    under perfbench/."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(ROOT))
         mp.setattr(sys, "dont_write_bytecode", True)
-        from perfbench import workloads
+        from perfbench import oracles, workloads
+    return workloads, oracles
+
+
+def planar_sweep_games() -> dict[str, dict]:
+    """The benchmark's ``planar_sweep`` game documents by name."""
+    workloads, _ = perfbench_modules()
     return {i.name: i.game for i in workloads.generate("planar_sweep", 0) if i.game is not None}
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,8 +71,22 @@ def test_uniform_input_distribution():
 
 
 def test_unknown_game():
-    with pytest.raises(UnknownGameError):
+    with pytest.raises(UnknownGameError) as info:
         na.builtin_game("nosuchgame")
+    assert str(info.value) == "unknown game 'nosuchgame'; catalog ids are g1, g2, chsh, cglmp"
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: na.builtin_game(["g1"]), "['g1']"),
+    (lambda: na.builtin_game(None), "None"),
+    (lambda: na.builtin_game(1), "1"),
+    (lambda: na.closed_form_optimum(na.builtin_game("g1")),
+     "GameSpec(id='g1', n_x=2, n_y=2, n_a=2..."),
+], ids=["list", "none", "int", "spec"])
+def test_unknown_game_not_a_string(call, shown):
+    with pytest.raises(UnknownGameError) as info:
+        call()
+    assert str(info.value) == f"unknown game {shown}; catalog ids are g1, g2, chsh, cglmp"
 
 
 def test_catalog_validates():
@@ -119,6 +134,16 @@ def test_validate_binary_range(g1_spec):
     violations = na.validate_game(spec)
     assert len(violations) == 1
     assert "outside {0, 1}" in violations[0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", "", "id: must be a non-empty string"),
+    ("input_dist", np.full((2, 3), 1.0 / 6.0), "pi: expected shape (2, 2), got (2, 3)"),
+    ("predicate", np.zeros((2, 2, 2)), "predicate: expected shape (2, 2, 2, 2), got (2, 2, 2)"),
+], ids=["id", "pi", "predicate"])
+def test_validate_built_spec_names_field(g1_spec, field, value, message):
+    spec = replace(g1_spec, **{field: value})
+    assert na.validate_game(spec) == [message]
 
 
 def test_validate_mixed_faults_in_table_order():

@@ -99,6 +99,12 @@ class TestStrategyValidate:
         ]
         assert strat.d_a == 2 and strat.d_b == 2
 
+    def test_state_of_wrong_length(self, g1_solution):
+        strat = na.QuantumStrategy(state=np.ones(3) / math.sqrt(3.0),
+                                   meas_a=g1_solution.strategy.meas_a,
+                                   meas_b=g1_solution.strategy.meas_b)
+        assert strat.validate() == ["state: shape (3,) != (4,)"]
+
 
 class TestBellOperator:
     def test_all_one_predicate_collapses_to_identity(self):
@@ -135,6 +141,14 @@ class TestBellOperator:
         )
         with pytest.raises(DimensionMismatchError):
             na.bell_operator(g1_spec, meas_a[:1], meas_b)
+
+    def test_correlation_table_measurement_count_mismatch(self, g1_spec, g1_solution):
+        strategy = g1_solution.strategy
+        for meas_a, meas_b in ((strategy.meas_a[:1], strategy.meas_b),
+                               (strategy.meas_a, strategy.meas_b[[0, 1, 1]])):
+            with pytest.raises(DimensionMismatchError,
+                               match="^one measurement per input is required$"):
+                na.correlation_table(g1_spec, na.QuantumStrategy(strategy.state, meas_a, meas_b))
 
 
 class TestQuantumGameValue:
@@ -529,6 +543,35 @@ class TestRefinePlanar:
         assert np.abs(grad).max() <= 1e-12
         assert np.all(np.linalg.eigvalsh(hess) < 0.0)
         assert abs(value - OMEGA_Q_G2) <= 1e-14
+
+    @pytest.mark.parametrize("halfwidth, shortened", [(math.pi / 32.0, False), (1e-4, True)],
+                             ids=["full", "shortened"])
+    def test_fallback_step_ascends_by_its_bound(self, monkeypatch, halfwidth, shortened):
+        # With no halvings every round takes the step g / K, K = K_aa + 2 K_ab
+        # + K_bb, shortened by c = min(1, halfwidth / max|g / K|); along it the
+        # Rayleigh quotient of the top eigenvector rises by at least
+        # (c - c^2 / 2) |g|^2 / K, which is |g|^2 / 2K unshortened.
+        monkeypatch.setattr(quantum, "_HALVINGS", 0)
+        rng = np.random.default_rng(83)
+        for spec in (na.builtin_game("g1"), na.builtin_game("g2")):
+            kernel = _planar_kernel(spec)
+            curvature = _curvature_bounds(kernel)[2]
+            for a0, b0 in rng.uniform(-math.pi, math.pi, (4, 2)):
+                start = _planar_jet(kernel, a0, b0)[0]
+                assert na.refine_planar(spec, a0, b0, halfwidth)[2] >= start - quantum._ROUNDING
+                with monkeypatch.context() as one_round:
+                    one_round.setattr(quantum, "_POLISH_ROUNDS", 1)
+                    point = (a0, b0)
+                    for _ in range(8):
+                        value, grad, _ = _planar_jet(kernel, *point)
+                        step = grad / curvature
+                        c = min(1.0, halfwidth / np.abs(step).max())
+                        assert (c < 1.0) == shortened
+                        *moved, after = na.refine_planar(spec, *point, halfwidth)
+                        assert np.abs(np.subtract(moved, point) - c * step).max() <= 1e-15
+                        rise = (c - c * c / 2.0) * (grad @ grad) / curvature
+                        assert after >= value + rise - quantum._ROUNDING
+                        point = moved
 
 
 class TestCglmpStrategy:

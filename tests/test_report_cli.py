@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit import cli
+from nonlocal_audit import cli, steering
 from nonlocal_audit.cli import main
+from nonlocal_audit.errors import AmbiguousDegenerateError
 from nonlocal_audit.report import _real, run_document
 
 from conftest import OMEGA_Q_G1
@@ -206,6 +207,10 @@ class TestJsonReport:
 
 
 class TestTextReport:
+    def test_unknown_format_refused(self, g1_run):
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            na.render_report(g1_run, "xml")
+
     def test_sections(self, g1_run):
         text = na.render_report(g1_run, "text")
         assert "Alice steers Bob:" in text
@@ -283,6 +288,16 @@ class TestCli:
         assert "pair (1,0)" in out
         assert "0.823244" in out
 
+    def test_uncertainty_bob_side(self, capsys):
+        assert main(["uncertainty", "g2", "--side", "bob"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "game 'g2', side bob_steers_alice: relations on Alice's system"
+        relations = na.run_analyze("g2").report.relations_bob
+        pairs = [line.split(":")[0].strip() for line in out if line.startswith("  pair ")]
+        assert pairs == [f"pair ({rel.pair[0]},{rel.pair[1]})" for rel in relations]
+        xis = [line.split()[2] for line in out if line.startswith("    xi = ")]
+        assert xis == [f"{rel.xi:.12g}" for rel in relations]
+
     def test_steer(self, capsys):
         assert main(["steer", "g2"]) == 0
         out = capsys.readouterr().out
@@ -316,6 +331,26 @@ class TestCli:
         capsys.readouterr()
         doc = json.loads(out_path.read_text())
         assert doc["verdict"]["correspondence_holds"] is True
+
+    def test_analyze_out_into_missing_directory_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["analyze", "cglmp", "--format", "json", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out_path) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_path.parent.exists()
+
+    def test_numeric_failure_in_a_stage_exit_1(self, capsys, monkeypatch):
+        def failing(relations, reference):
+            raise AmbiguousDegenerateError("steered state is orthogonal to the certain space")
+
+        monkeypatch.setattr(steering, "certain_state_assemblage", failing)
+        assert main(["analyze", "g1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal numeric failure: steered state is orthogonal to the certain space\n")
 
     def test_unknown_game_exit_code(self, capsys):
         assert main(["analyze", "nosuchgame"]) == 2
