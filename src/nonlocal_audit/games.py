@@ -114,54 +114,33 @@ def swap_parties(spec: GameSpec) -> GameSpec:
     )
 
 
-def _sparse_predicate(n_x, n_y, n_a, n_b, entries) -> np.ndarray:
-    v = np.zeros((n_x, n_y, n_a, n_b))
-    for (x, y, a, b), w in entries:
-        v[x, y, a, b] = w
-    return v
+def _uniform_binary(game_id: str, wins) -> GameSpec:
+    """The binary 2x2x2x2 game under uniform pi that wins on each (x, y, a, b) listed."""
+    predicate = np.zeros((2, 2, 2, 2))
+    for entry in wins:
+        predicate[entry] = 1.0
+    return GameSpec(id=game_id, n_x=2, n_y=2, n_a=2, n_b=2,
+                    predicate=predicate, input_dist=np.full((2, 2), 0.25))
 
 
 def _game_g1() -> GameSpec:
-    # Binary game winning on a single output pair for three input pairs and
-    # on anticorrelated outputs for (x,y) = (1,0).
-    wins = [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)]
-    return GameSpec(
-        id="g1",
-        n_x=2, n_y=2, n_a=2, n_b=2,
-        predicate=_sparse_predicate(2, 2, 2, 2, [(e, 1.0) for e in wins]),
-        input_dist=np.full((2, 2), 0.25),
-    )
+    # A single winning output pair for three input pairs and anticorrelated
+    # outputs for (x,y) = (1,0).
+    return _uniform_binary("g1", [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0),
+                                  (1, 1, 0, 1)])
 
 
 def _game_g2() -> GameSpec:
-    # Binary game: XOR-type constraints on three input pairs, a unique output
-    # pair on (x,y) = (1,1).
-    wins = [
-        (0, 0, 0, 0), (0, 0, 1, 1),
-        (0, 1, 0, 1), (0, 1, 1, 0),
-        (1, 0, 0, 1), (1, 0, 1, 0),
-        (1, 1, 0, 1),
-    ]
-    return GameSpec(
-        id="g2",
-        n_x=2, n_y=2, n_a=2, n_b=2,
-        predicate=_sparse_predicate(2, 2, 2, 2, [(e, 1.0) for e in wins]),
-        input_dist=np.full((2, 2), 0.25),
-    )
+    # XOR-type constraints on three input pairs, a unique output pair on
+    # (x,y) = (1,1).
+    return _uniform_binary("g2", [(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0),
+                                  (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)])
 
 
 def _game_chsh() -> GameSpec:
-    v = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a ^ b) == (x * y):
-                        v[x, y, a, b] = 1.0
-    return GameSpec(
-        id="chsh", n_x=2, n_y=2, n_a=2, n_b=2,
-        predicate=v, input_dist=np.full((2, 2), 0.25),
-    )
+    # XOR game a + b = x y (mod 2)
+    return _uniform_binary("chsh", [(x, y, a, b) for x, y, a, b in np.ndindex(2, 2, 2, 2)
+                                    if a ^ b == x * y])
 
 
 def _game_cglmp() -> GameSpec:

@@ -24,7 +24,7 @@ from .errors import (
     NotPlanarApplicableError,
     UnknownGameError,
 )
-from .games import GameSpec, builtin_game, matches_catalog
+from .games import GameSpec, _shown, builtin_game, matches_catalog
 from .hermitian import eig_hermitian
 
 PROJECTOR_ATOL = 1e-10
@@ -206,14 +206,15 @@ def closed_form_available(spec: GameSpec) -> bool:
 
 def closed_form_angles(game_id: str) -> tuple[float, float]:
     """Exact optimal planar angles (alpha1, beta1) for g1 or g2."""
+    if not (isinstance(game_id, str) and game_id in _CHARPOLYS):
+        raise UnknownGameError(f"no closed-form optimum for {_shown(game_id)}; "
+                               f"closed forms exist for {', '.join(_CHARPOLYS)}")
     if game_id == "g1":
         alpha1 = 2.0 * math.atan(math.sqrt((5.0 + math.sqrt(13.0)) / 6.0))
         return alpha1, alpha1 - math.pi
-    if game_id == "g2":
-        eta = ((43.0 + 9.0 * math.sqrt(29.0)) / 2.0) ** (1.0 / 3.0)
-        alpha1 = 2.0 * math.atan(math.sqrt((eta * eta + 2.0 * eta - 5.0) / (3.0 * eta)))
-        return alpha1, alpha1
-    raise UnknownGameError(f"no closed-form optimum for {game_id!r}")
+    eta = ((43.0 + 9.0 * math.sqrt(29.0)) / 2.0) ** (1.0 / 3.0)
+    alpha1 = 2.0 * math.atan(math.sqrt((eta * eta + 2.0 * eta - 5.0) / (3.0 * eta)))
+    return alpha1, alpha1
 
 
 def _planar_solution(spec: GameSpec, alpha1: float, beta1: float, catalog: bool) -> OptimalSolution:
@@ -382,16 +383,16 @@ def _cell_bounds(corners: np.ndarray, k_a: float, k_b: float, halfwidth: float) 
     q + K_a s^2 / 2 + K_b t^2 / 2 is convex along each axis, so lies below its
     bilinear interpolant. So with I = m + c_s s/r + c_t t/r + c_st st/r^2 that
     of the corner values, A = K_a r^2 / 2 and B = K_b r^2 / 2, lambda_max(p) <=
-    I + A (1 - s^2/r^2) + B (1 - t^2/r^2) <= m + |c_st| + h(c_s, A) + h(c_t, B)
-    and <= the largest corner + A + B. h(c, A), the largest c s + A (1 - s^2)
-    over |s| <= 1, is A + c^2 / 4A if |c| <= 2A, else |c| (|c| at A = 0, not nan).
+    I + A (1 - s^2/r^2) + B (1 - t^2/r^2) <= m + |c_st| + h(c_s, A) + h(c_t, B),
+    the bound returned. h(c, A), the largest c s + A (1 - s^2) over |s| <= 1,
+    is A + c^2 / 4A if |c| <= 2A, else |c| (|c| at A = 0, not nan).
     """
     mean, *slopes, cross = (corners @ _INTERPOLANT).T
     bounds = mean + np.abs(cross)
     for slope, k in zip(slopes, (k_a, k_b)):
         a, c = 0.5 * k * halfwidth**2, np.abs(slope)
         bounds += c if a == 0.0 else np.where(c <= 2.0 * a, a + c * c / (4.0 * a), c)
-    return np.minimum(bounds, corners.max(axis=1) + 0.5 * (k_a + k_b) * halfwidth**2)
+    return bounds
 
 
 def branch_and_bound(kernel: np.ndarray, k_a: float, k_b: float) -> PlanarSearch:
@@ -453,13 +454,12 @@ def refine_planar(
     """Ascent of lambda_max from a start point, by Newton steps where they rise.
 
     With g and H the perturbation-theory gradient and Hessian, each round
-    takes one candidate step, the first that applies of the Newton step
-    -H^-1 g (H negative definite), the Newton step along g (g^T H g < 0)
-    and g. It is shortened to move neither angle by more than ``halfwidth``
-    and halved, at most _HALVINGS times, until lambda_max does not fall by
-    more than rounding. If it is still not kept the round takes the step
-    g / K, K = K_aa + 2 K_ab + K_bb, shortened the same way: along it the
-    Rayleigh quotient of the current top eigenvector, and so lambda_max,
+    takes one candidate step: the Newton step -H^-1 g where H is negative
+    definite, else g. It is shortened to move neither angle by more than
+    ``halfwidth`` and halved, at most _HALVINGS times, until lambda_max does
+    not fall by more than rounding. If it is still not kept the round takes
+    the step g / K, K = K_aa + 2 K_ab + K_bb, shortened the same way: along it
+    the Rayleigh quotient of the current top eigenvector, and so lambda_max,
     rises by at least |g|^2 / 2K (by less, but still rises, if shortened).
     Stops after a step that moves neither angle by more than _STEP_TOL, or
     after _POLISH_ROUNDS rounds. Returns (alpha1, beta1, value).
@@ -479,12 +479,8 @@ def _polish(
         if curvature == 0.0 or not grad.any():
             break
         step = grad
-        if hess is not None:
-            slope_curvature = grad @ hess @ grad
-            if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
-                step = -np.linalg.solve(hess, grad)
-            elif slope_curvature < 0.0:
-                step = -(grad @ grad) / slope_curvature * grad
+        if hess is not None and hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
+            step = -np.linalg.solve(hess, grad)
         step = step * min(1.0, halfwidth / np.abs(step).max())
         for _ in range(_HALVINGS):
             trial = _planar_jet(kernel, *(point + step))

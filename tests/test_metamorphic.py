@@ -1,11 +1,17 @@
-"""Party swap: the audit does not depend on which party is called Alice.
+"""Relabelings: the audit does not depend on which party is called Alice,
+nor on how the paper's counter-examples label their inputs and outputs.
 
 ``correspondence_verdict`` on the game and strategy with the parties
 exchanged must report each side's relations and verdicts of the original,
 bit for bit, with the sides exchanged. The cases are the catalog games and
 the benchmark's ``planar_sweep`` games with their best known strategies,
 and the random weighted 3x2-input cases of ``test_contractions.py``.
+
+g1 and g2 under every relabeling of inputs and outputs, and the party
+swap, keep their quantum value, classical value and failed correspondence.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -53,3 +59,38 @@ def test_party_swap(name):
     # ns_deviation and ns_passes are not compared: the certain-state test runs
     # on the Alice-steers-Bob side only, and ns_passes flips under the swap on
     # planar-weighted-0, -1 and -2 until it runs on both sides.
+
+
+def _relabeled(spec: na.GameSpec, labels: tuple[int, ...]) -> na.GameSpec:
+    """A 2x2x2x2 game under new labels, not its catalog id: with the bits of
+    ``labels``, input x becomes x ^ sx, output a on input x becomes a ^ fa[x],
+    likewise for Bob, and the parties swap last if ``swap``."""
+    sx, sy, *flips, swap = labels
+    fa, fb = flips[:2], flips[2:]
+    predicate, pi = np.zeros_like(spec.predicate), np.zeros_like(spec.input_dist)
+    for x, y, a, b in np.ndindex(*spec.predicate.shape):
+        predicate[x ^ sx, y ^ sy, a ^ fa[x], b ^ fb[y]] = spec.predicate[x, y, a, b]
+        pi[x ^ sx, y ^ sy] = spec.input_dist[x, y]
+    relabeled = na.GameSpec(id=f"{spec.id}-relabeled", n_x=2, n_y=2, n_a=2, n_b=2,
+                            predicate=predicate, input_dist=pi)
+    return na.swap_parties(relabeled) if swap else relabeled
+
+
+@pytest.mark.parametrize("game_id", ["g1", "g2"])
+def test_counter_examples_do_not_depend_on_labels(game_id):
+    # The paper's counter-examples under each of the 128 relabelings (input
+    # swaps, an output flip per input on each side, the party swap): the
+    # planar route finds the closed-form value, and the correspondence still
+    # fails with the same classical value and no-signaling outcome.
+    spec = na.builtin_game(game_id)
+    closed = na.correspondence_verdict(spec, best_known_solution(spec)[1].strategy)
+    assert not closed.correspondence_holds
+    for labels in itertools.product(range(2), repeat=7):
+        relabeled = _relabeled(spec, labels)
+        method, solution = best_known_solution(relabeled)
+        assert method == "planar_search", labels
+        report = na.correspondence_verdict(relabeled, solution.strategy)
+        assert abs(report.omega_q - closed.omega_q) <= 1e-12, labels
+        assert report.omega_c == closed.omega_c, labels
+        assert not report.correspondence_holds, labels
+        assert report.ns_passes == closed.ns_passes, labels
