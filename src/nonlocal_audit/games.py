@@ -47,14 +47,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class GameSpec:
     """Immutable description of a two-party game.
 
-    ``predicate`` is indexed [x, y, a, b]; ``input_dist`` is pi(x, y).
+    A game is ``(id, predicate, input_dist, binary_predicate)``.
+    ``predicate`` is indexed [x, y, a, b]; ``input_dist`` is pi(x, y). The
+    input and output counts ``n_x, n_y, n_a, n_b`` are read from the
+    predicate's axes.
     """
 
     id: str
-    n_x: int
-    n_y: int
-    n_a: int
-    n_b: int
     predicate: np.ndarray
     input_dist: np.ndarray
     binary_predicate: bool = True
@@ -62,6 +61,22 @@ class GameSpec:
     def __post_init__(self):
         object.__setattr__(self, "predicate", _readonly(self.predicate))
         object.__setattr__(self, "input_dist", _readonly(self.input_dist))
+
+    @property
+    def n_x(self) -> int:
+        return self.predicate.shape[0]
+
+    @property
+    def n_y(self) -> int:
+        return self.predicate.shape[1]
+
+    @property
+    def n_a(self) -> int:
+        return self.predicate.shape[2]
+
+    @property
+    def n_b(self) -> int:
+        return self.predicate.shape[3]
 
     def pi_a(self) -> np.ndarray:
         """Marginal pi_A(x)."""
@@ -83,8 +98,6 @@ class GameSpec:
         """Bit-for-bit equality of all numeric fields."""
         return (
             self.id == other.id
-            and (self.n_x, self.n_y, self.n_a, self.n_b)
-            == (other.n_x, other.n_y, other.n_a, other.n_b)
             and self.binary_predicate == other.binary_predicate
             and np.array_equal(self.predicate, other.predicate)
             and np.array_equal(self.input_dist, other.input_dist)
@@ -104,10 +117,6 @@ def swap_parties(spec: GameSpec) -> GameSpec:
     """The same game with the roles of the two parties exchanged."""
     return GameSpec(
         id=spec.id + ":swapped",
-        n_x=spec.n_y,
-        n_y=spec.n_x,
-        n_a=spec.n_b,
-        n_b=spec.n_a,
         predicate=np.transpose(spec.predicate, (1, 0, 3, 2)),
         input_dist=spec.input_dist.T,
         binary_predicate=spec.binary_predicate,
@@ -119,8 +128,7 @@ def _uniform_binary(game_id: str, wins) -> GameSpec:
     predicate = np.zeros((2, 2, 2, 2))
     for entry in wins:
         predicate[entry] = 1.0
-    return GameSpec(id=game_id, n_x=2, n_y=2, n_a=2, n_b=2,
-                    predicate=predicate, input_dist=np.full((2, 2), 0.25))
+    return GameSpec(id=game_id, predicate=predicate, input_dist=np.full((2, 2), 0.25))
 
 
 def _game_g1() -> GameSpec:
@@ -155,11 +163,8 @@ def _game_cglmp() -> GameSpec:
         for b in range(3):
             v[x, y, (b + d2) % 3, b] += 2.0
             v[x, y, (b + d1) % 3, b] += 1.0
-    return GameSpec(
-        id="cglmp", n_x=2, n_y=2, n_a=3, n_b=3,
-        predicate=v, input_dist=np.full((2, 2), 0.25),
-        binary_predicate=False,
-    )
+    return GameSpec(id="cglmp", predicate=v, input_dist=np.full((2, 2), 0.25),
+                    binary_predicate=False)
 
 
 _BUILDERS = {
@@ -235,6 +240,10 @@ def validate_game(spec: GameSpec) -> list[str]:
     violations: list[str] = []
     if not spec.id:
         violations.append("id: must be a non-empty string")
+    if spec.predicate.ndim != 4:
+        # the sizes below are read from the predicate's axes
+        return violations + [
+            f"predicate: expected 4 axes (x, y, a, b), got shape {spec.predicate.shape}"]
     for name, count in (("n_x", spec.n_x), ("n_y", spec.n_y)):
         if count < 1:
             violations.append(f"{name}: empty input set")
@@ -259,12 +268,6 @@ def validate_game(spec: GameSpec) -> list[str]:
         if not abs(total - 1.0) <= PI_SUM_ATOL:
             violations.append(f"pi: entries sum to {total!r}, expected 1")
 
-    expected = (spec.n_x, spec.n_y, spec.n_a, spec.n_b)
-    if spec.predicate.shape != expected:
-        violations.append(
-            f"predicate: expected shape {expected}, got {spec.predicate.shape}"
-        )
-        return violations
     # Each faulty entry, in C order, names the first of its faults.
     pred = spec.predicate
     finite = np.isfinite(pred)
@@ -321,8 +324,8 @@ def _sizes(data: dict, field: str) -> tuple[int, int]:
 
 
 def _check_table_size(inputs: tuple[int, int], outputs: tuple[int, int]) -> None:
-    # The table is allocated with sizes below 1 raised to 1 (validate_game
-    # reports those); Python integers make the products exact.
+    # Sizes below 1 count as 1 here (validate_game reports those); Python
+    # integers make the products exact.
     sizes = {"inputs": inputs, "outputs": outputs}
     pairs = {field: max(m, 1) * max(n, 1) for field, (m, n) in sizes.items()}
     for field, count in pairs.items():
@@ -409,7 +412,7 @@ def game_from_dict(data: dict) -> GameSpec:
         pi = np.array(rows, dtype=float)
         field = "predicate"
         shape = (n_x, n_y, n_a, n_b)
-        pred = np.zeros(tuple(max(n, 1) for n in shape))
+        pred = np.zeros(tuple(max(n, 0) for n in shape))
         first: dict[tuple[int, ...], int] = {}  # (x, y, a, b) -> the first entry there
         for k, entry in enumerate(_array(data["predicate"])):
             field = f"predicate[{k}]"
@@ -425,7 +428,6 @@ def game_from_dict(data: dict) -> GameSpec:
             raise ValidationError([f"id: {_shown(data['id'])} is not a string"])
         spec = GameSpec(
             id=data["id"],
-            n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
             predicate=pred,
             input_dist=pi,
             binary_predicate=_flag(data.get("binary_predicate", True), "binary_predicate"),

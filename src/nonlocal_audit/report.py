@@ -43,7 +43,6 @@ class AnalysisRun:
     method: str
     solution: OptimalSolution
     report: CorrespondenceReport
-    version: str
     wall_time_seconds: float
 
 
@@ -91,7 +90,6 @@ def run_analyze(game_ref: str) -> AnalysisRun:
         method=method,
         solution=solution,
         report=report,
-        version=__version__,
         wall_time_seconds=time.perf_counter() - started,
     )
 
@@ -181,7 +179,7 @@ def run_document(run: AnalysisRun) -> dict:
         return [{**t, "value": _real(t["value"])} for t in tagged_values(spec, normalized, uniform)]
 
     return {
-        "tool": {"name": "nonlocal-audit", "version": run.version},
+        "tool": {"name": "nonlocal-audit", "version": __version__},
         "game": {
             "ref": run.game_ref,
             "id": spec.id,
@@ -283,7 +281,7 @@ def render_text(run: AnalysisRun) -> str:
     report = run.report
     uniform = run.spec.is_uniform()
     lines = [
-        f"nonlocal-audit {run.version}: analysis of game {run.spec.id!r} ({run.source})",
+        f"nonlocal-audit {__version__}: analysis of game {run.spec.id!r} ({run.source})",
         f"classical value  : {_values_line(tagged_values(run.spec, report.omega_c, uniform))}",
         f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value, uniform))}"
         f"  [method: {run.method}]",

@@ -64,7 +64,7 @@ def random_weighted_case(seed: int) -> tuple[na.GameSpec, na.QuantumStrategy]:
                          rng.uniform(0.5, 1.5, (n_x, n_y, d_a, d_b)), 0.0)
     pi = rng.uniform(0.5, 1.5, (n_x, n_y))
     pi[2] = 0.0
-    spec = na.GameSpec(id=f"random-{seed}", n_x=n_x, n_y=n_y, n_a=d_a, n_b=d_b,
+    spec = na.GameSpec(id=f"random-{seed}",
                        predicate=predicate, input_dist=pi / pi.sum(), binary_predicate=False)
     return spec, random_strategy(rng, d_a, d_b, n_x, n_y)
 

@@ -34,7 +34,7 @@ def test_strategy_value_chsh_all_zero(chsh_spec):
 
 def test_strategy_value_zero_predicate():
     spec = na.GameSpec(
-        id="zero", n_x=2, n_y=2, n_a=2, n_b=2,
+        id="zero",
         predicate=np.zeros((2, 2, 2, 2)), input_dist=np.full((2, 2), 0.25),
     )
     s = DeterministicStrategy(f_a=(1, 0), f_b=(0, 1))
@@ -92,7 +92,7 @@ def test_relabeling_invariance(g2_spec):
     # swap Alice's output labels together with the matching predicate slice
     perm_pred = np.array(g2_spec.predicate)[:, :, ::-1, :]
     relabeled = na.GameSpec(
-        id="g2-relabeled", n_x=2, n_y=2, n_a=2, n_b=2,
+        id="g2-relabeled",
         predicate=perm_pred, input_dist=g2_spec.input_dist,
     )
     assert na.classical_value(relabeled)[0] == na.classical_value(g2_spec)[0]
@@ -103,7 +103,7 @@ def test_per_cell_upper_bound():
     for _ in range(10):
         pred = rng.integers(0, 2, size=(2, 2, 2, 2)).astype(float)
         spec = na.GameSpec(
-            id="rand", n_x=2, n_y=2, n_a=2, n_b=2,
+            id="rand",
             predicate=pred, input_dist=np.full((2, 2), 0.25),
         )
         value, _ = na.classical_value(spec)
@@ -113,7 +113,7 @@ def test_per_cell_upper_bound():
 
 def test_enumeration_guard():
     spec = na.GameSpec(
-        id="huge", n_x=8, n_y=8, n_a=8, n_b=8,
+        id="huge",
         predicate=np.zeros((8, 8, 8, 8)),
         input_dist=np.full((8, 8), 1.0 / 64.0),
     )
@@ -151,7 +151,7 @@ def _reference_game(kind: str, n_x: int, n_y: int, seed: int) -> na.GameSpec:
         rows = rng.random((n_x, n_y)) < 0.6
         predicate = np.broadcast_to(rows[:, :, None, None], shape).astype(float)
     return na.GameSpec(
-        id=f"{kind}-{n_x}x{n_y}", n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
+        id=f"{kind}-{n_x}x{n_y}",
         predicate=predicate, input_dist=pi,
         binary_predicate=kind not in ("weighted", "integer"),
     )
@@ -180,7 +180,7 @@ def test_matches_full_enumeration(kind, n_x, n_y):
 def test_ten_by_ten_binary_game():
     rng = np.random.default_rng(10)
     spec = na.GameSpec(
-        id="binary-10x10", n_x=10, n_y=10, n_a=2, n_b=2,
+        id="binary-10x10",
         predicate=(rng.random((10, 10, 2, 2)) < 0.5).astype(float),
         input_dist=np.full((10, 10), 0.01),
     )
@@ -200,7 +200,7 @@ def test_candidate_guard_before_allocation():
     rng = np.random.default_rng(12)
     rows = rng.random((12, 12)) < 0.6
     spec = na.GameSpec(
-        id="ties-12x12", n_x=12, n_y=12, n_a=2, n_b=2,
+        id="ties-12x12",
         predicate=np.broadcast_to(rows[:, :, None, None], (12, 12, 2, 2)).astype(float),
         input_dist=np.full((12, 12), 1.0 / 144.0),
     )

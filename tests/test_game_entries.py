@@ -42,7 +42,7 @@ def malformed(field: str, exc: Exception) -> ParseError:
 def reference_table(entries, shape) -> np.ndarray:
     """The predicate table read one entry at a time, each entry checked in full:
     its keys, then its four indices, then a repeat, then its weight."""
-    table = np.zeros(tuple(max(n, 1) for n in shape))
+    table = np.zeros(tuple(max(n, 0) for n in shape))
     first_entry = {}
     for k, entry in enumerate(entries):
         field = f"predicate[{k}]"
@@ -79,7 +79,7 @@ def reference_table(entries, shape) -> np.ndarray:
 def reference_game(doc) -> GameSpec:
     n_x, n_y = doc["inputs"]
     n_a, n_b = doc["outputs"]
-    spec = GameSpec(id=doc["id"], n_x=n_x, n_y=n_y, n_a=n_a, n_b=n_b,
+    spec = GameSpec(id=doc["id"],
                     predicate=reference_table(doc["predicate"], (n_x, n_y, n_a, n_b)),
                     input_dist=np.array(doc["pi"], dtype=float), binary_predicate=False)
     violations = validate_game(spec)

@@ -81,7 +81,7 @@ def test_unknown_game():
     (lambda: na.builtin_game(None), "None"),
     (lambda: na.builtin_game(1), "1"),
     (lambda: na.closed_form_optimum(na.builtin_game("g1")),
-     "GameSpec(id='g1', n_x=2, n_y=2, n_a=2..."),
+     "GameSpec(id='g1', predicate=array([[[..."),
 ], ids=["list", "none", "int", "spec"])
 def test_unknown_game_not_a_string(call, shown):
     with pytest.raises(UnknownGameError) as info:
@@ -108,7 +108,7 @@ def test_validate_negative_pi(g1_spec):
     pi[0, 0] = -0.25
     pi[1, 1] = 0.75
     spec = na.GameSpec(
-        id="bad", n_x=2, n_y=2, n_a=2, n_b=2,
+        id="bad",
         predicate=g1_spec.predicate, input_dist=pi,
     )
     violations = na.validate_game(spec)
@@ -117,8 +117,8 @@ def test_validate_negative_pi(g1_spec):
 
 def test_validate_empty_output_set(g1_spec):
     spec = na.GameSpec(
-        id="bad", n_x=2, n_y=2, n_a=0, n_b=2,
-        predicate=g1_spec.predicate, input_dist=g1_spec.input_dist,
+        id="bad",
+        predicate=np.zeros((2, 2, 0, 2)), input_dist=g1_spec.input_dist,
     )
     violations = na.validate_game(spec)
     assert violations == ["n_a: empty output set"]
@@ -128,7 +128,7 @@ def test_validate_binary_range(g1_spec):
     pred = np.array(g1_spec.predicate)
     pred[0, 0, 0, 0] = 2.0
     spec = na.GameSpec(
-        id="bad", n_x=2, n_y=2, n_a=2, n_b=2,
+        id="bad",
         predicate=pred, input_dist=g1_spec.input_dist,
     )
     violations = na.validate_game(spec)
@@ -139,7 +139,7 @@ def test_validate_binary_range(g1_spec):
 @pytest.mark.parametrize("field, value, message", [
     ("id", "", "id: must be a non-empty string"),
     ("input_dist", np.full((2, 3), 1.0 / 6.0), "pi: expected shape (2, 2), got (2, 3)"),
-    ("predicate", np.zeros((2, 2, 2)), "predicate: expected shape (2, 2, 2, 2), got (2, 2, 2)"),
+    ("predicate", np.zeros((2, 2, 2)), "predicate: expected 4 axes (x, y, a, b), got shape (2, 2, 2)"),
 ], ids=["id", "pi", "predicate"])
 def test_validate_built_spec_names_field(g1_spec, field, value, message):
     spec = replace(g1_spec, **{field: value})
@@ -157,7 +157,7 @@ def test_validate_mixed_faults_in_table_order():
     pred[1, 1, 0, 1] = 3.0
     pred[1, 1, 1, 1] = 1.0
     pi = np.array([[0.5, -0.25], [np.inf, 0.25]])
-    spec = na.GameSpec(id="bad", n_x=2, n_y=2, n_a=2, n_b=2, predicate=pred, input_dist=pi)
+    spec = na.GameSpec(id="bad", predicate=pred, input_dist=pi)
     assert na.validate_game(spec) == [
         "pi[0][1]: negative probability",
         "pi[1][0]: not a finite number",
@@ -168,7 +168,7 @@ def test_validate_mixed_faults_in_table_order():
         "predicate[x=1,y=0,a=1,b=1]: weight -inf is not finite",
         "predicate[x=1,y=1,a=0,b=1]: value 3.0 outside {0, 1}",
     ]
-    weighted = na.GameSpec(id="bad", n_x=2, n_y=2, n_a=2, n_b=2, predicate=pred,
+    weighted = na.GameSpec(id="bad", predicate=pred,
                            input_dist=np.full((2, 2), 0.25), binary_predicate=False)
     assert na.validate_game(weighted) == [
         "predicate[x=0,y=1,a=1,b=0]: weight nan is not finite",
@@ -209,8 +209,7 @@ def test_validate_matches_entry_loop(binary):
     for _ in range(20):
         pred = rng.choice(entries, size=(3, 2, 2, 3), p=weights)
         pi = rng.choice(entries[:7], size=(3, 2), p=[0.4, 0.3, 0.1, 0.1, 0.04, 0.03, 0.03])
-        spec = na.GameSpec(id="random", n_x=3, n_y=2, n_a=2, n_b=3, predicate=pred,
-                           input_dist=pi, binary_predicate=binary)
+        spec = na.GameSpec(id="random", predicate=pred, input_dist=pi, binary_predicate=binary)
         expected = _entry_violations_by_loop(spec)
         assert [v for v in na.validate_game(spec) if not v.startswith("pi: ")] == expected
 
@@ -220,8 +219,7 @@ def test_validate_matches_entry_loop(binary):
     ([[1e308, 1e308]], "inf"),
 ])
 def test_validate_pi_sum_without_numpy_warnings(pi, total):
-    spec = na.GameSpec(id="sum", n_x=1, n_y=2, n_a=1, n_b=1,
-                       predicate=np.zeros((1, 2, 1, 1)), input_dist=np.array(pi))
+    spec = na.GameSpec(id="sum", predicate=np.zeros((1, 2, 1, 1)), input_dist=np.array(pi))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         violations = na.validate_game(spec)
@@ -240,6 +238,15 @@ def test_round_trip_bit_for_bit(tmp_path):
         na.save_game(spec, path)
         loaded = na.load_game(path)
         assert loaded.equals(spec)
+
+
+@pytest.mark.parametrize("game_id", na.GAME_IDS)
+def test_sizes_are_the_predicate_axes(tmp_path, game_id):
+    spec = na.builtin_game(game_id)
+    path = tmp_path / f"{game_id}.json"
+    na.save_game(spec, path)
+    for game in (spec, swap_parties(spec), na.load_game(path)):
+        assert (game.n_x, game.n_y, game.n_a, game.n_b) == game.predicate.shape
 
 
 def test_file_matching_builtin_table(tmp_path, g1_spec):
@@ -517,6 +524,23 @@ def test_game_file_sizes_not_an_array_exit_2(tmp_path, capsys, g1_spec, field, s
     assert main(["classical", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"error: {field}: malformed ({TypeError(f'{sizes!r} is not an array')!r})\n")
+
+
+@pytest.mark.parametrize("field, sizes, message", [
+    ("outputs", [0, 2], "n_a: empty output set"),
+    ("outputs", [-1, 2], "n_a: empty output set"),
+    ("inputs", [2, 0], "n_y: empty input set"),
+], ids=["outputs-zero", "outputs-negative", "inputs-zero"])
+def test_game_file_empty_sizes_exit_2(tmp_path, capsys, g1_spec, field, sizes, message):
+    # no entry can index an empty axis, so the document lists none
+    doc = dict(game_to_dict(g1_spec), predicate=[], **{field: sizes})
+    with pytest.raises(ValidationError) as info:
+        game_from_dict(doc)
+    assert info.value.violations == [message]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("content, fault", [

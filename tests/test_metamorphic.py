@@ -71,8 +71,7 @@ def _relabeled(spec: na.GameSpec, labels: tuple[int, ...]) -> na.GameSpec:
     for x, y, a, b in np.ndindex(*spec.predicate.shape):
         predicate[x ^ sx, y ^ sy, a ^ fa[x], b ^ fb[y]] = spec.predicate[x, y, a, b]
         pi[x ^ sx, y ^ sy] = spec.input_dist[x, y]
-    relabeled = na.GameSpec(id=f"{spec.id}-relabeled", n_x=2, n_y=2, n_a=2, n_b=2,
-                            predicate=predicate, input_dist=pi)
+    relabeled = na.GameSpec(id=f"{spec.id}-relabeled", predicate=predicate, input_dist=pi)
     return na.swap_parties(relabeled) if swap else relabeled
 
 

@@ -31,7 +31,7 @@ def planar_games(draw) -> na.GameSpec:
     if ignored is not None:
         predicate = np.repeat(predicate.take([0], axis=ignored), 2, axis=ignored)
     pi = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))).reshape(2, 2)
-    return na.GameSpec(id="drawn", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
+    return na.GameSpec(id="drawn", predicate=predicate,
                        input_dist=pi / pi.sum(), binary_predicate=False)
 
 

@@ -110,7 +110,7 @@ class TestStrategyValidate:
 class TestBellOperator:
     def test_all_one_predicate_collapses_to_identity(self):
         spec = na.GameSpec(
-            id="allone", n_x=2, n_y=2, n_a=2, n_b=2,
+            id="allone",
             predicate=np.ones((2, 2, 2, 2)), input_dist=np.full((2, 2), 0.25),
         )
         meas_a, meas_b = na.planar_measurements(
@@ -235,7 +235,7 @@ class TestClosedForms:
         # chsh's tables under the id "g1": the closed form is g1's own, built from
         # the id, and the routed spec gets chsh's optimum with no residual
         variant = na.GameSpec(
-            id="g1", n_x=2, n_y=2, n_a=2, n_b=2,
+            id="g1",
             predicate=chsh_spec.predicate, input_dist=chsh_spec.input_dist,
         )
         closed = na.closed_form_optimum(variant.id)
@@ -321,8 +321,7 @@ def widening_game() -> na.GameSpec:
     predicate = np.zeros((2, 2, 2, 2))
     for entry in wins:
         predicate[entry] = 1.0
-    return na.GameSpec(id="widening", n_x=2, n_y=2, n_a=2, n_b=2,
-                       predicate=predicate, input_dist=np.full((2, 2), 0.25))
+    return na.GameSpec(id="widening", predicate=predicate, input_dist=np.full((2, 2), 0.25))
 
 
 def ridge_game() -> na.GameSpec:
@@ -333,7 +332,7 @@ def ridge_game() -> na.GameSpec:
     predicate = np.zeros((2, 2, 2, 2))
     predicate[0, :, 0, :] = 1.0
     predicate[:, :, 1, :] = 0.5
-    return na.GameSpec(id="ridge", n_x=2, n_y=2, n_a=2, n_b=2, predicate=predicate,
+    return na.GameSpec(id="ridge", predicate=predicate,
                        input_dist=np.full((2, 2), 0.25), binary_predicate=False)
 
 
@@ -344,7 +343,7 @@ def random_weighted_games(seed: int, count: int = 4) -> list[na.GameSpec]:
     for k in range(count):
         pi = rng.uniform(0.1, 1.0, size=(2, 2))
         games.append(na.GameSpec(
-            id=f"weighted-{k}", n_x=2, n_y=2, n_a=2, n_b=2,
+            id=f"weighted-{k}",
             predicate=rng.uniform(size=(2, 2, 2, 2)), input_dist=pi / pi.sum(),
         ))
     return games

@@ -84,7 +84,7 @@ class TestRunAnalyze:
         import numpy as np
 
         variant = na.GameSpec(
-            id="g1", n_x=2, n_y=2, n_a=2, n_b=2,
+            id="g1",
             predicate=chsh_spec.predicate, input_dist=chsh_spec.input_dist,
         )
         path = tmp_path / "variant.json"
@@ -96,7 +96,7 @@ class TestRunAnalyze:
     def test_residual_only_for_catalog_tables(self, tmp_path, chsh_spec):
         # a charpoly residual belongs to the catalog tables, not to the id
         variant = na.GameSpec(
-            id="g1", n_x=2, n_y=2, n_a=2, n_b=2,
+            id="g1",
             predicate=chsh_spec.predicate, input_dist=chsh_spec.input_dist,
         )
         path = tmp_path / "variant.json"
@@ -145,8 +145,7 @@ class TestJsonReport:
     def test_nearly_uniform_game_quotes_only_normalized(self, tmp_path, chsh_spec, capsys):
         # pi off uniform by 2e-6, far above PI_SUM_ATOL: no rescaled value is quoted
         pi = np.array([[0.25 + 2e-6, 0.25 - 2e-6], [0.25, 0.25]])
-        spec = na.GameSpec(id="chsh-tilted", n_x=2, n_y=2, n_a=2, n_b=2,
-                           predicate=chsh_spec.predicate, input_dist=pi)
+        spec = na.GameSpec(id="chsh-tilted", predicate=chsh_spec.predicate, input_dist=pi)
         assert na.validate_game(spec) == []
         assert not spec.is_uniform()
         path = tmp_path / "tilted.json"

@@ -202,7 +202,7 @@ class TestCertainStateAssemblage:
         # U = P(0|0) + P(1|0) on a qutrit has the degenerate top eigenspace
         # span{|0>, |1>}; a reference steered to |2> has no part in it
         spec = na.GameSpec(
-            id="orthogonal", n_x=1, n_y=1, n_a=1, n_b=3,
+            id="orthogonal",
             predicate=np.array([1.0, 1.0, 0.0]).reshape(1, 1, 1, 3),
             input_dist=np.array([[1.0]]),
         )

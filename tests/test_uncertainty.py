@@ -107,7 +107,7 @@ class TestChshRelations:
 class TestProperties:
     def test_degenerate_full_space(self):
         spec = na.GameSpec(
-            id="halfsum", n_x=1, n_y=2, n_a=1, n_b=2,
+            id="halfsum",
             predicate=np.stack(
                 [np.array([[[1.0, 0.0]]]), np.array([[[0.0, 1.0]]])], axis=1
             ),
@@ -189,7 +189,7 @@ class TestProperties:
         pred[0, 0, 0, 0] = 1.0
         pred[0, 1, 0, 0] = 1.0
         spec = na.GameSpec(
-            id="pairsum", n_x=1, n_y=2, n_a=1, n_b=2,
+            id="pairsum",
             predicate=pred, input_dist=np.array([[0.5, 0.5]]),
         )
         same = na.planar_measurement(0.4)

@@ -1,16 +1,18 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 66 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 70 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``uncertainty --side alice`` and
 ``--side bob``, ``steer`` and ``quantum``. On the 5 ``classical_scaling``
 games: ``classical``. On ``classical-4x4x3``, which no quantum route
 covers: ``analyze --format json``, whose refusal (exit 2) is checked too.
+Then ``list-games``, and ``analyze --format json`` on the 3 ``EMPTY_SIZES``
+game files, each refused (exit 2) with an empty input or output set.
 Game files are the benchmark's own inputs,
-``perfbench/workloads.generate(workload, 0)``, written under
-``.perfbench_work/`` in the checkout root; the program is the one in the
-checkout's ``src/``.
+``perfbench/workloads.generate(workload, 0)``, and the ``EMPTY_SIZES``
+documents, written under ``.perfbench_work/`` in the checkout root; the
+program is the one in the checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -31,6 +34,14 @@ sys.path.insert(0, str(ROOT))
 sys.dont_write_bytecode = True  # read perfbench/ without writing into it
 
 from perfbench import workloads  # noqa: E402
+
+# (inputs, outputs) of game files that leave an axis empty; they list no
+# predicate entry, since none can index an empty axis.
+EMPTY_SIZES = {
+    "empty-outputs-zero": ([2, 2], [0, 2]),
+    "empty-outputs-negative": ([2, 2], [-1, 2]),
+    "empty-inputs-zero": ([2, 0], [2, 2]),
+}
 
 
 def commands(game_ids) -> list[tuple[str, list[str]]]:
@@ -51,6 +62,12 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling]
     refused = next(i for i in scaling if i.name == "classical-4x4x3")
     out.append((f"analyze-{refused.name}", ["analyze", refused.ref, "--format", "json"]))
+    out.append(("list-games", ["list-games"]))
+    for name, (inputs, outputs) in EMPTY_SIZES.items():
+        path = workloads.WORK / "games" / f"{name}.json"
+        path.write_text(json.dumps({"id": name, "inputs": inputs, "outputs": outputs,
+                                    "pi": [[0.25, 0.25], [0.25, 0.25]], "predicate": []}))
+        out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
     return out
 
 
