@@ -48,6 +48,14 @@ def _cmd_list_games(_args) -> int:
     return 0
 
 
+class _Shown(dict):
+    """Response function -> its text ``[0, 1, ...]``, formatted on first use."""
+
+    def __missing__(self, f: tuple[int, ...]) -> str:
+        text = self[f] = str(list(f))
+        return text
+
+
 def _cmd_classical(args) -> int:
     spec, _ = resolve_game(args.game)
     value, maximizers = classical_value(spec)
@@ -55,8 +63,10 @@ def _cmd_classical(args) -> int:
     if spec.is_uniform():
         print(f"raw sum over input pairs: {value * spec.n_x * spec.n_y:.12g}")
     print(f"{len(maximizers)} maximizing deterministic strategies:")
-    for s in maximizers:
-        print(f"  f_a = {list(s.f_a)}  f_b = {list(s.f_b)}")
+    # Maximizers share few distinct functions: each is formatted once, and
+    # the lines are written as they are made, never joined into one string.
+    shown = _Shown()
+    sys.stdout.writelines(f"  f_a = {shown[a]}  f_b = {shown[b]}\n" for a, b in maximizers)
     return 0
 
 

@@ -235,6 +235,13 @@ def catalog() -> dict[str, GameCatalogEntry]:
     }
 
 
+def _empty_sets(n_x: int, n_y: int, n_a: int, n_b: int) -> list[str]:
+    """One message per input or output count below 1."""
+    sizes = (("n_x", n_x, "input"), ("n_y", n_y, "input"),
+             ("n_a", n_a, "output"), ("n_b", n_b, "output"))
+    return [f"{name}: empty {kind} set" for name, count, kind in sizes if count < 1]
+
+
 def validate_game(spec: GameSpec) -> list[str]:
     """Violation messages for every broken invariant; empty when valid."""
     violations: list[str] = []
@@ -244,12 +251,7 @@ def validate_game(spec: GameSpec) -> list[str]:
         # the sizes below are read from the predicate's axes
         return violations + [
             f"predicate: expected 4 axes (x, y, a, b), got shape {spec.predicate.shape}"]
-    for name, count in (("n_x", spec.n_x), ("n_y", spec.n_y)):
-        if count < 1:
-            violations.append(f"{name}: empty input set")
-    for name, count in (("n_a", spec.n_a), ("n_b", spec.n_b)):
-        if count < 1:
-            violations.append(f"{name}: empty output set")
+    violations += _empty_sets(spec.n_x, spec.n_y, spec.n_a, spec.n_b)
     if violations:
         return violations
 
@@ -324,10 +326,9 @@ def _sizes(data: dict, field: str) -> tuple[int, int]:
 
 
 def _check_table_size(inputs: tuple[int, int], outputs: tuple[int, int]) -> None:
-    # Sizes below 1 count as 1 here (validate_game reports those); Python
-    # integers make the products exact.
+    # Every size is at least 1 here; Python integers make the products exact.
     sizes = {"inputs": inputs, "outputs": outputs}
-    pairs = {field: max(m, 1) * max(n, 1) for field, (m, n) in sizes.items()}
+    pairs = {field: m * n for field, (m, n) in sizes.items()}
     for field, count in pairs.items():
         if count > MAX_PREDICATE_ENTRIES:
             raise ValidationError([
@@ -402,6 +403,11 @@ def game_from_dict(data: dict) -> GameSpec:
         n_x, n_y = _sizes(data, "inputs")
         field = "outputs"
         n_a, n_b = _sizes(data, "outputs")
+        # An empty axis is refused before any size check or allocation: the
+        # other axis may be as large as it likes, the table is empty.
+        empty = _empty_sets(n_x, n_y, n_a, n_b)
+        if empty:
+            raise ValidationError(empty)
         _check_table_size((n_x, n_y), (n_a, n_b))
         field = "pi"
         rows = []
@@ -412,7 +418,7 @@ def game_from_dict(data: dict) -> GameSpec:
         pi = np.array(rows, dtype=float)
         field = "predicate"
         shape = (n_x, n_y, n_a, n_b)
-        pred = np.zeros(tuple(max(n, 0) for n in shape))
+        pred = np.zeros(shape)
         first: dict[tuple[int, ...], int] = {}  # (x, y, a, b) -> the first entry there
         for k, entry in enumerate(_array(data["predicate"])):
             field = f"predicate[{k}]"

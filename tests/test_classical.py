@@ -21,6 +21,18 @@ from nonlocal_audit.games import swap_parties
 from conftest import enumerate_classical, strategy_value
 
 
+def test_deterministic_strategy_contract():
+    s = DeterministicStrategy(f_a=(0, 0), f_b=(0, 0))
+    assert repr(s) == "DeterministicStrategy(f_a=(0, 0), f_b=(0, 0))"
+    assert (s.f_a, s.f_b) == ((0, 0), (0, 0))
+    with pytest.raises(AttributeError):
+        s.f_a = (1, 1)
+    same = DeterministicStrategy(f_a=(0, 0), f_b=(0, 0))
+    assert s == same and hash(s) == hash(same) == hash(((0, 0), (0, 0)))
+    assert len({s, same}) == 1
+    assert s != DeterministicStrategy(f_a=(0, 0), f_b=(0, 1))
+
+
 def test_strategy_value_g1_all_zero(g1_spec):
     s = DeterministicStrategy(f_a=(0, 0), f_b=(0, 0))
     # only the (x,y) = (0,0) cell wins for outputs (0,0)

@@ -530,9 +530,15 @@ def test_game_file_sizes_not_an_array_exit_2(tmp_path, capsys, g1_spec, field, s
     ("outputs", [0, 2], "n_a: empty output set"),
     ("outputs", [-1, 2], "n_a: empty output set"),
     ("inputs", [2, 0], "n_y: empty input set"),
-], ids=["outputs-zero", "outputs-negative", "inputs-zero"])
+    ("inputs", [0, 2000000], "n_x: empty input set"),
+    ("outputs", [0, 2000000], "n_a: empty output set"),
+    ("inputs", [0, 10**30], "n_x: empty input set"),
+    ("outputs", [0, 10**30], "n_a: empty output set"),
+], ids=["outputs-zero", "outputs-negative", "inputs-zero", "inputs-zero-by-2e6",
+        "outputs-zero-by-2e6", "inputs-zero-by-1e30", "outputs-zero-by-1e30"])
 def test_game_file_empty_sizes_exit_2(tmp_path, capsys, g1_spec, field, sizes, message):
-    # no entry can index an empty axis, so the document lists none
+    # no entry can index an empty axis, so the document lists none; an empty
+    # axis is named as such, not as a table over the size limit
     doc = dict(game_to_dict(g1_spec), predicate=[], **{field: sizes})
     with pytest.raises(ValidationError) as info:
         game_from_dict(doc)

@@ -1,5 +1,7 @@
 """Analysis runs, report rendering, determinism, and the CLI surface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,9 +16,10 @@ import nonlocal_audit as na
 from nonlocal_audit import cli, steering
 from nonlocal_audit.cli import main
 from nonlocal_audit.errors import AmbiguousDegenerateError
+from nonlocal_audit.games import game_to_dict
 from nonlocal_audit.report import _real, run_document
 
-from conftest import OMEGA_Q_G1
+from conftest import OMEGA_Q_G1, perfbench_modules
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +32,39 @@ def g1_run():
 @pytest.fixture(scope="module")
 def cglmp_run():
     return na.run_analyze("cglmp")
+
+
+def _tie_heavy_game(game_id, n_x, n_y, n_a, n_b, seed) -> dict:
+    # every output pair wins on some input pairs and none on the rest: every
+    # strategy pair is a maximizer
+    rows = np.random.default_rng(seed).random((n_x, n_y)) < 0.6
+    spec = na.GameSpec(
+        id=game_id,
+        predicate=np.broadcast_to(rows[:, :, None, None], (n_x, n_y, n_a, n_b)).astype(float),
+        input_dist=np.full((n_x, n_y), 1.0 / (n_x * n_y)),
+    )
+    return game_to_dict(spec)
+
+
+def _benchmark_game(name) -> dict:
+    workloads, _ = perfbench_modules()
+    return next(i.game for i in workloads.generate("classical_scaling", 0) if i.name == name)
+
+
+def _reference_classical_stdout(path) -> str:
+    """``classical`` stdout printed one line per maximizer, each formatted on its own."""
+    spec = na.load_game(path)
+    value, maximizers = na.classical_value(spec)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"game {spec.id!r}: omega_c = {value:.12g} (normalized)")
+        if spec.is_uniform():
+            print(f"raw sum over input pairs: {value * spec.n_x * spec.n_y:.12g}")
+        print(f"{len(maximizers)} maximizing deterministic strategies:")
+        for s in maximizers:
+            print(f"  f_a = {list(s.f_a)}  f_b = {list(s.f_b)}")
+    assert all(type(label) is int for s in maximizers for f in (s.f_a, s.f_b) for label in f)
+    return out.getvalue()
 
 
 class TestRunAnalyze:
@@ -267,19 +303,42 @@ class TestCli:
         assert main(["analyze", "g1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["quantum"]["method"] == "closed_form"
 
-    def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
-        class ClosedPipe:
-            def write(self, _text):
-                raise BrokenPipeError(32, "Broken pipe")
+    @pytest.mark.parametrize("game, maximizers", [
+        (lambda: _benchmark_game("classical-ties-6x6"), 4096),
+        # Bob's 2**4 response functions are enumerated, not Alice's 2**6
+        (lambda: _tie_heavy_game("ties-bob-enumerated", 6, 4, 2, 2, 4), 1024),
+        # labels of two digits
+        (lambda: _tie_heavy_game("ties-11-outputs", 1, 2, 11, 10, 5), 1100),
+    ], ids=["benchmark-ties-6x6", "bob-enumerated", "11-outputs"])
+    def test_classical_matches_per_line_writer(self, tmp_path, capsys, game, maximizers):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game()))
+        assert main(["classical", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (_reference_classical_stdout(path), "")
+        assert out.count("\n  f_a = ") == maximizers
 
-            def flush(self):
-                pass
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.TextIOBase):
+            # takes `room` characters, then refuses as a pipe closed by its reader
+            def __init__(self, room):
+                self.room = room
 
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        assert main(["list-games"]) == 1
-        with sys.stdout as switched:
-            assert switched.name == os.devnull
-        assert "error" not in capsys.readouterr().err
+            def write(self, text):
+                if len(text) > self.room:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.room -= len(text)
+                return len(text)
+
+        ties = tmp_path / "ties.json"
+        ties.write_text(json.dumps(_benchmark_game("classical-ties-6x6")))
+        # classical's header fits, its maximizer lines break off part way
+        for command, room in ((["list-games"], 0), (["classical", str(ties)], 1000)):
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(room))
+            assert main(command) == 1
+            with sys.stdout as switched:
+                assert switched.name == os.devnull
+            assert capsys.readouterr().err == ""
 
     def test_uncertainty(self, capsys):
         assert main(["uncertainty", "g2", "--side", "alice"]) == 0

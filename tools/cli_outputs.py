@@ -1,18 +1,20 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 70 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 73 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``uncertainty --side alice`` and
 ``--side bob``, ``steer`` and ``quantum``. On the 5 ``classical_scaling``
-games: ``classical``. On ``classical-4x4x3``, which no quantum route
-covers: ``analyze --format json``, whose refusal (exit 2) is checked too.
-Then ``list-games``, and ``analyze --format json`` on the 3 ``EMPTY_SIZES``
-game files, each refused (exit 2) with an empty input or output set.
+games and the 2 ``swap_games``: ``classical``. On
+``classical-4x4x3``, which no quantum route covers: ``analyze --format
+json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
+``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
+(exit 2) with an empty input or output set.
 Game files are the benchmark's own inputs,
-``perfbench/workloads.generate(workload, 0)``, and the ``EMPTY_SIZES``
-documents, written under ``.perfbench_work/`` in the checkout root; the
-program is the one in the checkout's ``src/``.
+``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
+drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, and
+the ``EMPTY_SIZES`` documents, written under ``.perfbench_work/`` in the
+checkout root; the program is the one in the checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -29,6 +31,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.dont_write_bytecode = True  # read perfbench/ without writing into it
@@ -41,14 +45,29 @@ EMPTY_SIZES = {
     "empty-outputs-zero": ([2, 2], [0, 2]),
     "empty-outputs-negative": ([2, 2], [-1, 2]),
     "empty-inputs-zero": ([2, 0], [2, 2]),
+    "empty-inputs-zero-by-2e6": ([0, 2000000], [2, 2]),
 }
+# Seed of the two generated two-output games on which classical_value
+# enumerates Bob's response functions (2**n_y < 2**n_x) and sorts the pairs
+# afterwards: one plain binary game and one on which every pair ties.
+SWAP_GAMES_SEED = 0
+
+
+def swap_games() -> list:
+    rng = np.random.default_rng(SWAP_GAMES_SEED)
+    plain, ties = "classical-swap-7x5", "classical-swap-ties-6x4"
+    return [
+        workloads.Input(plain, "classical", game=workloads._binary_game(rng, plain, 7, 5, 2, 2)),
+        workloads.Input(ties, "classical", game=workloads._tie_heavy_game(rng, ties, 6, 4)),
+    ]
 
 
 def commands(game_ids) -> list[tuple[str, list[str]]]:
     """(file name, argv) of every command, with the game files written."""
     planar = [i for i in workloads.generate("planar_sweep", 0) if i.game is not None]
     scaling = workloads.generate("classical_scaling", 0)
-    workloads.write_inputs(planar + scaling)
+    swapped = swap_games()
+    workloads.write_inputs(planar + scaling + swapped)
     games = [(g, g) for g in game_ids] + sorted((i.name, i.ref) for i in planar)
     out = []
     for name, ref in games:
@@ -59,7 +78,7 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
             (f"steer-{name}", ["steer", ref]),
             (f"quantum-{name}", ["quantum", ref]),
         ]
-    out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling]
+    out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling + swapped]
     refused = next(i for i in scaling if i.name == "classical-4x4x3")
     out.append((f"analyze-{refused.name}", ["analyze", refused.ref, "--format", "json"]))
     out.append(("list-games", ["list-games"]))
