@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.classical import ENUMERATION_GUARD, DeterministicStrategy
+from nonlocal_audit.classical import ENUMERATION_GUARD, DeterministicStrategy, _scores
 from nonlocal_audit.errors import TooLargeError
 from nonlocal_audit.games import swap_parties
 
@@ -133,9 +133,42 @@ def test_enumeration_guard():
         na.classical_value(spec)
 
 
+# (n_x, n_y, n_a, n_b): n_a != n_b, one-output and one-input sides, and
+# n_a * n_b > 255, where uint8 labels times n_b would wrap without a cast
+SCORE_SHAPES = [(1, 1, 1, 1), (3, 2, 1, 4), (2, 3, 4, 1), (1, 4, 3, 2), (4, 1, 2, 5),
+                (3, 3, 2, 3), (1, 2, 20, 20), (2, 1, 17, 16)]
+
+
+@pytest.mark.parametrize("n_x, n_y, n_a, n_b", SCORE_SHAPES,
+                         ids=["x".join(map(str, s)) for s in SCORE_SHAPES])
+def test_scores_match_term_by_term_sum(n_x, n_y, n_a, n_b):
+    rng = np.random.default_rng(SCORE_SHAPES.index((n_x, n_y, n_a, n_b)))
+    shape = (n_x, n_y, n_a, n_b)
+    spec = na.GameSpec(
+        id="scores",
+        predicate=np.where(rng.random(shape) < 0.7, rng.uniform(0.5, 1.5, shape), 0.0),
+        input_dist=rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y),
+        binary_predicate=False,
+    )
+    pi, weight = spec.input_dist.tolist(), spec.predicate.tolist()
+    label = np.min_scalar_type(max(n_a, n_b))  # as classical_value stores them
+    for rows in (1, 2, 37, 300):
+        f_a = rng.integers(0, n_a, (rows, n_x)).astype(label)
+        f_b = rng.integers(0, n_b, (rows, n_y)).astype(label)
+        expected = []
+        for fa, fb in zip(f_a.tolist(), f_b.tolist()):
+            total = 0.0
+            for x in range(n_x):
+                for y in range(n_y):
+                    total += pi[x][y] * weight[x][y][fa[x]][fb[y]]
+            expected.append(total.hex())
+        assert [v.hex() for v in _scores(spec, f_a, f_b).tolist()] == expected
+
+
 # n_x < n_y and n_x > n_y, so that each party's side is the enumerated one
 REFERENCE_SHAPES = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3),
-                    (2, 4), (4, 2), (3, 4), (4, 3), (4, 4), (1, 4)]
+                    (2, 4), (4, 2), (3, 4), (4, 3), (4, 4), (1, 4),
+                    (5, 3), (3, 5), (6, 2), (2, 6), (5, 4)]
 REFERENCE_KINDS = ["binary", "weighted", "integer", "ties", "three-output"]
 
 
@@ -225,3 +258,24 @@ def test_candidate_guard_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_tie_heavy_memory_peak():
+    # 2^16 strategy pairs all tie: the list holds one tuple per distinct
+    # function, and no buffer of rows times inputs is kept beside it
+    rng = np.random.default_rng(8)
+    rows = rng.random((8, 8)) < 0.6
+    spec = na.GameSpec(
+        id="ties-8x8",
+        predicate=np.broadcast_to(rows[:, :, None, None], (8, 8, 2, 2)).astype(float),
+        input_dist=np.full((8, 8), 1.0 / 64.0),
+    )
+    tracemalloc.start()
+    try:
+        value, maximizers = na.classical_value(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maximizers) == 2**16
+    assert value == float(rows.sum()) / 64.0
+    assert peak <= 14 * 2**20

@@ -1,11 +1,11 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 73 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 74 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``uncertainty --side alice`` and
 ``--side bob``, ``steer`` and ``quantum``. On the 5 ``classical_scaling``
-games and the 2 ``swap_games``: ``classical``. On
+games and the 3 ``swap_games``: ``classical``. On
 ``classical-4x4x3``, which no quantum route covers: ``analyze --format
 json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
@@ -47,18 +47,30 @@ EMPTY_SIZES = {
     "empty-inputs-zero": ([2, 0], [2, 2]),
     "empty-inputs-zero-by-2e6": ([0, 2000000], [2, 2]),
 }
-# Seed of the two generated two-output games on which classical_value
-# enumerates Bob's response functions (2**n_y < 2**n_x) and sorts the pairs
-# afterwards: one plain binary game and one on which every pair ties.
+# Seed of the three generated games on which classical_value enumerates
+# Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
+# afterwards: one plain binary game, one on which every pair ties, and one
+# with three outputs for Alice, two for Bob, weights 0, 1 or 2 and a
+# non-uniform pi in small integer ratios, on which many scores tie exactly
+# or up to the rounding of their sums.
 SWAP_GAMES_SEED = 0
+
+
+def _integer_weighted_game(rng, name, n_x, n_y, n_a, n_b) -> dict:
+    predicate = rng.integers(0, 3, size=(n_x, n_y, n_a, n_b)).astype(float)
+    pi = rng.integers(1, 4, size=(n_x, n_y)).astype(float)
+    return workloads._document(name, n_x, n_y, n_a, n_b, pi / pi.sum(), predicate, False)
 
 
 def swap_games() -> list:
     rng = np.random.default_rng(SWAP_GAMES_SEED)
     plain, ties = "classical-swap-7x5", "classical-swap-ties-6x4"
+    weighted = "classical-swap-weighted-5x4"
     return [
         workloads.Input(plain, "classical", game=workloads._binary_game(rng, plain, 7, 5, 2, 2)),
         workloads.Input(ties, "classical", game=workloads._tie_heavy_game(rng, ties, 6, 4)),
+        workloads.Input(weighted, "classical",
+                        game=_integer_weighted_game(rng, weighted, 5, 4, 3, 2)),
     ]
 
 
