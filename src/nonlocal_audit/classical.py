@@ -17,8 +17,7 @@ of candidate pairs that are rescored, and so the maximizers listed.
 Every maximizer refers to one tuple per distinct response function, so a
 long list costs about what its distinct functions cost: on the benchmark's
 tie-heavy 6x6 game (4,096 pairs over 64 functions per side) a ``classical``
-op takes about 5.3 normalized ms, against 19 ms when each pair was built
-and printed on its own.
+op takes about 5.3 normalized ms.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ def _scores(spec: GameSpec, f_a: np.ndarray, f_b: np.ndarray) -> np.ndarray:
     those terms, at index a * n_b + b.
     """
     n_b = np.intp(spec.n_b)  # labels may be uint8: widen before a * n_b
-    table = (spec.input_dist[:, :, None, None] * spec.predicate).reshape(
-        spec.n_x, spec.n_y, spec.n_a * spec.n_b)
+    table = spec.weights.reshape(spec.n_x, spec.n_y, spec.n_a * spec.n_b)
     replies = np.ascontiguousarray(f_b.T)
     total = np.zeros(len(f_a))
     for x in range(spec.n_x):
@@ -83,7 +81,7 @@ def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy]]
     any large array is built, when the enumerated side's score table or the
     candidate pairs would exceed ``ENUMERATION_GUARD``.
     """
-    weights = spec.input_dist[:, :, None, None] * spec.predicate  # [x, y, a, b]
+    weights = spec.weights
     swap = spec.n_b ** spec.n_y < spec.n_a ** spec.n_x
     if swap:
         weights = weights.transpose(1, 0, 3, 2)  # [y, x, b, a]: Bob's side is enumerated

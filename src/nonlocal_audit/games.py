@@ -34,8 +34,6 @@ MIN_WEIGHT, MAX_WEIGHT = 1e-100, 1e100
 # Characters of an offending value that a refusal message echoes.
 SHOWN_CHARS = 40
 
-GAME_IDS = ("g1", "g2", "chsh", "cglmp")
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -77,6 +75,11 @@ class GameSpec:
     @property
     def n_b(self) -> int:
         return self.predicate.shape[3]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """pi(x, y) V(a, b | x, y), indexed [x, y, a, b]: the payoff of each entry."""
+        return self.input_dist[:, :, None, None] * self.predicate
 
     def pi_a(self) -> np.ndarray:
         """Marginal pi_A(x)."""
@@ -131,26 +134,6 @@ def _uniform_binary(game_id: str, wins) -> GameSpec:
     return GameSpec(id=game_id, predicate=predicate, input_dist=np.full((2, 2), 0.25))
 
 
-def _game_g1() -> GameSpec:
-    # A single winning output pair for three input pairs and anticorrelated
-    # outputs for (x,y) = (1,0).
-    return _uniform_binary("g1", [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0),
-                                  (1, 1, 0, 1)])
-
-
-def _game_g2() -> GameSpec:
-    # XOR-type constraints on three input pairs, a unique output pair on
-    # (x,y) = (1,1).
-    return _uniform_binary("g2", [(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0),
-                                  (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)])
-
-
-def _game_chsh() -> GameSpec:
-    # XOR game a + b = x y (mod 2)
-    return _uniform_binary("chsh", [(x, y, a, b) for x, y, a, b in np.ndindex(2, 2, 2, 2)
-                                    if a ^ b == x * y])
-
-
 def _game_cglmp() -> GameSpec:
     # Weighted three-outcome correlation expression; per input pair the
     # favoured outcome difference a - b (mod 3) earns weight 2 and one
@@ -167,18 +150,69 @@ def _game_cglmp() -> GameSpec:
                     binary_predicate=False)
 
 
-_BUILDERS = {
-    "g1": _game_g1,
-    "g2": _game_g2,
-    "chsh": _game_chsh,
-    "cglmp": _game_cglmp,
-}
+def _catalog() -> dict[str, GameCatalogEntry]:
+    """The catalog games by id, each with its published values and provenance."""
+    sqrt29 = math.sqrt(29.0)
+    omega_q_g2 = (
+        35.0
+        + (15740.0 - 972.0 * sqrt29) ** (1.0 / 3.0)
+        + 2.0 ** (2.0 / 3.0) * (3935.0 + 243.0 * sqrt29) ** (1.0 / 3.0)
+    ) / 108.0
+    entries = (
+        GameCatalogEntry(
+            # A single winning output pair for three input pairs and
+            # anticorrelated outputs for (x,y) = (1,0).
+            spec=_uniform_binary("g1", [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0),
+                                        (1, 1, 0, 1)]),
+            known_classical_value=0.5,
+            known_quantum_value=(16.0 + math.sqrt(13.0)) / 36.0,
+            provenance="built-in; binary 2x2 hybrid of XOR and unique-output "
+            "constraints, quantum optimum (16+sqrt(13))/36 on a "
+            "non-maximally entangled qubit pair",
+        ),
+        GameCatalogEntry(
+            # XOR-type constraints on three input pairs, a unique output
+            # pair on (x,y) = (1,1).
+            spec=_uniform_binary("g2", [(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0),
+                                        (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)]),
+            known_classical_value=0.75,
+            known_quantum_value=omega_q_g2,
+            provenance="built-in; binary 2x2 game with one unique-output "
+            "constraint, cube-root closed-form quantum optimum "
+            "~0.782218 on a non-maximally entangled qubit pair",
+        ),
+        GameCatalogEntry(
+            # XOR game a + b = x y (mod 2)
+            spec=_uniform_binary("chsh", [(x, y, a, b) for x, y, a, b in np.ndindex(2, 2, 2, 2)
+                                          if a ^ b == x * y]),
+            known_classical_value=0.75,
+            known_quantum_value=(2.0 + math.sqrt(2.0)) / 4.0,
+            provenance="built-in; XOR game a+b = x*y (mod 2), quantum optimum "
+            "(2+sqrt(2))/4 at the Tsirelson point",
+        ),
+        GameCatalogEntry(
+            spec=_game_cglmp(),
+            known_classical_value=6.0,
+            known_quantum_value=(15.0 + math.sqrt(33.0)) / 3.0,
+            provenance="built-in; weighted two-input three-outcome correlation "
+            "expression, raw-sum convention (classical bound 6), "
+            "quantum optimum (15+sqrt(33))/3 on a non-maximally "
+            "entangled qutrit pair",
+            value_convention="raw_sum",
+        ),
+    )
+    return {entry.spec.id: entry for entry in entries}
+
+
+# Built once: every lookup shares these entries and their read-only specs.
+_CATALOG = _catalog()
+GAME_IDS = tuple(_CATALOG)
 
 
 def builtin_game(game_id: str) -> GameSpec:
-    """One of the catalog games: g1, g2, chsh, cglmp."""
-    if isinstance(game_id, str) and game_id in _BUILDERS:
-        return _BUILDERS[game_id]()
+    """The catalog game of an id in ``GAME_IDS``: one shared, read-only spec per id."""
+    if isinstance(game_id, str) and game_id in _CATALOG:
+        return _CATALOG[game_id].spec
     raise UnknownGameError(
         f"unknown game {_shown(game_id)}; catalog ids are {', '.join(GAME_IDS)}")
 
@@ -189,50 +223,8 @@ def matches_catalog(spec: GameSpec, game_id: str) -> bool:
 
 
 def catalog() -> dict[str, GameCatalogEntry]:
-    """All built-in games with their known values and conventions."""
-    sqrt13 = math.sqrt(13.0)
-    sqrt29 = math.sqrt(29.0)
-    sqrt33 = math.sqrt(33.0)
-    omega_q_g2 = (
-        35.0
-        + (15740.0 - 972.0 * sqrt29) ** (1.0 / 3.0)
-        + 2.0 ** (2.0 / 3.0) * (3935.0 + 243.0 * sqrt29) ** (1.0 / 3.0)
-    ) / 108.0
-    return {
-        "g1": GameCatalogEntry(
-            spec=builtin_game("g1"),
-            known_classical_value=0.5,
-            known_quantum_value=(16.0 + sqrt13) / 36.0,
-            provenance="built-in; binary 2x2 hybrid of XOR and unique-output "
-            "constraints, quantum optimum (16+sqrt(13))/36 on a "
-            "non-maximally entangled qubit pair",
-        ),
-        "g2": GameCatalogEntry(
-            spec=builtin_game("g2"),
-            known_classical_value=0.75,
-            known_quantum_value=omega_q_g2,
-            provenance="built-in; binary 2x2 game with one unique-output "
-            "constraint, cube-root closed-form quantum optimum "
-            "~0.782218 on a non-maximally entangled qubit pair",
-        ),
-        "chsh": GameCatalogEntry(
-            spec=builtin_game("chsh"),
-            known_classical_value=0.75,
-            known_quantum_value=(2.0 + math.sqrt(2.0)) / 4.0,
-            provenance="built-in; XOR game a+b = x*y (mod 2), quantum optimum "
-            "(2+sqrt(2))/4 at the Tsirelson point",
-        ),
-        "cglmp": GameCatalogEntry(
-            spec=builtin_game("cglmp"),
-            known_classical_value=6.0,
-            known_quantum_value=(15.0 + sqrt33) / 3.0,
-            provenance="built-in; weighted two-input three-outcome correlation "
-            "expression, raw-sum convention (classical bound 6), "
-            "quantum optimum (15+sqrt(33))/3 on a non-maximally "
-            "entangled qutrit pair",
-            value_convention="raw_sum",
-        ),
-    }
+    """All built-in games with their known values and conventions, in a new dict."""
+    return dict(_CATALOG)
 
 
 def _empty_sets(n_x: int, n_y: int, n_a: int, n_b: int) -> list[str]:

@@ -143,8 +143,7 @@ def bell_operator(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> np.
         raise DimensionMismatchError(f"projector arrays with (inputs, outputs) {meas_a.shape[:2]} "
                                      f"and {meas_b.shape[:2]} do not match the game")
     d = meas_a.shape[-1] * meas_b.shape[-1]
-    weights = spec.input_dist[:, :, None, None] * spec.predicate
-    op = np.einsum("xyab,xaij,ybkl->ikjl", weights, meas_a, meas_b)
+    op = np.einsum("xyab,xaij,ybkl->ikjl", spec.weights, meas_a, meas_b)
     return op.reshape(d, d)
 
 
@@ -159,8 +158,7 @@ def correlation_table(spec: GameSpec, strategy: QuantumStrategy) -> np.ndarray:
 
 def quantum_game_value(spec: GameSpec, strategy: QuantumStrategy) -> float:
     """sum_{x,y} pi(x,y) sum_{a,b} V(a,b|x,y) P(a,b|x,y) for this strategy."""
-    table = correlation_table(spec, strategy)
-    return float(np.sum(spec.input_dist[:, :, None, None] * spec.predicate * table))
+    return float(np.sum(spec.weights * correlation_table(spec, strategy)))
 
 
 def scaled_bell_charpoly_g1(lam: float, alpha1: float, beta1: float) -> float:
@@ -217,19 +215,19 @@ def closed_form_angles(game_id: str) -> tuple[float, float]:
     return alpha1, alpha1
 
 
-def _planar_solution(spec: GameSpec, alpha1: float, beta1: float, catalog: bool) -> OptimalSolution:
+def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolution:
     """The top eigenvector of the Bell operator at planar angles (0, alpha1), (0, beta1).
 
     The residual is the closed-form characteristic polynomial at 4x the value
-    (the scaled operator's eigenvalue), set only when ``catalog`` says that
-    the tables are those of the catalog game that has one.
+    (the scaled operator's eigenvalue), set only when the tables are those of
+    a catalog game that has one.
     """
     angles = PlanarAngles(alpha=(0.0, alpha1), beta=(0.0, beta1))
     meas_a, meas_b = planar_measurements(angles)
     eig = eig_hermitian(bell_operator(spec, meas_a, meas_b))
     value = eig.max_eigenvalue
     residual = None
-    if catalog:
+    if closed_form_available(spec):
         residual = float(_CHARPOLYS[spec.id](4.0 * value, alpha1, beta1))
     return OptimalSolution(
         strategy=QuantumStrategy(state=eig.max_eigenvector, meas_a=meas_a, meas_b=meas_b),
@@ -242,7 +240,7 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float, catalog: bool)
 def closed_form_optimum(game_id: str) -> OptimalSolution:
     """Exact-radical optimal strategy for the catalog game g1 or g2, with its
     charpoly residual."""
-    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id), catalog=True)
+    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +283,7 @@ def _planar_kernel(spec: GameSpec) -> np.ndarray:
     for a, sign in enumerate((1.0, -1.0)):
         coeffs[0, a, 0] = 0.5 * (eye + sign * pauli_x)
         coeffs[1, a] = 0.5 * np.stack([eye, sign * pauli_x, -sign * pauli_z])
-    weights = spec.input_dist[:, :, None, None] * spec.predicate
-    kernel = np.einsum("xyab,xauij,ybvkl->uvikjl", weights, coeffs, coeffs)
+    kernel = np.einsum("xyab,xauij,ybvkl->uvikjl", spec.weights, coeffs, coeffs)
     return kernel.reshape(3, 3, 4, 4)
 
 
@@ -530,7 +527,7 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
     alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))
-    solution = _planar_solution(spec, alpha1, beta1, closed_form_available(spec))
+    solution = _planar_solution(spec, alpha1, beta1)
     return replace(solution, upper_bound=max(search.upper, solution.value))
 
 

@@ -51,7 +51,8 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     if game_ref in GAME_IDS:
         return builtin_game(game_ref), "catalog"
     path = Path(game_ref)
-    if path.suffix == ".json" or path.exists():
+    # Path("") is the current directory, which exists but is no game file
+    if game_ref and (path.suffix == ".json" or path.exists()):
         return load_game(path), f"file:{game_ref}"
     raise UnknownGameError(
         f"{game_ref!r} is neither a catalog id ({', '.join(GAME_IDS)}) nor a game file"

@@ -95,6 +95,23 @@ def test_catalog_validates():
         assert entry.provenance
 
 
+@pytest.mark.parametrize("game_id", na.GAME_IDS)
+def test_catalog_spec_shared_and_readonly(game_id):
+    spec = na.builtin_game(game_id)
+    assert na.builtin_game(game_id) is spec
+    for table in (spec.predicate, spec.input_dist):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0.5
+
+
+def test_catalog_returns_a_new_dict():
+    entries = na.catalog()
+    del entries["g1"]
+    assert na.builtin_game("g1").id == "g1"
+    assert na.GAME_IDS == ("g1", "g2", "chsh", "cglmp")
+    assert tuple(na.catalog()) == na.GAME_IDS
+
+
 def test_catalog_known_values():
     entries = na.catalog()
     assert entries["g1"].known_classical_value == 0.5
@@ -247,6 +264,9 @@ def test_sizes_are_the_predicate_axes(tmp_path, game_id):
     na.save_game(spec, path)
     for game in (spec, swap_parties(spec), na.load_game(path)):
         assert (game.n_x, game.n_y, game.n_a, game.n_b) == game.predicate.shape
+    # weights is pi * V, and swapping the parties transposes it bit for bit
+    assert np.array_equal(spec.weights, spec.input_dist[:, :, None, None] * spec.predicate)
+    assert np.array_equal(swap_parties(spec).weights, spec.weights.transpose(1, 0, 3, 2))
 
 
 def test_file_matching_builtin_table(tmp_path, g1_spec):

@@ -415,6 +415,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nosuchgame" in err
 
+    @pytest.mark.parametrize("command", [
+        ["classical", ""],
+        ["quantum", ""],
+        ["uncertainty", "", "--side", "alice"],
+        ["steer", ""],
+        ["analyze", ""],
+    ])
+    def test_empty_game_reference_exit_2(self, capsys, command):
+        # Path("") is the current directory, which exists but is no game file
+        assert main(command) == 2
+        assert capsys.readouterr() == (
+            "", "error: '' is neither a catalog id (g1, g2, chsh, cglmp) nor a game file\n")
+
     def test_game_no_route_covers_exit_code(self, tmp_path, capsys):
         doc = {
             "id": "three-inputs", "inputs": [3, 2], "outputs": [2, 2],

@@ -1,11 +1,13 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 74 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 86 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
-games: ``analyze --format json``, ``uncertainty --side alice`` and
-``--side bob``, ``steer`` and ``quantum``. On the 5 ``classical_scaling``
-games and the 3 ``swap_games``: ``classical``. On
+games: ``analyze --format json``, ``analyze --format text``,
+``uncertainty --side alice`` and ``--side bob``, ``steer`` and
+``quantum``; the text report's ``wall time`` line is written as
+``WALL_TIME``, since its seconds differ from run to run. On the 5
+``classical_scaling`` games and the 3 ``swap_games``: ``classical``. On
 ``classical-4x4x3``, which no quantum route covers: ``analyze --format
 json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
@@ -28,6 +30,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +57,8 @@ EMPTY_SIZES = {
 # non-uniform pi in small integer ratios, on which many scores tie exactly
 # or up to the rounding of their sums.
 SWAP_GAMES_SEED = 0
+# What the text report's "wall time: 0.01 s" line is written as.
+WALL_TIME = "wall time: (elided) s"
 
 
 def _integer_weighted_game(rng, name, n_x, n_y, n_a, n_b) -> dict:
@@ -85,6 +90,7 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     for name, ref in games:
         out += [
             (f"analyze-{name}", ["analyze", ref, "--format", "json"]),
+            (f"analyze-text-{name}", ["analyze", ref, "--format", "text"]),
             (f"uncertainty-{name}-alice", ["uncertainty", ref, "--side", "alice"]),
             (f"uncertainty-{name}-bob", ["uncertainty", ref, "--side", "bob"]),
             (f"steer-{name}", ["steer", ref]),
@@ -116,9 +122,10 @@ def main(argv: list[str]) -> int:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(args)
+        out = re.sub(r"^wall time: .* s$", WALL_TIME, stdout.getvalue(), flags=re.MULTILINE)
         (outdir / f"{name}.txt").write_text(
             f"argv: {' '.join(args)}\nexit: {code}\n"
-            f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}",
+            f"--- stdout\n{out}--- stderr\n{stderr.getvalue()}",
             encoding="utf-8",
         )
     return 0
