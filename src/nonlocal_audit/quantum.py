@@ -251,11 +251,11 @@ def closed_form_optimum(game_id: str) -> OptimalSolution:
 # reported value by more than GAP_TOL.
 GAP_TOL = 1e-9
 # The first partition has _FIRST_CELLS^2 cells; the value does not depend on
-# it, and from 16 cells per axis a game takes 0.35 to 0.9 thousand solves.
+# it, and from 8 cells per axis a game takes 0.15 to 0.75 thousand solves.
 # Caps on the cells a split may produce (at 2^16 a ridge maximum closes
 # within GAP_TOL) and on the rounds; when a cap binds the search stops and
 # reports the bound it reached.
-_FIRST_CELLS = 16
+_FIRST_CELLS = 8
 MAX_CELLS = 1 << 16
 MAX_ROUNDS = 40
 # An ascent step is kept unless it lowers lambda_max by more than rounding;
@@ -335,13 +335,51 @@ def _planar_jet(kernel: np.ndarray, alpha1: float, beta1: float):
     return float(lam[-1]), grad, hess
 
 
+# Rows: the eigenvectors of Y (x) Y in the kernel's frame, times sqrt(2); the
+# first two span its +1 eigenspace, the last two its -1 eigenspace.
+_PARITY_BASIS = np.array([[0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [1, 0, 0, 1]], dtype=float)
+
+
+def _parity_blocks(kernel: np.ndarray) -> np.ndarray:
+    """Each M[u, v]'s two diagonal 2x2 blocks [[p, q], [q, s]] in the eigenbasis of
+    Y (x) Y, shape (3, 3, 3, 2): [u, v, (p, q, s), block]."""
+    rotated = 0.5 * np.einsum("ri,uvij,sj->uvrs", _PARITY_BASIS, kernel, _PARITY_BASIS)
+    rows, cols = np.array([[0, 2], [0, 2], [1, 3]]), np.array([[0, 2], [1, 3], [1, 3]])
+    return rotated[:, :, rows, cols]
+
+
+def _search_kernel(spec: GameSpec, kernel: np.ndarray) -> np.ndarray:
+    """What ``_top_eigenvalues`` solves for the game: ``kernel``'s parity blocks
+    where its weights equal their flip of both outputs, else ``kernel`` itself."""
+    weights = spec.weights
+    return _parity_blocks(kernel) if np.array_equal(weights, weights[:, :, ::-1, ::-1]) else kernel
+
+
 def _top_eigenvalues(kernel: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """lambda_max of B at the angles alpha1 + 1j beta1 of each point, one real 4x4 solve each."""
+    """lambda_max of B at the angles alpha1 + 1j beta1 of each point.
+
+    ``kernel`` is ``_planar_kernel``'s, shape (3, 3, 4, 4), solved by one real
+    4x4 ``eigvalsh`` per point, or ``_search_kernel``'s parity blocks, shape
+    (3, 3, 3, 2), solved in closed form: lambda_max is the larger of the two
+    blocks' (p + s)/2 + hypot((p - s)/2, q). The blocks are taken where the
+    weights are invariant under flipping both outputs: Z (x) Z maps a planar
+    projector to the other output's, so it commutes with B, and in the
+    kernel's frame it is Y (x) Y, which then commutes with every M[u, v]. So
+    the off-block entries that ``_parity_blocks`` drops are the kernel
+    einsum's rounding of exact zeros (at most 1.1e-16 on drawn tables with
+    weights up to 2), and by Weyl's inequality dropping them moves lambda_max
+    by at most the norm of the dropped part: rounding on the scale of the
+    weights, as is ``eigvalsh``'s own error. The selection reads the tables,
+    not the kernel, so no tolerance decides it.
+    """
     fa, fb = trig = np.ones((2, len(points), 3))
     angles = np.array([points.real, points.imag])
     trig[:, :, 1], trig[:, :, 2] = np.cos(angles), np.sin(angles)
-    ops = (fa[:, :, None] * fb[:, None, :]).reshape(-1, 9) @ kernel.reshape(9, 16)
-    return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1]
+    ops = (fa[:, :, None] * fb[:, None, :]).reshape(-1, 9) @ kernel.reshape(9, -1)
+    if kernel.shape[2:] == (4, 4):
+        return np.linalg.eigvalsh(ops.reshape(-1, 4, 4))[:, -1]
+    p, q, s = ops.reshape(-1, 3, 2).transpose(1, 0, 2)
+    return (0.5 * (p + s) + np.hypot(0.5 * (p - s), q)).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -351,8 +389,8 @@ class PlanarSearch:
     ``upper`` bounds lambda_max over all of [0, pi]^2; it lies within GAP_TOL / 2 of
     ``value`` unless ``capped`` (MAX_CELLS or MAX_ROUNDS stopped the search first).
     ``cells`` counts the lambda_max solves, one per distinct lattice point: the
-    (_FIRST_CELLS + 1)^2 = 289 vertices of the first partition and the new vertices
-    of every split (0.35 to 0.9 thousand per game on the catalog and benchmark games).
+    (_FIRST_CELLS + 1)^2 = 81 vertices of the first partition and the new vertices
+    of every split (0.15 to 0.75 thousand per game on the catalog and benchmark games).
     """
 
     alpha1: float
@@ -397,11 +435,12 @@ def branch_and_bound(kernel: np.ndarray, k_a: float, k_b: float) -> PlanarSearch
 
     lambda_max is solved only at the vertices of a dyadic lattice, each
     once; ``_cell_bounds`` bounds a square cell from its corner values.
-    Starts from _FIRST_CELLS^2 = 256 cells. Each round drops the cells whose
+    Starts from _FIRST_CELLS^2 = 64 cells. Each round drops the cells whose
     bound does not exceed the best vertex value by more than GAP_TOL / 2 and
     splits the rest in four, solving only the new edge midpoints and centres,
     once each where neighbours share them: about one solve per child cell,
-    in 12 or 13 rounds on a game whose maximum is isolated.
+    in 13 or 14 rounds on a game whose maximum is isolated. ``kernel`` is
+    either form that ``_top_eigenvalues`` takes.
     """
     spacing = math.pi / _FIRST_CELLS
     # a lattice point is i + 1j j, exact in floats for indices below 2^53
@@ -503,15 +542,19 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     the representative with alpha1 >= 0 and beta1 >= 0 is reported, and
     only the quarter [0, pi]^2 is searched, on the real trigonometric
     kernel of ``_planar_kernel``. ``branch_and_bound`` starts from a fixed
-    partition of _FIRST_CELLS = 16 cells per axis and bounds each cell from
-    lambda_max at its corners and per-axis curvature bounds K_a, K_b (0.35 to
-    0.9 thousand solves per game); ``refine_planar``'s ascent, on the same kernel,
-    polishes its best vertex by one candidate step per round, at most a
-    first cell's half-width, pi / 32; each angle is reduced mod 2 pi, its
+    partition of _FIRST_CELLS = 8 cells per axis and bounds each cell from
+    lambda_max at its corners and per-axis curvature bounds K_a, K_b (0.15 to
+    0.75 thousand solves per game, in closed form on the kernel's two parity
+    blocks where the game's weights are invariant under flipping both
+    outputs); ``refine_planar``'s ascent, on the same kernel, polishes its
+    best vertex by one candidate step per round, at most a first cell's
+    half-width, pi / 16; each angle is reduced mod 2 pi, its
     sign dropped, and the solution recomputed from the complex Bell
     operator. Its ``upper_bound`` is the bound the search certified, at
-    most GAP_TOL above the value unless a cap stopped the search. Only
-    2-input/2-output games are supported.
+    most GAP_TOL above the value unless a cap stopped the search; a capped
+    search logs a warning on the ``nonlocal_audit`` logger with its solve
+    count and the bound's excess over the value. Only 2-input/2-output games
+    are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
         raise NotPlanarApplicableError(
@@ -520,7 +563,7 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
         )
     kernel = _planar_kernel(spec)
     k_a, k_b, polish_curvature = _curvature_bounds(kernel)
-    search = branch_and_bound(kernel, k_a, k_b)
+    search = branch_and_bound(_search_kernel(spec, kernel), k_a, k_b)
     alpha1, beta1, _ = _polish(
         kernel, polish_curvature, search.alpha1, search.beta1, math.pi / (2 * _FIRST_CELLS)
     )
@@ -528,7 +571,16 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     # non-negative representative of each
     alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))
     solution = _planar_solution(spec, alpha1, beta1)
-    return replace(solution, upper_bound=max(search.upper, solution.value))
+    upper = max(search.upper, solution.value)
+    if search.capped:
+        # imported here: at start-up it would cost every command ~4 ms and 0.5 MiB
+        import logging
+
+        logging.getLogger("nonlocal_audit").warning(
+            "planar search on game %r capped after %d solves in %d rounds; "
+            "its bound is %.3g above the value",
+            spec.id, search.cells, search.rounds, upper - solution.value)
+    return replace(solution, upper_bound=upper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Planar strategies, Bell operators, closed forms, and the two-angle optimizer."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from nonlocal_audit.quantum import (
     _curvature_bounds,
     _planar_jet,
     _planar_kernel,
+    _search_kernel,
     _top_eigenvalues,
     _trig,
     branch_and_bound,
@@ -353,10 +356,21 @@ def kernel_spectrum(kernel: np.ndarray, alpha1: float, beta1: float) -> np.ndarr
     return np.linalg.eigvalsh(np.einsum("u,v,uvij->ij", _trig(alpha1)[0], _trig(beta1)[0], kernel))
 
 
+def flip_symmetric_games(seed: int, count: int = 4) -> list[na.GameSpec]:
+    """Weighted 2x2x2x2 games whose weights equal their flip of both outputs,
+    with uniform-random predicates and non-uniform pi."""
+    games = []
+    for spec in random_weighted_games(seed, count):
+        predicate = spec.predicate.copy()
+        predicate[:, :, 1] = predicate[:, :, 0, ::-1]  # V(1 - a, 1 - b) = V(a, b)
+        games.append(dataclasses.replace(spec, id=f"flip-{spec.id}", predicate=predicate))
+    return games
+
+
 def planar_search(spec: na.GameSpec):
     """``branch_and_bound`` on the game's kernel, as ``optimize_planar`` runs it."""
     kernel = _planar_kernel(spec)
-    return branch_and_bound(kernel, *_curvature_bounds(kernel)[:2])
+    return branch_and_bound(_search_kernel(spec, kernel), *_curvature_bounds(kernel)[:2])
 
 
 class TestPlanarKernel:
@@ -414,6 +428,29 @@ class TestPlanarKernel:
                     for point in cell + rng.uniform(0.0, 2.0 * halfwidth, (10, 2)):
                         assert kernel_spectrum(kernel, *point)[-1] <= bound + 1e-12, spec.id
                 assert np.all(bounds[5:] >= kernel_spectrum(kernel, *peak)[-1] - 1e-12)
+
+    def test_parity_blocks_match_bell_operator(self):
+        # Where the weights equal their flip of both outputs the search solves
+        # the kernel's two parity blocks in closed form, and lambda_max must
+        # match the complex Bell operator's as the 4x4 solves do; on
+        # planar-xor-1 (a = b) the top eigenvalue at (0, 0) is degenerate.
+        # Other games keep the 4x4 kernel.
+        rng = np.random.default_rng(67)
+        xor = [game_from_dict(doc) for name, doc in planar_sweep_games().items() if "xor" in name]
+        for spec in (*flip_symmetric_games(68), na.builtin_game("chsh"), *xor):
+            blocks = _search_kernel(spec, _planar_kernel(spec))
+            assert blocks.shape == (3, 3, 3, 2), spec.id
+            points = np.concatenate([[[0.0, 0.0]], rng.uniform(-math.pi, math.pi, (20, 2))])
+            for (a1, b1), value in zip(points, _top_eigenvalues(blocks, points @ [1.0, 1.0j])):
+                strat = planar_strategy(spec, a1, b1)
+                op = na.bell_operator(spec, strat.meas_a, strat.meas_b)
+                assert abs(value - na.eig_hermitian(op).max_eigenvalue) <= 1e-12, spec.id
+        strat = planar_strategy(xor[1], 0.0, 0.0)
+        spectrum = np.linalg.eigvalsh(na.bell_operator(xor[1], strat.meas_a, strat.meas_b))
+        assert xor[1].id == "planar-xor-1" and spectrum[-1] - spectrum[-2] <= 1e-15
+        for spec in (*self.GAMES, na.builtin_game("g1"), na.builtin_game("g2"), ridge_game()):
+            kernel = _planar_kernel(spec)
+            assert _search_kernel(spec, kernel) is kernel, spec.id
 
     def test_cell_bounds_cover_the_majorant(self):
         # The bound ``_cell_bounds`` proves: at offset (s, t) from a cell's
@@ -530,6 +567,27 @@ class TestCertificate:
         solution = na.optimize_planar(spec)
         assert solution.upper_bound >= solution.value
 
+    def test_capped_search_logs_a_warning(self, caplog):
+        # Alice's input 1 is never asked, so K_a = 0 and lambda_max is flat in
+        # alpha1 at its maximum 1/2: the open cells along alpha1 double every
+        # round until MAX_CELLS stops the search, which then says so.
+        predicate = np.zeros((2, 2, 2, 2))
+        for entry in ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)):
+            predicate[entry] = 1.0
+        spec = na.GameSpec(id="flat", predicate=predicate,
+                           input_dist=np.array([[0.5, 0.5], [0.0, 0.0]]))
+        search = planar_search(spec)
+        assert search.capped
+        with caplog.at_level(logging.WARNING, logger="nonlocal_audit"):
+            solution = na.optimize_planar(spec)
+            na.optimize_planar(na.builtin_game("chsh"))
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("nonlocal_audit", logging.WARNING)
+        message = record.getMessage()
+        assert f"after {search.cells} solves" in message
+        excess = solution.upper_bound - solution.value
+        assert excess > GAP_TOL and f"{excess:.3g} above the value" in message
+
     def test_ridge_maxima_certified(self):
         # Along a ridge the open cells double every round; below MAX_CELLS
         # both ridge games still close uncapped, after about 66 thousand solves.
@@ -543,19 +601,19 @@ class TestCertificate:
         # The former scan solved 361^2 quarter-grid points at 721, and the
         # first round from 45 cells per axis alone solved 46^2 vertices; the
         # search solves each lattice point once, and ``cells`` counts those
-        # solves (481 to 849 on these games).
+        # solves (317 to 708 on these games).
         for game_id in self.GAMES:
             search = planar_search(na.builtin_game(game_id))
             assert not search.capped
             assert search.cells < 1000
 
     def test_solves_on_the_catalog_and_benchmark_games(self):
-        # The bilinear-interpolant cell bound solves 6,934 lattice points on
-        # chsh, g1, g2 and the benchmark's 8 planar_sweep games; a looser
-        # bound closes fewer cells and solves more.
+        # The bilinear-interpolant cell bound solves 5,055 lattice points on
+        # chsh, g1, g2 and the benchmark's 8 planar_sweep games from 8 first
+        # cells per axis; a looser bound closes fewer cells and solves more.
         specs = [*(na.builtin_game(game_id) for game_id in self.GAMES),
                  *(game_from_dict(doc) for doc in planar_sweep_games().values())]
-        assert sum(planar_search(spec).cells for spec in specs) <= 6934
+        assert sum(planar_search(spec).cells for spec in specs) <= 5055
 
     def test_search_solves_each_lattice_point_once(self, monkeypatch):
         # A lattice point's angles are its integer index times the spacing,

@@ -1,12 +1,14 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 86 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 92 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
 ``uncertainty --side alice`` and ``--side bob``, ``steer`` and
 ``quantum``; the text report's ``wall time`` line is written as
-``WALL_TIME``, since its seconds differ from run to run. On the 5
+``WALL_TIME``, since its seconds differ from run to run. On the 2
+``flip_symmetric_games``: ``analyze --format json``, ``analyze --format
+text`` and ``quantum``. On the 5
 ``classical_scaling`` games and the 3 ``swap_games``: ``classical``. On
 ``classical-4x4x3``, which no quantum route covers: ``analyze --format
 json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
@@ -14,7 +16,8 @@ json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 (exit 2) with an empty input or output set.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
-drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, and
+drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
+``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and
 the ``EMPTY_SIZES`` documents, written under ``.perfbench_work/`` in the
 checkout root; the program is the one in the checkout's ``src/``.
 
@@ -57,6 +60,12 @@ EMPTY_SIZES = {
 # non-uniform pi in small integer ratios, on which many scores tie exactly
 # or up to the rounding of their sums.
 SWAP_GAMES_SEED = 0
+# Seed of the two 2x2x2x2 games whose weights equal their flip of both
+# outputs, which the planar search solves on the Bell operator's two parity
+# blocks: weights of three decimals, not dyadic, and a non-uniform pi. Each
+# input pair weighs equal outputs above unequal ones except one pair, as in
+# CHSH, so the optimum is not a classical corner.
+FLIP_GAMES_SEED = 0
 # What the text report's "wall time: 0.01 s" line is written as.
 WALL_TIME = "wall time: (elided) s"
 
@@ -79,12 +88,30 @@ def swap_games() -> list:
     ]
 
 
+def flip_symmetric_games() -> list:
+    rng = np.random.default_rng(FLIP_GAMES_SEED)
+    games = []
+    for k in range(2):
+        name = f"planar-flip-symmetric-{k}"
+        high = np.round(rng.uniform(0.8, 1.0, (2, 2)), 3)
+        low = np.round(rng.uniform(0.0, 0.2, (2, 2)), 3)
+        odd = (1, 1) if k == 0 else (0, 1)  # the pair that weighs unequal outputs higher
+        high[odd], low[odd] = low[odd], high[odd]
+        predicate = np.empty((2, 2, 2, 2))
+        predicate[:, :, 0, 0] = predicate[:, :, 1, 1] = high
+        predicate[:, :, 0, 1] = predicate[:, :, 1, 0] = low
+        doc = workloads._document(name, 2, 2, 2, 2, workloads._planar_pi(rng), predicate, False)
+        games.append(workloads.Input(name, "analyze", game=doc))
+    return games
+
+
 def commands(game_ids) -> list[tuple[str, list[str]]]:
     """(file name, argv) of every command, with the game files written."""
     planar = [i for i in workloads.generate("planar_sweep", 0) if i.game is not None]
     scaling = workloads.generate("classical_scaling", 0)
     swapped = swap_games()
-    workloads.write_inputs(planar + scaling + swapped)
+    symmetric = flip_symmetric_games()
+    workloads.write_inputs(planar + scaling + swapped + symmetric)
     games = [(g, g) for g in game_ids] + sorted((i.name, i.ref) for i in planar)
     out = []
     for name, ref in games:
@@ -95,6 +122,12 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
             (f"uncertainty-{name}-bob", ["uncertainty", ref, "--side", "bob"]),
             (f"steer-{name}", ["steer", ref]),
             (f"quantum-{name}", ["quantum", ref]),
+        ]
+    for i in symmetric:
+        out += [
+            (f"analyze-{i.name}", ["analyze", i.ref, "--format", "json"]),
+            (f"analyze-text-{i.name}", ["analyze", i.ref, "--format", "text"]),
+            (f"quantum-{i.name}", ["quantum", i.ref]),
         ]
     out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling + swapped]
     refused = next(i for i in scaling if i.name == "classical-4x4x3")
