@@ -8,16 +8,19 @@ all at once with numpy, and each is scored against its per-input best
 replies. The functions whose score lies within a band of the top, each with
 every combination of its near-best replies, are then rescored term by term
 (``_scores``, one table lookup per input pair), so the value and the
-maximizer list are exactly those of scoring every strategy pair one by one.
+maximizers are exactly those of scoring every strategy pair one by one.
+
+The candidate pairs are expanded and rescored in blocks of
+``BLOCK_LABELS`` labels (rows times the two sides' inputs), keeping one
+score per pair. The maximizers are counted exactly, and only the first
+``MAX_LISTED_MAXIMIZERS`` of them, in lexicographic ``(f_a, f_b)`` order,
+become Python tuples. So memory grows with the candidate pairs, not with
+the candidate pairs times the inputs: a 10x10 game on which all 2^20 pairs
+tie peaks at about 13 MiB.
 
 ``ENUMERATION_GUARD`` bounds the score table of the enumerated side
 (functions times the other side's inputs times its outputs) and the number
-of candidate pairs that are rescored, and so the maximizers listed.
-
-Every maximizer refers to one tuple per distinct response function, so a
-long list costs about what its distinct functions cost: on the benchmark's
-tie-heavy 6x6 game (4,096 pairs over 64 functions per side) a ``classical``
-op takes about 5.3 normalized ms.
+of candidate pairs, and so the time spent rescoring.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ TIE_ATOL = 1e-12
 # far wider than TIE_ATOL and than the rounding of the reordered sums of the
 # best-response pass, so no pair within TIE_ATOL of the value is missed.
 CANDIDATE_RTOL = 1e-9
+# The maximizers listed: the first this many in lexicographic (f_a, f_b) order.
+MAX_LISTED_MAXIMIZERS = 1_000
+# Candidate pairs are expanded and rescored this many labels at a time.
+BLOCK_LABELS = 1 << 20
 
 
 class DeterministicStrategy(NamedTuple):
@@ -64,22 +71,15 @@ def _scores(spec: GameSpec, f_a: np.ndarray, f_b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _tuples(rows: np.ndarray) -> np.ndarray:
-    """Object array holding one tuple of plain ints per row.
+def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy], int]:
+    """Maximum over deterministic strategies, its first maximizers and their count.
 
-    Indexing it gathers references to those tuples without a Python-level
-    step per index.
-    """
-    return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=len(rows))
-
-
-def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy]]:
-    """Maximum over deterministic strategies, with every maximizer.
-
-    Maximizers are the strategy pairs within ``TIE_ATOL`` of the maximum, in
-    lexicographic ``(f_a, f_b)`` order. ``TooLargeError`` is raised, before
-    any large array is built, when the enumerated side's score table or the
-    candidate pairs would exceed ``ENUMERATION_GUARD``.
+    Maximizers are the strategy pairs within ``TIE_ATOL`` of the maximum.
+    ``count`` is their exact number, and the list holds the first
+    ``MAX_LISTED_MAXIMIZERS`` of them in lexicographic ``(f_a, f_b)`` order.
+    ``TooLargeError`` is raised, before any large array is built, when the
+    enumerated side's score table or the candidate pairs would exceed
+    ``ENUMERATION_GUARD``.
     """
     weights = spec.weights
     swap = spec.n_b ** spec.n_y < spec.n_a ** spec.n_x
@@ -113,35 +113,59 @@ def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy]]
             f"{sizes.sum():.0f} candidate maximizers exceed the guard of {ENUMERATION_GUARD}"
         )
 
-    # Expand each candidate into the product of its per-input tie sets, the
-    # last input varying fastest, so rows stay in lexicographic order.
+    # Candidate pair k is the rank-th product of its candidate's per-input tie
+    # sets, the last input varying fastest, so pairs stay in lexicographic
+    # order of (enumerated function, reply function). A pair is the row
+    # [f_a | f_b] of its labels.
     sizes = sizes.astype(np.intp)
-    owner = np.repeat(np.arange(len(cand)), sizes)
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    tied_first = np.argsort(~ties, axis=2, kind="stable")
-    replies = np.empty((len(owner), n_rest), dtype=label)
-    for j in reversed(range(n_rest)):
-        n = counts[owner, j]
-        replies[:, j] = tied_first[owner, j, rank % n]
-        rank //= n
-    chosen = funcs[cand[owner]]
-    f_a, f_b = (replies, chosen) if swap else (chosen, replies)
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    n_pairs = int(ends[-1])
+    # Each candidate's replies to each input, tied ones first, flattened:
+    # candidate c's t-th tied reply to input j is at (c * n_rest + j) * n_reply + t.
+    tied_first = np.argsort(~ties, axis=2, kind="stable").astype(label).ravel()
+    chosen = funcs[cand]
+    reply_at, chosen_at = (0, n_rest) if swap else (n_in, 0)
 
-    exact = _scores(spec, f_a, f_b)
+    def pairs(k: np.ndarray) -> np.ndarray:
+        owner = np.searchsorted(ends, k, side="right")
+        rank = k - firsts.take(owner)
+        rows = np.empty((len(k), n_in + n_rest), dtype=label)
+        rows[:, chosen_at:chosen_at + n_in] = chosen.take(owner, axis=0)
+        n = counts.take(owner, axis=0)
+        at = owner * (n_rest * n_reply)
+        for j in reversed(range(n_rest)):
+            rank, t = np.divmod(rank, n[:, j])
+            t += at
+            rows[:, reply_at + j] = tied_first.take(t + j * n_reply)
+        return rows
+
+    # Rescore the pairs a block at a time, keeping one score per pair.
+    block = max(1, BLOCK_LABELS // (n_in + n_rest))
+    starts = range(0, n_pairs, block)
+    exact = np.empty(n_pairs)
+    for start in starts:
+        rows = pairs(np.arange(start, min(start + block, n_pairs)))
+        exact[start:start + block] = _scores(spec, rows[:, :spec.n_x], rows[:, spec.n_x:])
     value = exact.max()
-    keep = np.flatnonzero(exact >= value - TIE_ATOL)
-    if swap and len(keep) > 1:
-        keep = keep[np.lexsort(np.concatenate([f_a[keep], f_b[keep]], axis=1).T[::-1])]
-    # One tuple per enumerated function, shared by all of its rows, and one
-    # per distinct reply function: equal rows are adjacent once sorted.
-    enumerated = _tuples(funcs[cand])[owner[keep]].tolist()
-    rows = replies[keep]
-    order = np.lexsort(rows.T)
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    distinct_row = np.empty_like(order)
-    distinct_row[order] = np.cumsum(first) - 1
-    replied = _tuples(rows[order[first]])[distinct_row].tolist()
-    pairs = zip(replied, enumerated) if swap else zip(enumerated, replied)
-    # tuple.__new__ builds each pair without a Python-level call
-    return value, list(map(partial(tuple.__new__, DeterministicStrategy), pairs))
+    hit = exact >= value - TIE_ATOL
+    del exact
+    # Gather the first maximizers block by block; the last block's rows are
+    # still at hand. With Bob's functions enumerated the pairs are not in
+    # (f_a, f_b) order, so each block's maximizers are merged by a sort.
+    listed = rows[:0]
+    for start in starts:
+        k = np.flatnonzero(hit[start:start + block])
+        if not swap:
+            k = k[:MAX_LISTED_MAXIMIZERS - len(listed)]
+        listed = np.concatenate([listed, rows[k] if start == starts[-1] else pairs(start + k)])
+        if swap:
+            listed = listed[np.lexsort(listed.T[::-1])[:MAX_LISTED_MAXIMIZERS]]
+        elif len(listed) == MAX_LISTED_MAXIMIZERS:
+            break
+    # zip builds each function's tuple from the label columns, and
+    # tuple.__new__ each pair, without a Python-level call
+    f_a = zip(*listed[:, :spec.n_x].T.tolist())
+    f_b = zip(*listed[:, spec.n_x:].T.tolist())
+    maximizers = list(map(partial(tuple.__new__, DeterministicStrategy), zip(f_a, f_b)))
+    return value, maximizers, int(np.count_nonzero(hit))

@@ -58,11 +58,13 @@ class _Shown(dict):
 
 def _cmd_classical(args) -> int:
     spec, _ = resolve_game(args.game)
-    value, maximizers = classical_value(spec)
+    value, maximizers, count = classical_value(spec)
     print(f"game {spec.id!r}: omega_c = {value:.12g} (normalized)")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {value * spec.n_x * spec.n_y:.12g}")
-    print(f"{len(maximizers)} maximizing deterministic strategies:")
+    if count > len(maximizers):
+        print(f"maximizers listed: the first {len(maximizers)} in lexicographic (f_a, f_b) order")
+    print(f"{count} maximizing deterministic strategies:")
     # Maximizers share few distinct functions: each is formatted once, and
     # the lines are written as they are made, never joined into one string.
     shown = _Shown()

@@ -43,8 +43,8 @@ class TooLargeError(NonlocalAuditError):
 
     The guard bounds the best-response score table of the enumerated side
     (its response functions times the other side's inputs and outputs) and
-    the candidate strategy pairs that are rescored, which bound the
-    maximizers listed.
+    the candidate strategy pairs that are rescored, and so the time spent
+    rescoring them.
     """
 
 

@@ -191,7 +191,7 @@ def run_document(run: AnalysisRun) -> dict:
         },
         "classical": {
             "value": tagged(report.omega_c),
-            "maximizer_count": len(report.classical_maximizers),
+            "maximizer_count": report.maximizer_count,
             "maximizers": [
                 {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in report.classical_maximizers
             ],

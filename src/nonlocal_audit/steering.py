@@ -190,13 +190,15 @@ class CorrespondenceReport:
     (pi-weighted) xi; it upper-bounds the achieved value, with equality
     exactly when every non-vacuous pair saturates. ``correspondence_holds``
     requires full saturation on at least one steering side. The classical
-    maximizers and both sides' relations are the ones the verdict was
-    computed from.
+    maximizers (the first ``MAX_LISTED_MAXIMIZERS`` of them, and their
+    exact ``maximizer_count``) and both sides' relations are the ones the
+    verdict was computed from.
     """
 
     game_id: str
     omega_c: float
     classical_maximizers: list[DeterministicStrategy]
+    maximizer_count: int
     omega_q: float
     relations_alice: list[FineGrainedRelation]
     relations_bob: list[FineGrainedRelation]
@@ -221,7 +223,7 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     before anything is computed (``DimensionMismatchError``).
     """
     _check_strategy(strategy)
-    omega_c, maximizers = classical_value(spec)
+    omega_c, maximizers, maximizer_count = classical_value(spec)
     omega_q = quantum_game_value(spec, strategy)
 
     relations_ab, assemblage_ab, verdicts_alice = _side_audit(spec, strategy)
@@ -241,6 +243,7 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
         game_id=spec.id,
         omega_c=omega_c,
         classical_maximizers=maximizers,
+        maximizer_count=maximizer_count,
         omega_q=omega_q,
         relations_alice=relations_ab,
         relations_bob=relations_ba,

@@ -49,14 +49,14 @@ def _alice_relations(spec, strategy):
 def test_criterion_1_classical_values():
     started = time.perf_counter()
     failures = []
-    value_g1, _ = na.classical_value(na.builtin_game("g1"))
+    value_g1, _, _ = na.classical_value(na.builtin_game("g1"))
     if abs(value_g1 - 0.5) > 1e-12:
         failures.append(f"g1 classical {value_g1!r} != 1/2")
-    value_g2, _ = na.classical_value(na.builtin_game("g2"))
+    value_g2, _, _ = na.classical_value(na.builtin_game("g2"))
     if abs(value_g2 - 0.75) > 1e-12:
         failures.append(f"g2 classical {value_g2!r} != 3/4")
     spec = na.builtin_game("cglmp")
-    value_cglmp, _ = na.classical_value(spec)
+    value_cglmp, _, _ = na.classical_value(spec)
     if abs(4.0 * value_cglmp - 6.0) > 1e-12:
         failures.append(f"cglmp raw sum {4.0 * value_cglmp!r} != 6")
     enumerated = spec.n_a ** spec.n_x * spec.n_b ** spec.n_y

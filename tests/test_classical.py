@@ -1,20 +1,29 @@
 """The best-response classical value against hand-computed oracles and a full enumeration.
 
 ``classical_value`` enumerates the response functions of the side with fewer
-of them and rescores the near-best pairs exactly; ``enumerate_classical``
-(conftest) scores every strategy pair one by one and must agree bit for bit.
-``ENUMERATION_GUARD`` bounds the enumerated side's score table and the
-candidate maximizers.
+of them and rescores the near-best pairs exactly, in blocks of
+``BLOCK_LABELS`` labels; ``enumerate_classical`` (conftest) scores every
+strategy pair one by one and must agree bit for bit on the value and the
+count, and on the first ``MAX_LISTED_MAXIMIZERS`` maximizers, which are all
+that is listed. ``ENUMERATION_GUARD`` bounds the enumerated side's score
+table and the candidate maximizers.
 """
 
 import tracemalloc
+from functools import cache
 from itertools import product
 
 import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.classical import ENUMERATION_GUARD, DeterministicStrategy, _scores
+from nonlocal_audit import classical
+from nonlocal_audit.classical import (
+    ENUMERATION_GUARD,
+    MAX_LISTED_MAXIMIZERS,
+    DeterministicStrategy,
+    _scores,
+)
 from nonlocal_audit.errors import TooLargeError
 from nonlocal_audit.games import swap_parties
 
@@ -66,34 +75,35 @@ def _hand_enumeration(spec):
 
 
 def test_classical_value_g1(g1_spec):
-    value, maximizers = na.classical_value(g1_spec)
+    value, maximizers, count = na.classical_value(g1_spec)
     assert value == 0.5
+    assert count == len(maximizers)
     assert value == _hand_enumeration(g1_spec)
     assert all(strategy_value(g1_spec, s) == value for s in maximizers)
 
 
 def test_classical_value_g2(g2_spec):
-    value, _ = na.classical_value(g2_spec)
+    value, _, _ = na.classical_value(g2_spec)
     assert value == 0.75
     assert value == _hand_enumeration(g2_spec)
 
 
 def test_classical_value_chsh(chsh_spec):
-    value, _ = na.classical_value(chsh_spec)
+    value, _, _ = na.classical_value(chsh_spec)
     assert value == 0.75
 
 
 def test_classical_value_cglmp_raw_sum(cglmp_spec):
-    value, maximizers = na.classical_value(cglmp_spec)
+    value, maximizers, count = na.classical_value(cglmp_spec)
     assert 4.0 * value == 6.0
     # 81 = 3^2 * 3^2 strategy pairs were enumerated; spot-check one maximizer
-    assert maximizers
+    assert maximizers and count == len(maximizers)
     assert all(4.0 * strategy_value(cglmp_spec, s) == 6.0 for s in maximizers)
 
 
 def test_maximizer_order_deterministic(g1_spec):
-    _, first = na.classical_value(g1_spec)
-    _, second = na.classical_value(g1_spec)
+    _, first, _ = na.classical_value(g1_spec)
+    _, second, _ = na.classical_value(g1_spec)
     assert first == second
     # lexicographic: Alice's function is the outer loop
     keys = [(s.f_a, s.f_b) for s in first]
@@ -118,7 +128,7 @@ def test_per_cell_upper_bound():
             id="rand",
             predicate=pred, input_dist=np.full((2, 2), 0.25),
         )
-        value, _ = na.classical_value(spec)
+        value, _, _ = na.classical_value(spec)
         bound = max(pred[x, y].max() for x in range(2) for y in range(2))
         assert value <= bound + 1e-12
 
@@ -216,10 +226,11 @@ def test_matches_full_enumeration(kind, n_x, n_y):
     else:
         seed = 1000 * REFERENCE_KINDS.index(kind) + REFERENCE_SHAPES.index((n_x, n_y))
         spec = _reference_game(kind, n_x, n_y, seed)
-    value, maximizers = na.classical_value(spec)
+    value, maximizers, count = na.classical_value(spec)
     expected_value, expected_maximizers = enumerate_classical(spec)
     assert float(value).hex() == float(expected_value).hex()
-    assert maximizers == expected_maximizers
+    assert count == len(expected_maximizers)
+    assert maximizers == expected_maximizers[:MAX_LISTED_MAXIMIZERS]
 
 
 def test_ten_by_ten_binary_game():
@@ -229,12 +240,12 @@ def test_ten_by_ten_binary_game():
         predicate=(rng.random((10, 10, 2, 2)) < 0.5).astype(float),
         input_dist=np.full((10, 10), 0.01),
     )
-    value, maximizers = na.classical_value(spec)
-    assert maximizers
+    value, maximizers, count = na.classical_value(spec)
+    assert 0 < count == len(maximizers)
     assert all(strategy_value(spec, s) == value for s in maximizers)
     # the swapped game enumerates the other party's functions
-    swapped_value, swapped_maximizers = na.classical_value(swap_parties(spec))
-    assert abs(swapped_value - value) <= 1e-12
+    swapped_value, swapped_maximizers, swapped_count = na.classical_value(swap_parties(spec))
+    assert abs(swapped_value - value) <= 1e-12 and swapped_count == count
     assert sorted((s.f_b, s.f_a) for s in swapped_maximizers) == [
         (s.f_a, s.f_b) for s in maximizers
     ]
@@ -260,22 +271,103 @@ def test_candidate_guard_before_allocation():
     assert peak < 20 * 2**20
 
 
-def test_tie_heavy_memory_peak():
-    # 2^16 strategy pairs all tie: the list holds one tuple per distinct
-    # function, and no buffer of rows times inputs is kept beside it
-    rng = np.random.default_rng(8)
-    rows = rng.random((8, 8)) < 0.6
-    spec = na.GameSpec(
-        id="ties-8x8",
-        predicate=np.broadcast_to(rows[:, :, None, None], (8, 8, 2, 2)).astype(float),
-        input_dist=np.full((8, 8), 1.0 / 64.0),
-    )
+def _traced_peak(spec):
+    """``classical_value(spec)`` and the peak of memory it allocated."""
     tracemalloc.start()
     try:
-        value, maximizers = na.classical_value(spec)
+        result = na.classical_value(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(maximizers) == 2**16
-    assert value == float(rows.sum()) / 64.0
+    return result, peak
+
+
+def _all_tie_game(game_id, n, seed):
+    # every output pair wins on a random set of input pairs and none on the
+    # rest: all 2^(2n) strategy pairs tie
+    rows = np.random.default_rng(seed).random((n, n)) < 0.6
+    spec = na.GameSpec(
+        id=game_id,
+        predicate=np.broadcast_to(rows[:, :, None, None], (n, n, 2, 2)).astype(float),
+        input_dist=np.full((n, n), 1.0 / (n * n)),
+    )
+    return spec, float(rows.sum()) / (n * n)
+
+
+def test_tie_heavy_memory_peak():
+    # 2^16 strategy pairs all tie: one score per pair is kept, no buffer of
+    # pairs times inputs, and only the listed pairs become tuples
+    spec, expected_value = _all_tie_game("ties-8x8", 8, 8)
+    (value, maximizers, count), peak = _traced_peak(spec)
+    assert count == 2**16
+    assert len(maximizers) == MAX_LISTED_MAXIMIZERS
+    assert value == expected_value
     assert peak <= 14 * 2**20
+
+
+def test_ten_by_ten_tie_memory_peak():
+    spec, _ = _all_tie_game("ties-10x10", 10, 20)
+    (value, maximizers, count), peak = _traced_peak(spec)
+    assert count == 2**20
+    assert value == strategy_value(spec, maximizers[0])
+    assert maximizers[-1] == ((0,) * 10, tuple(int(b) for b in f"{999:010b}"))
+    assert peak <= 32 * 2**20
+
+
+def test_wide_tie_memory_peak():
+    # Alice has one input and one output; Bob has 800 inputs, 14 of which
+    # tie between his two outputs, and on the rest one output wins
+    rng = np.random.default_rng(800)
+    n_y = 800
+    tied = np.sort(rng.choice(n_y, 14, replace=False))
+    win = rng.integers(0, 2, n_y)
+    predicate = np.zeros((1, n_y, 1, 2))
+    predicate[0, np.arange(n_y), 0, win] = 1.0
+    predicate[0, tied, 0, :] = 1.0
+    spec = na.GameSpec(id="wide-ties", predicate=predicate,
+                       input_dist=np.full((1, n_y), 1.0 / n_y))
+    (value, maximizers, count), peak = _traced_peak(spec)
+    assert count == 2**14
+    assert value == strategy_value(spec, maximizers[0])
+    # the k-th maximizer sets the tied inputs to k's binary digits, first input first
+    expected = []
+    for k in range(MAX_LISTED_MAXIMIZERS):
+        f_b = win.copy()
+        f_b[tied] = [int(b) for b in f"{k:014b}"]
+        expected.append(DeterministicStrategy(f_a=(0,), f_b=tuple(f_b.tolist())))
+    assert maximizers == expected
+    assert peak <= 32 * 2**20
+
+
+# Tie games with more maximizers than are listed, with Alice's functions
+# enumerated (6x6) and with Bob's (7x5): every strategy pair ties ("all"),
+# or only those with f_a(0) = f_b(0) != f_a(1), a quarter of them ("some").
+OVER_CAP_CASES = [(6, 6, "all"), (7, 5, "all"), (6, 6, "some"), (7, 5, "some")]
+
+
+@cache
+def _over_cap_game(n_x, n_y, kind):
+    """The game of one ``OVER_CAP_CASES`` entry and its full enumeration."""
+    spec = _reference_game("ties", n_x, n_y, 10 * n_x + n_y)
+    if kind == "some":
+        predicate = np.array(spec.predicate)
+        predicate[0, 0] = np.eye(2)
+        predicate[1, 0] = 1.0 - np.eye(2)
+        spec = na.GameSpec(id=f"some-ties-{n_x}x{n_y}", predicate=predicate,
+                           input_dist=spec.input_dist)
+    return spec, enumerate_classical(spec)
+
+
+@pytest.mark.parametrize("block_rows", [None, 13], ids=["default-blocks", "13-row-blocks"])
+@pytest.mark.parametrize("n_x, n_y, kind", OVER_CAP_CASES,
+                         ids=[f"{kind}-{n_x}x{n_y}" for n_x, n_y, kind in OVER_CAP_CASES])
+def test_over_cap_lists_first_maximizers(monkeypatch, n_x, n_y, kind, block_rows):
+    spec, (expected_value, expected_maximizers) = _over_cap_game(n_x, n_y, kind)
+    if block_rows is not None:
+        # block seams fall inside candidates, and Bob's side merges 316 blocks
+        monkeypatch.setattr(classical, "BLOCK_LABELS", block_rows * (n_x + n_y))
+    value, maximizers, count = na.classical_value(spec)
+    assert len(expected_maximizers) > MAX_LISTED_MAXIMIZERS
+    assert float(value).hex() == float(expected_value).hex()
+    assert count == len(expected_maximizers)
+    assert maximizers == expected_maximizers[:MAX_LISTED_MAXIMIZERS]

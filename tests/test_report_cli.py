@@ -14,6 +14,7 @@ import pytest
 
 import nonlocal_audit as na
 from nonlocal_audit import cli, steering
+from nonlocal_audit.classical import MAX_LISTED_MAXIMIZERS
 from nonlocal_audit.cli import main
 from nonlocal_audit.errors import AmbiguousDegenerateError
 from nonlocal_audit.games import game_to_dict
@@ -54,13 +55,16 @@ def _benchmark_game(name) -> dict:
 def _reference_classical_stdout(path) -> str:
     """``classical`` stdout printed one line per maximizer, each formatted on its own."""
     spec = na.load_game(path)
-    value, maximizers = na.classical_value(spec)
+    value, maximizers, count = na.classical_value(spec)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         print(f"game {spec.id!r}: omega_c = {value:.12g} (normalized)")
         if spec.is_uniform():
             print(f"raw sum over input pairs: {value * spec.n_x * spec.n_y:.12g}")
-        print(f"{len(maximizers)} maximizing deterministic strategies:")
+        if count > MAX_LISTED_MAXIMIZERS:
+            print(f"maximizers listed: the first {MAX_LISTED_MAXIMIZERS} in lexicographic "
+                  f"(f_a, f_b) order")
+        print(f"{count} maximizing deterministic strategies:")
         for s in maximizers:
             print(f"  f_a = {list(s.f_a)}  f_b = {list(s.f_b)}")
     assert all(type(label) is int for s in maximizers for f in (s.f_a, s.f_b) for label in f)
@@ -309,14 +313,18 @@ class TestCli:
         (lambda: _tie_heavy_game("ties-bob-enumerated", 6, 4, 2, 2, 4), 1024),
         # labels of two digits
         (lambda: _tie_heavy_game("ties-11-outputs", 1, 2, 11, 10, 5), 1100),
-    ], ids=["benchmark-ties-6x6", "bob-enumerated", "11-outputs"])
+        # under the listing cap: no note line
+        (lambda: _tie_heavy_game("ties-under-cap", 5, 4, 2, 2, 6), 512),
+    ], ids=["benchmark-ties-6x6", "bob-enumerated", "11-outputs", "under-cap"])
     def test_classical_matches_per_line_writer(self, tmp_path, capsys, game, maximizers):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(game()))
         assert main(["classical", str(path)]) == 0
         out, err = capsys.readouterr()
         assert (out, err) == (_reference_classical_stdout(path), "")
-        assert out.count("\n  f_a = ") == maximizers
+        assert f"\n{maximizers} maximizing deterministic strategies:\n" in out
+        assert out.count("\n  f_a = ") == min(maximizers, MAX_LISTED_MAXIMIZERS)
+        assert ("maximizers listed:" in out) == (maximizers > MAX_LISTED_MAXIMIZERS)
 
     def test_closed_stdout_exits_1_quietly(self, tmp_path, capsys, monkeypatch):
         class ClosedPipe(io.TextIOBase):

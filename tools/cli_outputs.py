@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 92 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 93 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -9,7 +9,7 @@ games: ``analyze --format json``, ``analyze --format text``,
 ``WALL_TIME``, since its seconds differ from run to run. On the 2
 ``flip_symmetric_games``: ``analyze --format json``, ``analyze --format
 text`` and ``quantum``. On the 5
-``classical_scaling`` games and the 3 ``swap_games``: ``classical``. On
+``classical_scaling`` games and the 4 ``swap_games``: ``classical``. On
 ``classical-4x4x3``, which no quantum route covers: ``analyze --format
 json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
@@ -53,12 +53,14 @@ EMPTY_SIZES = {
     "empty-inputs-zero": ([2, 0], [2, 2]),
     "empty-inputs-zero-by-2e6": ([0, 2000000], [2, 2]),
 }
-# Seed of the three generated games on which classical_value enumerates
+# Seed of the four generated games on which classical_value enumerates
 # Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
-# afterwards: one plain binary game, one on which every pair ties, and one
+# afterwards: one plain binary game, one on which every pair ties, one
 # with three outputs for Alice, two for Bob, weights 0, 1 or 2 and a
 # non-uniform pi in small integer ratios, on which many scores tie exactly
-# or up to the rounding of their sums.
+# or up to the rounding of their sums, and a wide one (16 inputs for Alice)
+# on which all 2^18 pairs tie, so only the first 1,000 are listed, after a
+# note line, on rows of 16 labels.
 SWAP_GAMES_SEED = 0
 # Seed of the two 2x2x2x2 games whose weights equal their flip of both
 # outputs, which the planar search solves on the Bell operator's two parity
@@ -80,11 +82,13 @@ def swap_games() -> list:
     rng = np.random.default_rng(SWAP_GAMES_SEED)
     plain, ties = "classical-swap-7x5", "classical-swap-ties-6x4"
     weighted = "classical-swap-weighted-5x4"
+    wide = "classical-swap-wide-ties-16x2"
     return [
         workloads.Input(plain, "classical", game=workloads._binary_game(rng, plain, 7, 5, 2, 2)),
         workloads.Input(ties, "classical", game=workloads._tie_heavy_game(rng, ties, 6, 4)),
         workloads.Input(weighted, "classical",
                         game=_integer_weighted_game(rng, weighted, 5, 4, 3, 2)),
+        workloads.Input(wide, "classical", game=workloads._tie_heavy_game(rng, wide, 16, 2)),
     ]
 
 
