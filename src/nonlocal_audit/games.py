@@ -93,9 +93,9 @@ class GameSpec:
         return self.input_dist[x, :] / px
 
     def is_uniform(self) -> bool:
-        return bool(
-            np.allclose(self.input_dist, 1.0 / (self.n_x * self.n_y), rtol=0.0, atol=PI_SUM_ATOL)
-        )
+        # np.allclose(pi, 1 / (n_x n_y), rtol=0, atol=PI_SUM_ATOL); NaN or inf reaches the max
+        deviation = np.abs(self.input_dist - 1.0 / (self.n_x * self.n_y))
+        return bool(deviation.max(initial=0.0) <= PI_SUM_ATOL)
 
     def equals(self, other: "GameSpec") -> bool:
         """Bit-for-bit equality of all numeric fields."""
@@ -252,33 +252,36 @@ def validate_game(spec: GameSpec) -> list[str]:
             f"pi: expected shape ({spec.n_x}, {spec.n_y}), got {spec.input_dist.shape}"
         )
     else:
-        finite = np.isfinite(spec.input_dist)
-        for x, y in np.argwhere(~finite | (spec.input_dist < 0.0)):
-            fault = "negative probability" if finite[x, y] else "not a finite number"
-            violations.append(f"pi[{x}][{y}]: {fault}")
+        pi = spec.input_dist
+        faulty = ~((pi >= 0.0) & (pi < math.inf))  # NaN fails both
+        if faulty.any():
+            for x, y in np.argwhere(faulty):
+                fault = "negative probability" if math.isfinite(pi[x, y]) else "not a finite number"
+                violations.append(f"pi[{x}][{y}]: {fault}")
         # inf + -inf sums to nan and large entries to inf, without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(spec.input_dist.sum())
+            total = float(pi.sum())
         if not abs(total - 1.0) <= PI_SUM_ATOL:
             violations.append(f"pi: entries sum to {total!r}, expected 1")
 
+    # A valid weight is 0, or 1 if binary, or else in range; NaN fails each test.
     # Each faulty entry, in C order, names the first of its faults.
     pred = spec.predicate
-    finite = np.isfinite(pred)
-    negative = pred < 0.0
-    outside = (pred > 0.0) & (pred != 1.0) if spec.binary_predicate else np.zeros_like(finite)
-    out_of_range = (pred > 0.0) & ((pred < MIN_WEIGHT) | (pred > MAX_WEIGHT))
-    for x, y, a, b in np.argwhere(~finite | negative | outside | out_of_range):
-        v = pred[x, y, a, b]
+    low, high = (1.0, 1.0) if spec.binary_predicate else (MIN_WEIGHT, MAX_WEIGHT)
+    valid = (pred == 0.0) | ((pred >= low) & (pred <= high))
+    if valid.all():
+        return violations
+    for x, y, a, b in np.argwhere(~valid):
+        v = float(pred[x, y, a, b])
         where = f"predicate[x={x},y={y},a={a},b={b}]"
-        if not finite[x, y, a, b]:
-            violations.append(f"{where}: weight {float(v)} is not finite")
-        elif negative[x, y, a, b]:
+        if not math.isfinite(v):
+            violations.append(f"{where}: weight {v} is not finite")
+        elif v < 0.0:
             violations.append(f"{where}: negative weight")
-        elif outside[x, y, a, b]:
-            violations.append(f"{where}: value {float(v)} outside {{0, 1}}")
+        elif spec.binary_predicate:
+            violations.append(f"{where}: value {v} outside {{0, 1}}")
         else:
-            violations.append(f"{where}: weight {float(v)} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]")
+            violations.append(f"{where}: weight {v} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]")
     return violations
 
 
@@ -379,8 +382,7 @@ _entry_indices = itemgetter("x", "y", "a", "b")
 def _entry_index(k: int, entry: dict, shape: tuple[int, ...]) -> tuple[int, ...]:
     index = _entry_indices(entry)
     for key, i, n in zip("xyab", index, shape):
-        # _is_int written out: this runs four times per entry
-        if isinstance(i, bool) or not (isinstance(i, int) and 0 <= i < n):
+        if not (_is_int(i) and 0 <= i < n):
             raise ValidationError(
                 [f"predicate[{k}].{key}: {_shown(i)} is not an index in [0, {n})"])
     return index
@@ -410,17 +412,27 @@ def game_from_dict(data: dict) -> GameSpec:
         pi = np.array(rows, dtype=float)
         field = "predicate"
         shape = (n_x, n_y, n_a, n_b)
-        pred = np.zeros(shape)
-        first: dict[tuple[int, ...], int] = {}  # (x, y, a, b) -> the first entry there
-        for k, entry in enumerate(_array(data["predicate"])):
-            field = f"predicate[{k}]"
-            _known_fields(entry, _ENTRY_FIELDS, f"{field}.")
-            index = _entry_index(k, entry, shape)
-            earlier = first.setdefault(index, k)
+        entries = _array(data["predicate"])
+        field = None  # a fault in the loop is named predicate[k]
+        first: dict[int, int] = {}  # flat offset of (x, y, a, b) -> the first entry there
+        weights = []
+        # A plain object with in-range int indices and a float weight is read
+        # inline; the helpers word the refusal of any other: keys, x, y, a, b, repeat, v.
+        for k, entry in enumerate(entries):
+            if type(entry) is not dict or not entry.keys() <= _ENTRY_FIELDS:
+                _known_fields(entry, _ENTRY_FIELDS, f"predicate[{k}].")
+            x, y, a, b = entry["x"], entry["y"], entry["a"], entry["b"]
+            if not (type(x) is int and type(y) is int and type(a) is int and type(b) is int
+                    and 0 <= x < n_x and 0 <= y < n_y and 0 <= a < n_a and 0 <= b < n_b):
+                x, y, a, b = _entry_index(k, entry, shape)
+            earlier = first.setdefault(((x * n_y + y) * n_a + a) * n_b + b, k)
             if earlier != k:
-                raise ValidationError(
-                    [f"{field}: duplicates predicate[{earlier}] at (x, y, a, b) = {index}"])
-            pred[index] = _number(entry["v"], f"{field}.v")
+                raise ValidationError([f"predicate[{k}]: duplicates predicate[{earlier}] "
+                                       f"at (x, y, a, b) = {_entry_indices(entry)}"])
+            v = entry["v"]
+            weights.append(v if type(v) is float else _number(v, f"predicate[{k}].v"))
+        pred = np.zeros(shape)
+        pred.put(list(first), weights)
         field = "id"
         if not isinstance(data["id"], str):  # str() would read null as the id 'None'
             raise ValidationError([f"id: {_shown(data['id'])} is not a string"])
@@ -431,7 +443,7 @@ def game_from_dict(data: dict) -> GameSpec:
             binary_predicate=_flag(data.get("binary_predicate", True), "binary_predicate"),
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ParseError(f"{field}: malformed ({exc!r})") from exc
+        raise ParseError(f"{field or f'predicate[{k}]'}: malformed ({exc!r})") from exc
     violations = validate_game(spec)
     if violations:
         raise ValidationError(violations)

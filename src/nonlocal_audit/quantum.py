@@ -121,20 +121,24 @@ class OptimalSolution:
     upper_bound: float | None = None
 
 
-def planar_measurement(theta: float) -> np.ndarray:
+def planar_measurement(theta) -> np.ndarray:
     """Eigenprojectors of the observable [[0, e^{i theta}], [e^{-i theta}, 0]], shape (2, 2, 2).
 
-    Output 0 is the +1 eigenprojector |v+><v+| with v+ = (e^{i theta}, 1)/sqrt(2).
+    Output 0 is the +1 eigenprojector |v+><v+| with v+ = (e^{i theta}, 1)/sqrt(2). An array
+    of angles gives one such array per angle, shape theta.shape + (2, 2, 2).
     """
-    plus = np.array([np.exp(1j * theta), 1.0]) / math.sqrt(2.0)
-    minus = np.array([np.exp(1j * theta), -1.0]) / math.sqrt(2.0)
-    return np.array([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())])
+    phase = np.exp(1j * np.asarray(theta, dtype=float))
+    v = np.empty(phase.shape + (2, 2), dtype=complex)  # [..., output, component]
+    v[..., 0] = phase[..., None]
+    v[..., 1] = (1.0, -1.0)
+    v /= math.sqrt(2.0)
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def planar_measurements(angles: PlanarAngles) -> tuple[np.ndarray, np.ndarray]:
     """Both parties' projector arrays, shape (inputs, 2, 2, 2), at the given phases."""
-    return (np.array([planar_measurement(t) for t in angles.alpha]),
-            np.array([planar_measurement(t) for t in angles.beta]))
+    meas = planar_measurement(angles.alpha + angles.beta)
+    return meas[:len(angles.alpha)], meas[len(angles.alpha):]
 
 
 def bell_operator(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> np.ndarray:

@@ -103,11 +103,16 @@ ODD_VALUES = st.one_of(
 )
 
 
+# Valid weights: JSON integers, among them one that rounds to a float
+# (2**53 + 1), floats, and both ends of the weight range.
+WEIGHTS = st.sampled_from([1, 1.0, 0.5, 0, 2**53 + 1, 1e-100, 1e100])
+
+
 @st.composite
 def entry_lists(draw):
     shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
     index = st.tuples(*(st.integers(0, n - 1) for n in shape))
-    entries = [{"x": x, "y": y, "a": a, "b": b, "v": draw(st.sampled_from([1, 1.0, 0.5, 0]))}
+    entries = [{"x": x, "y": y, "a": a, "b": b, "v": draw(WEIGHTS)}
                for x, y, a, b in draw(st.lists(index, max_size=30, unique=True))]
     for _ in range(draw(st.integers(0, 3))):
         if not entries:
@@ -122,9 +127,12 @@ def entry_lists(draw):
         elif not isinstance(entries[k], dict):
             continue
         elif fault == "index":
-            entries[k] = dict(entries[k], **{draw(st.sampled_from("xyab")): draw(ODD_VALUES)})
+            axis = draw(st.integers(0, 3))
+            # one step past either end of the axis's range, or a bool, besides the odd values
+            edges = st.sampled_from([-1, shape[axis], True, False])
+            entries[k] = dict(entries[k], **{"xyab"[axis]: draw(st.one_of(edges, ODD_VALUES))})
         elif fault == "weight":
-            entries[k] = dict(entries[k], v=draw(ODD_VALUES))
+            entries[k] = dict(entries[k], v=draw(st.one_of(st.booleans(), ODD_VALUES)))
         elif fault == "drop":
             dropped = draw(st.sampled_from("xyabv"))
             entries[k] = {key: v for key, v in entries[k].items() if key != dropped}

@@ -11,7 +11,13 @@ import pytest
 import nonlocal_audit as na
 from nonlocal_audit.cli import main
 from nonlocal_audit.errors import ParseError, UnknownGameError, ValidationError
-from nonlocal_audit.games import game_from_dict, game_to_dict, swap_parties
+from nonlocal_audit.games import PI_SUM_ATOL, game_from_dict, game_to_dict, swap_parties
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the Hypothesis test below is skipped, the others run
+    given = None
 
 G1_WINS = {(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)}
 G2_WINS = {
@@ -68,6 +74,34 @@ def test_uniform_input_distribution():
         spec = na.builtin_game(game_id)
         assert spec.is_uniform()
         assert abs(float(spec.input_dist.sum()) - 1.0) <= 1e-12
+
+
+if given is not None:
+    @st.composite
+    def input_dists(draw) -> na.GameSpec:
+        """An unvalidated spec whose pi is uniform but for a few drawn entries,
+        some off by PI_SUM_ATOL or by the next float beyond it; its shape is the
+        predicate's (x, y) axes or, at times, another one, empty included."""
+        n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        target = 1.0 / (n_x * n_y)
+        shape = draw(st.one_of(st.just((n_x, n_y)),
+                               st.tuples(st.integers(0, 5), st.integers(0, 5))))
+        pi = np.full(shape, target)
+        high, low = target + PI_SUM_ATOL, target - PI_SUM_ATOL
+        odd = st.sampled_from([high, low, np.nextafter(high, np.inf), np.nextafter(low, -np.inf),
+                               np.nan, np.inf, -np.inf, 0.0])
+        if pi.size:
+            for _ in range(draw(st.integers(0, 3))):
+                at = draw(st.integers(0, pi.size - 1))
+                pi.flat[at] = draw(st.one_of(odd, st.floats()))
+        return na.GameSpec(id="pi", predicate=np.zeros((n_x, n_y, 1, 1)), input_dist=pi)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(input_dists())
+    def test_is_uniform_is_allclose_to_one_over_the_input_pairs(spec):
+        expected = np.allclose(spec.input_dist, 1 / (spec.n_x * spec.n_y),
+                               rtol=0, atol=PI_SUM_ATOL)
+        assert spec.is_uniform() is bool(expected)
 
 
 def test_unknown_game():

@@ -70,6 +70,18 @@ class TestPlanarMeasurements:
             total = meas[0] + meas[1]
             assert np.linalg.norm(total - np.eye(2)) <= 1e-12
 
+    def test_both_parties_at_once_match_one_angle_at_a_time(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            alpha = (0.0, *rng.uniform(-math.pi, math.pi, rng.integers(0, 4)))
+            beta = (0.0, *rng.uniform(-math.pi, math.pi, rng.integers(0, 4)), math.pi, -math.pi)
+            meas_a, meas_b = na.planar_measurements(na.PlanarAngles(alpha=alpha, beta=beta))
+            for angles, meas in ((alpha, meas_a), (beta, meas_b)):
+                assert meas.shape == (len(angles), 2, 2, 2)
+                for t, projectors in zip(angles, meas):
+                    assert np.array_equal(projectors, na.planar_measurement(t))
+                    assert np.array_equal(projectors, na.planar_measurement(float(t)))
+
     def test_angle_constraints(self):
         with pytest.raises(ValueError):
             na.PlanarAngles(alpha=(0.1, 0.0), beta=(0.0, 0.0))

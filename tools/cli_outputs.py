@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 93 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 95 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -13,13 +13,16 @@ text`` and ``quantum``. On the 5
 ``classical-4x4x3``, which no quantum route covers: ``analyze --format
 json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
-(exit 2) with an empty input or output set.
+(exit 2) with an empty input or output set. Last, ``classical`` and
+``analyze --format json`` on ``INTEGER_WEIGHTS``, a 2x2x2x2 game file whose
+weights are JSON integers and whose entries run in reverse table order.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
 drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
 ``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and
-the ``EMPTY_SIZES`` documents, written under ``.perfbench_work/`` in the
-checkout root; the program is the one in the checkout's ``src/``.
+the ``EMPTY_SIZES`` and ``INTEGER_WEIGHTS`` documents, written under
+``.perfbench_work/`` in the checkout root; the program is the one in the
+checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -52,6 +55,15 @@ EMPTY_SIZES = {
     "empty-outputs-negative": ([2, 2], [-1, 2]),
     "empty-inputs-zero": ([2, 0], [2, 2]),
     "empty-inputs-zero-by-2e6": ([0, 2000000], [2, 2]),
+}
+# The CHSH wins, a xor b = x y, written as a file with "v": 1 and the entries
+# from the last (x, y, a, b) in table order to the first; its id is not a
+# catalog id, so analyze runs the planar search on it.
+INTEGER_WEIGHTS = {
+    "id": "integer-weights-reversed", "inputs": [2, 2], "outputs": [2, 2],
+    "pi": [[0.25, 0.25], [0.25, 0.25]],
+    "predicate": [{"x": x, "y": y, "a": a, "b": b, "v": 1}
+                  for x, y, a, b in reversed(list(np.ndindex(2, 2, 2, 2))) if a ^ b == x * y],
 }
 # Seed of the four generated games on which classical_value enumerates
 # Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
@@ -142,6 +154,11 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
         path.write_text(json.dumps({"id": name, "inputs": inputs, "outputs": outputs,
                                     "pi": [[0.25, 0.25], [0.25, 0.25]], "predicate": []}))
         out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
+    name = INTEGER_WEIGHTS["id"]
+    path = workloads.WORK / "games" / f"{name}.json"
+    path.write_text(json.dumps(INTEGER_WEIGHTS))
+    out.append((f"classical-{name}", ["classical", str(path)]))
+    out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
     return out
 
 
