@@ -97,12 +97,10 @@ def _print_state(state) -> None:
 
 def _cmd_uncertainty(args) -> int:
     report = run_analyze(args.game).report
-    if args.side == "alice":
-        relations, steering, steered = report.relations_alice, "alice_steers_bob", "Bob"
-    else:
-        relations, steering, steered = report.relations_bob, "bob_steers_alice", "Alice"
-    print(f"game {report.game_id!r}, side {steering}: relations on {steered}'s system")
-    for rel in relations:
+    steered = "bob" if args.side == "alice" else "alice"
+    print(f"game {report.game_id!r}, side {args.side}_steers_{steered}: "
+          f"relations on {steered.title()}'s system")
+    for rel in getattr(report, args.side).relations:
         x, a = rel.pair
         weights = [
             f"{w:.6g}*P({b}|{y})"

@@ -451,10 +451,21 @@ def game_from_dict(data: dict) -> GameSpec:
 
 
 def load_game(path) -> GameSpec:
-    """Read and validate a JSON game file."""
+    """Read and validate a JSON game file; an object that repeats a key is refused."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"{path}: an object repeats the key {_shown(key)}")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -174,6 +174,7 @@ def run_document(run: AnalysisRun) -> dict:
     upper = solution.upper_bound
     residual = solution.residual
     report = run.report
+    sides = (("alice_steers_bob", report.alice), ("bob_steers_alice", report.bob))
     uniform = spec.is_uniform()
 
     def tagged(normalized: float) -> list[dict]:
@@ -207,22 +208,16 @@ def run_document(run: AnalysisRun) -> dict:
             "residual": None if residual is None else _real(residual),
             "state": _state_doc(solution.strategy.state),
         },
-        "uncertainty": {
-            "alice_steers_bob": [_relation_doc(r) for r in report.relations_alice],
-            "bob_steers_alice": [_relation_doc(r) for r in report.relations_bob],
-        },
-        "steering": {
-            "alice_steers_bob": [_verdict_doc(v) for v in report.verdicts_alice],
-            "bob_steers_alice": [_verdict_doc(v) for v in report.verdicts_bob],
-        },
+        "uncertainty": {key: [_relation_doc(r) for r in side.relations] for key, side in sides},
+        "steering": {key: [_verdict_doc(v) for v in side.verdicts] for key, side in sides},
         "no_signaling_certain_states": {
-            "deviation": _real(report.ns_deviation),
-            "passes": report.ns_passes,
+            "deviation": _real(report.alice.ns_deviation),
+            "passes": report.alice.ns_passes,
         },
         "verdict": {
             "omega_c": tagged(report.omega_c),
             "omega_q": tagged(report.omega_q),
-            "up_bound": _real(report.up_bound),
+            "up_bound": _real(report.alice.up_bound),
             "correspondence_holds": report.correspondence_holds,
         },
     }
@@ -268,12 +263,12 @@ def _verdict_table(title: str, verdicts: list[SteeringVerdict]) -> list[str]:
 def steering_lines(report: CorrespondenceReport) -> list[str]:
     """Both verdict tables, the no-signaling line and the verdict."""
     return [
-        *_verdict_table("Alice steers Bob:", report.verdicts_alice),
+        *_verdict_table("Alice steers Bob:", report.alice.verdicts),
         "",
-        *_verdict_table("Bob steers Alice:", report.verdicts_bob),
+        *_verdict_table("Bob steers Alice:", report.bob.verdicts),
         "",
         "certain-state assemblage no-signaling deviation: "
-        f"{report.ns_deviation:.6f} ({'passes' if report.ns_passes else 'fails'})",
+        f"{report.alice.ns_deviation:.6f} ({'passes' if report.alice.ns_passes else 'fails'})",
         f"correspondence_holds: {report.correspondence_holds}",
     ]
 
@@ -297,7 +292,7 @@ def render_text(run: AnalysisRun) -> str:
         lines.append(f"certified bound  : {run.solution.upper_bound:.9g} (normalized)")
     if run.solution.residual is not None:
         lines.append(f"charpoly residual: {run.solution.residual:.3e}")
-    lines.append(f"uncertainty bound: {report.up_bound:.9g} (normalized)")
+    lines.append(f"uncertainty bound: {report.alice.up_bound:.9g} (normalized)")
     lines.append("")
     lines.extend(steering_lines(report))
     lines.append(f"wall time: {run.wall_time_seconds:.2f} s")

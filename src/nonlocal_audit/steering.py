@@ -132,15 +132,6 @@ def _verdicts(
     return verdicts
 
 
-def _side_audit(
-    spec: GameSpec, strategy: QuantumStrategy
-) -> tuple[list[FineGrainedRelation], Assemblage, list[SteeringVerdict]]:
-    """Bob's relations, Alice's steered assemblage and their verdicts, for a validated strategy."""
-    relations = fine_grained_relations(spec, strategy.meas_b)
-    assemblage = _assemblage(strategy)
-    return relations, assemblage, _verdicts(relations, assemblage)
-
-
 def certain_state_assemblage(
     relations: list[FineGrainedRelation], reference: Assemblage
 ) -> Assemblage:
@@ -183,16 +174,58 @@ def certain_state_assemblage(
 
 
 @dataclass(frozen=True)
+class SideAudit:
+    """One steering side: relations on the steered system, the steered assemblage, verdicts.
+
+    ``ns_passes`` when the certain-state assemblage's ``ns_deviation`` is
+    within ``NS_ATOL``. ``up_bound``, sum_{x,a} pi(x) p(a|x) xi(x,a) over the
+    steering party's inputs with the canonical xi, bounds the achieved value,
+    with equality exactly when every non-vacuous pair saturates (``saturated``).
+    """
+
+    relations: list[FineGrainedRelation]
+    assemblage: Assemblage
+    verdicts: list[SteeringVerdict]
+    ns_deviation: float
+    ns_passes: bool
+    up_bound: float
+    saturated: bool
+
+
+def _side_audit(spec: GameSpec, strategy: QuantumStrategy) -> SideAudit:
+    """Alice steering Bob, for a validated strategy."""
+    relations = fine_grained_relations(spec, strategy.meas_b)
+    assemblage = _assemblage(strategy)
+    verdicts = _verdicts(relations, assemblage)
+    ns_deviation = certain_state_assemblage(relations, assemblage).no_signaling_deviation()
+    pi_a = spec.pi_a()
+    up_bound = 0.0
+    for rel in relations:
+        x, a = rel.pair
+        up_bound += float(pi_a[x] * assemblage.probabilities[x, a] * rel.xi)
+    live = [v for v in verdicts if not v.vacuous]
+    return SideAudit(
+        relations=relations,
+        assemblage=assemblage,
+        verdicts=verdicts,
+        ns_deviation=ns_deviation,
+        ns_passes=ns_deviation <= NS_ATOL,
+        up_bound=up_bound,
+        saturated=bool(live) and all(v.saturated for v in live),
+    )
+
+
+@dataclass(frozen=True)
 class CorrespondenceReport:
     """Whether the game value is pinned by the uncertainty relations alone.
 
-    ``up_bound`` is sum_{x,a} pi_A(x) p(a|x) xi(x,a) with the canonical
-    (pi-weighted) xi; it upper-bounds the achieved value, with equality
-    exactly when every non-vacuous pair saturates. ``correspondence_holds``
-    requires full saturation on at least one steering side. The classical
-    maximizers (the first ``MAX_LISTED_MAXIMIZERS`` of them, and their
-    exact ``maximizer_count``) and both sides' relations are the ones the
-    verdict was computed from.
+    ``alice`` is Alice steering Bob and ``bob`` Bob steering Alice, each a
+    ``SideAudit``; ``correspondence_holds`` requires full saturation on at
+    least one side. The JSON report reads ``no_signaling_certain_states``
+    and ``verdict.up_bound`` from ``alice``; ``bob``'s own figures are not
+    printed yet. The classical maximizers (the first
+    ``MAX_LISTED_MAXIMIZERS``, and their exact ``maximizer_count``) and both
+    sides are the ones the verdict was computed from.
     """
 
     game_id: str
@@ -200,19 +233,9 @@ class CorrespondenceReport:
     classical_maximizers: list[DeterministicStrategy]
     maximizer_count: int
     omega_q: float
-    relations_alice: list[FineGrainedRelation]
-    relations_bob: list[FineGrainedRelation]
-    verdicts_alice: list[SteeringVerdict]
-    verdicts_bob: list[SteeringVerdict]
-    ns_deviation: float
-    ns_passes: bool
-    up_bound: float
+    alice: SideAudit
+    bob: SideAudit
     correspondence_holds: bool
-
-
-def _side_saturated(verdicts: list[SteeringVerdict]) -> bool:
-    live = [v for v in verdicts if not v.vacuous]
-    return bool(live) and all(v.saturated for v in live)
 
 
 def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> CorrespondenceReport:
@@ -224,33 +247,16 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
     """
     _check_strategy(strategy)
     omega_c, maximizers, maximizer_count = classical_value(spec)
-    omega_q = quantum_game_value(spec, strategy)
-
-    relations_ab, assemblage_ab, verdicts_alice = _side_audit(spec, strategy)
+    alice = _side_audit(spec, strategy)
     # Bob steering Alice is Alice steering Bob in the game with the parties exchanged
-    relations_ba, _, verdicts_bob = _side_audit(swap_parties(spec), swap_strategy(strategy))
-
-    ns_deviation = certain_state_assemblage(relations_ab, assemblage_ab).no_signaling_deviation()
-
-    pi_a = spec.pi_a()
-    up_bound = 0.0
-    for rel in relations_ab:
-        x, a = rel.pair
-        up_bound += float(pi_a[x] * assemblage_ab.probabilities[x, a] * rel.xi)
-
-    correspondence = _side_saturated(verdicts_alice) or _side_saturated(verdicts_bob)
+    bob = _side_audit(swap_parties(spec), swap_strategy(strategy))
     return CorrespondenceReport(
         game_id=spec.id,
         omega_c=omega_c,
         classical_maximizers=maximizers,
         maximizer_count=maximizer_count,
-        omega_q=omega_q,
-        relations_alice=relations_ab,
-        relations_bob=relations_ba,
-        verdicts_alice=verdicts_alice,
-        verdicts_bob=verdicts_bob,
-        ns_deviation=ns_deviation,
-        ns_passes=ns_deviation <= NS_ATOL,
-        up_bound=up_bound,
-        correspondence_holds=correspondence,
+        omega_q=quantum_game_value(spec, strategy),
+        alice=alice,
+        bob=bob,
+        correspondence_holds=alice.saturated or bob.saturated,
     )

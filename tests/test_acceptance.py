@@ -175,7 +175,7 @@ def test_criterion_5_steering_gaps():
     g2 = na.closed_form_optimum("g2")
     verdicts = {
         v.pair: v
-        for v in na.correspondence_verdict(na.builtin_game("g2"), g2.strategy).verdicts_alice
+        for v in na.correspondence_verdict(na.builtin_game("g2"), g2.strategy).alice.verdicts
     }
     for pair in ((0, 0), (0, 1)):
         if abs(verdicts[pair].achieved - 0.8446) > 5e-4:
@@ -191,8 +191,8 @@ def test_criterion_5_steering_gaps():
     g1 = na.closed_form_optimum("g1")
     spec_g1 = na.builtin_game("g1")
     report_g1 = na.correspondence_verdict(spec_g1, g1.strategy)
-    alice = {v.pair: v for v in report_g1.verdicts_alice}
-    bob = {v.pair: v for v in report_g1.verdicts_bob}
+    alice = {v.pair: v for v in report_g1.alice.verdicts}
+    bob = {v.pair: v for v in report_g1.bob.verdicts}
     if not alice[(1, 0)].saturated:
         failures.append("g1 Alice-side (1,0) not saturated")
     if not bob[(0, 0)].saturated:
@@ -234,10 +234,10 @@ def test_criterion_6_verdicts():
                 f"{game_id}: correspondence_holds {report.correspondence_holds}, "
                 f"expected {expected}"
             )
-        if expected and report.ns_deviation > 1e-6:
-            failures.append(f"{game_id}: ns deviation {report.ns_deviation:.2e} > 1e-6")
-        if not expected and report.ns_deviation <= 0.01:
-            failures.append(f"{game_id}: ns deviation {report.ns_deviation:.2e} <= 0.01")
+        if expected and report.alice.ns_deviation > 1e-6:
+            failures.append(f"{game_id}: ns deviation {report.alice.ns_deviation:.2e} > 1e-6")
+        if not expected and report.alice.ns_deviation <= 0.01:
+            failures.append(f"{game_id}: ns deviation {report.alice.ns_deviation:.2e} <= 0.01")
     elapsed = time.perf_counter() - started
     _verdict(6, not failures, elapsed,
              "correspondence false/false/true/true; ns deviations split accordingly")
@@ -252,8 +252,8 @@ def test_criterion_7_chsh_sanity():
     if abs(optimized.value - OMEGA_Q_CHSH) > 1e-7:
         failures.append(f"optimizer value {optimized.value!r}")
     report = na.correspondence_verdict(spec, optimized.strategy)
-    for side, verdicts in (("alice_steers_bob", report.verdicts_alice),
-                           ("bob_steers_alice", report.verdicts_bob)):
+    for side, verdicts in (("alice_steers_bob", report.alice.verdicts),
+                           ("bob_steers_alice", report.bob.verdicts)):
         for v in verdicts:
             if not v.saturated:
                 failures.append(f"{side} {v.pair} not saturated (gap {v.gap:.2e})")

@@ -5,6 +5,8 @@ loop below checks them again with its own code, writing each refusal as
 docs/game-file-format.md states it. Both must give the same table, or
 refuse with the same message: the same entry, and the same first fault in
 it.
+
+A game file that repeats a key in any of its objects is refused as a whole.
 """
 
 import enum
@@ -12,11 +14,12 @@ import enum
 import numpy as np
 import pytest
 
+from nonlocal_audit.cli import main
 from nonlocal_audit.errors import ParseError, ValidationError
-from nonlocal_audit.games import GameSpec, game_from_dict, validate_game
+from nonlocal_audit.games import GameSpec, game_from_dict, load_game, validate_game
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -113,10 +116,8 @@ def entry_lists(draw):
     shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
     index = st.tuples(*(st.integers(0, n - 1) for n in shape))
     entries = [{"x": x, "y": y, "a": a, "b": b, "v": draw(WEIGHTS)}
-               for x, y, a, b in draw(st.lists(index, max_size=30, unique=True))]
+               for x, y, a, b in draw(st.lists(index, min_size=1, max_size=30, unique=True))]
     for _ in range(draw(st.integers(0, 3))):
-        if not entries:
-            break
         k = draw(st.integers(0, len(entries) - 1))
         fault = draw(st.sampled_from(
             ["index", "weight", "drop", "extra", "replace", "subclass", "repeat"]))
@@ -143,11 +144,31 @@ def entry_lists(draw):
     return entries, shape
 
 
+# The drawn lists hold at least one entry; the empty list is the explicit example.
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(entry_lists())
+@example(([], (2, 1, 3, 1)))
 def test_entries_read_as_the_reference_loop_reads_them(case):
     entries, (n_x, n_y, n_a, n_b) = case
     doc = {"id": "entries", "inputs": [n_x, n_y], "outputs": [n_a, n_b],
            "pi": [[1.0 / (n_x * n_y)] * n_y for _ in range(n_x)], "predicate": entries,
            "binary_predicate": False}
     assert _outcome(game_from_dict, doc) == _outcome(reference_game, doc)
+
+
+REPEATED_V = ('{"id": "repeat", "inputs": [1, 1], "outputs": [1, 1], "pi": [[1.0]], '
+              '"predicate": [{"x": 0, "y": 0, "a": 0, "b": 0, "v": 1%s}]}')
+
+
+def test_repeated_key_is_refused(tmp_path, capsys):
+    path = tmp_path / "repeat.json"
+    path.write_text(REPEATED_V % "")
+    assert load_game(path).predicate[0, 0, 0, 0] == 1.0
+    path.write_text(REPEATED_V % ', "v": 0')
+    with pytest.raises(ParseError, match=r"repeat\.json: an object repeats the key 'v'$"):
+        load_game(path)
+    assert main(["classical", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: an object repeats the key 'v'\n"
+    path.write_text('{"id": "a", "id": "a"}')
+    with pytest.raises(ParseError, match="repeats the key 'id'"):
+        load_game(path)

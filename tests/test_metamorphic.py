@@ -2,10 +2,11 @@
 nor on how the paper's counter-examples label their inputs and outputs.
 
 ``correspondence_verdict`` on the game and strategy with the parties
-exchanged must report each side's relations and verdicts of the original,
-bit for bit, with the sides exchanged. The cases are the catalog games and
-the benchmark's ``planar_sweep`` games with their best known strategies,
-and the random weighted 3x2-input cases of ``test_contractions.py``.
+exchanged must report each side's relations, verdicts, certain-state
+no-signaling test and ``up_bound`` of the original, bit for bit, with the
+sides exchanged. The cases are the catalog games and the benchmark's
+``planar_sweep`` games with their best known strategies, and the random
+weighted 3x2-input cases of ``test_contractions.py``.
 
 g1 and g2 under every relabeling of inputs and outputs, and the party
 swap, keep their quantum value, classical value and failed correspondence.
@@ -41,6 +42,14 @@ def _assert_same_relations(mine, theirs):
         assert np.array_equal(r.certain_space, s.certain_space)
 
 
+def _assert_same_side(mine, theirs):
+    _assert_same_relations(mine.relations, theirs.relations)
+    assert mine.verdicts == theirs.verdicts
+    assert mine.ns_deviation == theirs.ns_deviation
+    assert mine.ns_passes == theirs.ns_passes
+    assert mine.up_bound == theirs.up_bound
+
+
 @pytest.mark.parametrize("name", [
     *na.GAME_IDS, *sorted(PLANAR_SWEEP), *(f"random-{k}" for k in range(RANDOM_CASES)),
 ])
@@ -48,17 +57,12 @@ def test_party_swap(name):
     spec, strategy = _case(name)
     report = na.correspondence_verdict(spec, strategy)
     swapped = na.correspondence_verdict(na.swap_parties(spec), na.swap_strategy(strategy))
-    _assert_same_relations(report.relations_alice, swapped.relations_bob)
-    _assert_same_relations(report.relations_bob, swapped.relations_alice)
-    assert report.verdicts_alice == swapped.verdicts_bob
-    assert report.verdicts_bob == swapped.verdicts_alice
+    _assert_same_side(report.alice, swapped.bob)
+    _assert_same_side(report.bob, swapped.alice)
     assert report.correspondence_holds == swapped.correspondence_holds
     # the swapped sums run in another order
     assert abs(report.omega_c - swapped.omega_c) <= 1e-12
     assert abs(report.omega_q - swapped.omega_q) <= 1e-12
-    # ns_deviation and ns_passes are not compared: the certain-state test runs
-    # on the Alice-steers-Bob side only, and ns_passes flips under the swap on
-    # planar-weighted-0, -1 and -2 until it runs on both sides.
 
 
 def _relabeled(spec: na.GameSpec, labels: tuple[int, ...]) -> na.GameSpec:
@@ -80,7 +84,8 @@ def test_counter_examples_do_not_depend_on_labels(game_id):
     # The paper's counter-examples under each of the 128 relabelings (input
     # swaps, an output flip per input on each side, the party swap): the
     # planar route finds the closed-form value, and the correspondence still
-    # fails with the same classical value and no-signaling outcome.
+    # fails with the same classical value and, on each side, the no-signaling
+    # outcome of the side it maps to: the other side when the parties swap.
     spec = na.builtin_game(game_id)
     closed = na.correspondence_verdict(spec, best_known_solution(spec)[1].strategy)
     assert not closed.correspondence_holds
@@ -92,4 +97,6 @@ def test_counter_examples_do_not_depend_on_labels(game_id):
         assert abs(report.omega_q - closed.omega_q) <= 1e-12, labels
         assert report.omega_c == closed.omega_c, labels
         assert not report.correspondence_holds, labels
-        assert report.ns_passes == closed.ns_passes, labels
+        closed_sides = (closed.bob, closed.alice) if labels[-1] else (closed.alice, closed.bob)
+        assert report.alice.ns_passes == closed_sides[0].ns_passes, labels
+        assert report.bob.ns_passes == closed_sides[1].ns_passes, labels

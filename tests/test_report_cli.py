@@ -199,7 +199,7 @@ class TestJsonReport:
 
     def test_round_trip_matches_run_values(self, g1_run):
         doc = json.loads(na.render_report(g1_run, "json"))
-        assert abs(doc["verdict"]["up_bound"] - g1_run.report.up_bound) <= 1e-9
+        assert abs(doc["verdict"]["up_bound"] - g1_run.report.alice.up_bound) <= 1e-9
         quantum = {v["convention"]: v["value"] for v in doc["quantum"]["value"]}
         assert abs(quantum["normalized"] - g1_run.solution.value) <= 1e-9 * max(
             1.0, abs(g1_run.solution.value)
@@ -263,7 +263,7 @@ class TestTextReport:
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0
         strat = na.QuantumStrategy(state=ket, meas_a=meas_a, meas_b=g1_solution.strategy.meas_b)
-        verdicts = na.correspondence_verdict(g1_spec, strat).verdicts_alice
+        verdicts = na.correspondence_verdict(g1_spec, strat).alice.verdicts
         assert any(v.vacuous for v in verdicts)
 
 
@@ -358,7 +358,7 @@ class TestCli:
         assert main(["uncertainty", "g2", "--side", "bob"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "game 'g2', side bob_steers_alice: relations on Alice's system"
-        relations = na.run_analyze("g2").report.relations_bob
+        relations = na.run_analyze("g2").report.bob.relations
         pairs = [line.split(":")[0].strip() for line in out if line.startswith("  pair ")]
         assert pairs == [f"pair ({rel.pair[0]},{rel.pair[1]})" for rel in relations]
         xis = [line.split()[2] for line in out if line.startswith("    xi = ")]

@@ -104,7 +104,7 @@ class TestSaturationReport:
     def test_g1_alice_side(self, g1_spec, g1_solution):
         verdicts = {
             v.pair: v
-            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).verdicts_alice
+            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).alice.verdicts
         }
         assert verdicts[(1, 0)].saturated
         assert abs(verdicts[(1, 0)].xi - 0.8838) <= 5e-4
@@ -119,7 +119,7 @@ class TestSaturationReport:
     def test_g1_bob_side(self, g1_spec, g1_solution):
         verdicts = {
             v.pair: v
-            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).verdicts_bob
+            for v in na.correspondence_verdict(g1_spec, g1_solution.strategy).bob.verdicts
         }
         assert verdicts[(0, 0)].saturated
         for pair in ((0, 1), (1, 0), (1, 1)):
@@ -128,7 +128,7 @@ class TestSaturationReport:
     def test_g2_values(self, g2_spec, g2_solution):
         verdicts = {
             v.pair: v
-            for v in na.correspondence_verdict(g2_spec, g2_solution.strategy).verdicts_alice
+            for v in na.correspondence_verdict(g2_spec, g2_solution.strategy).alice.verdicts
         }
         assert abs(verdicts[(0, 0)].achieved - 0.8446) <= 5e-4
         assert abs(verdicts[(0, 1)].achieved - 0.8446) <= 5e-4
@@ -139,12 +139,12 @@ class TestSaturationReport:
 
     def test_chsh_all_saturated(self, chsh_spec, chsh_solution):
         report = na.correspondence_verdict(chsh_spec, chsh_solution.strategy)
-        for verdicts in (report.verdicts_alice, report.verdicts_bob):
+        for verdicts in (report.alice.verdicts, report.bob.verdicts):
             assert all(v.saturated for v in verdicts)
 
     def test_cglmp_all_saturated(self, cglmp_spec, cglmp_strategy_fixture):
         report = na.correspondence_verdict(cglmp_spec, cglmp_strategy_fixture)
-        for verdicts in (report.verdicts_alice, report.verdicts_bob):
+        for verdicts in (report.alice.verdicts, report.bob.verdicts):
             assert all(v.saturated for v in verdicts)
 
     def test_achieved_never_exceeds_xi(self):
@@ -154,11 +154,11 @@ class TestSaturationReport:
             strat = planar_strategy(
                 spec, rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
             )
-            for v in na.correspondence_verdict(spec, strat).verdicts_alice:
+            for v in na.correspondence_verdict(spec, strat).alice.verdicts:
                 assert v.gap >= -1e-8
 
     def test_ordering(self, g2_spec, g2_solution):
-        verdicts = na.correspondence_verdict(g2_spec, g2_solution.strategy).verdicts_alice
+        verdicts = na.correspondence_verdict(g2_spec, g2_solution.strategy).alice.verdicts
         assert [v.pair for v in verdicts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -228,26 +228,26 @@ class TestCorrespondenceVerdict:
     def test_g1(self, g1_spec, g1_solution):
         report = na.correspondence_verdict(g1_spec, g1_solution.strategy)
         assert not report.correspondence_holds
-        assert report.up_bound > report.omega_q
+        assert report.alice.up_bound > report.omega_q
         assert report.omega_c == 0.5
-        assert not report.ns_passes
+        assert not report.alice.ns_passes
 
     def test_g2(self, g2_spec, g2_solution):
         report = na.correspondence_verdict(g2_spec, g2_solution.strategy)
         assert not report.correspondence_holds
-        assert report.up_bound > report.omega_q
+        assert report.alice.up_bound > report.omega_q
 
     def test_chsh(self, chsh_spec, chsh_solution):
         report = na.correspondence_verdict(chsh_spec, chsh_solution.strategy)
         assert report.correspondence_holds
-        assert abs(report.up_bound - report.omega_q) <= 1e-6
-        assert report.ns_passes
+        assert abs(report.alice.up_bound - report.omega_q) <= 1e-6
+        assert report.alice.ns_passes
 
     def test_cglmp(self, cglmp_spec, cglmp_strategy_fixture):
         report = na.correspondence_verdict(cglmp_spec, cglmp_strategy_fixture)
         assert report.correspondence_holds
-        assert abs(report.up_bound - report.omega_q) <= 1e-6
-        assert report.ns_passes
+        assert abs(report.alice.up_bound - report.omega_q) <= 1e-6
+        assert report.alice.ns_passes
 
     def test_invalid_strategy_refused(self, g1_spec, g1_solution):
         bad = _unnormalized(g1_solution.strategy)

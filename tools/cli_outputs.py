@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 95 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 96 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -15,14 +15,16 @@ json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
 (exit 2) with an empty input or output set. Last, ``classical`` and
 ``analyze --format json`` on ``INTEGER_WEIGHTS``, a 2x2x2x2 game file whose
-weights are JSON integers and whose entries run in reverse table order.
+weights are JSON integers and whose entries run in reverse table order, and
+``classical`` on ``REPEATED_KEY``, a game file refused (exit 2) since an
+entry repeats its key ``v``.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
 drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
-``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and
-the ``EMPTY_SIZES`` and ``INTEGER_WEIGHTS`` documents, written under
-``.perfbench_work/`` in the checkout root; the program is the one in the
-checkout's ``src/``.
+``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and the
+``EMPTY_SIZES``, ``INTEGER_WEIGHTS`` and ``REPEATED_KEY`` documents,
+written under ``.perfbench_work/`` in the checkout root; the program is
+the one in the checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -65,6 +67,10 @@ INTEGER_WEIGHTS = {
     "predicate": [{"x": x, "y": y, "a": a, "b": b, "v": 1}
                   for x, y, a, b in reversed(list(np.ndindex(2, 2, 2, 2))) if a ^ b == x * y],
 }
+# A 1x1x1x1 game file whose one entry gives its weight twice, 1 then 0; it
+# is written as text, since a dict cannot hold a key twice.
+REPEATED_KEY = ('{"id": "repeated-key", "inputs": [1, 1], "outputs": [1, 1], "pi": [[1.0]], '
+                '"predicate": [{"x": 0, "y": 0, "a": 0, "b": 0, "v": 1, "v": 0}]}')
 # Seed of the four generated games on which classical_value enumerates
 # Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
 # afterwards: one plain binary game, one on which every pair ties, one
@@ -159,6 +165,9 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     path.write_text(json.dumps(INTEGER_WEIGHTS))
     out.append((f"classical-{name}", ["classical", str(path)]))
     out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
+    path = workloads.WORK / "games" / "repeated-key.json"
+    path.write_text(REPEATED_KEY)
+    out.append(("classical-repeated-key", ["classical", str(path)]))
     return out
 
 
