@@ -78,8 +78,8 @@ def _cmd_quantum(args) -> int:
     print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
     if spec.is_uniform():
         print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
-    if solution.upper_bound is not None:
-        print(f"certified upper bound: {solution.upper_bound:.12g}")
+    if solution.search is not None:
+        print(f"certified upper bound: {solution.search.upper:.12g}")
     if solution.angles is not None:
         print(f"alpha = {[f'{t:.9g}' for t in solution.angles.alpha]}")
         print(f"beta  = {[f'{t:.9g}' for t in solution.angles.beta]}")
@@ -96,11 +96,11 @@ def _print_state(state) -> None:
 
 
 def _cmd_uncertainty(args) -> int:
-    report = run_analyze(args.game).report
+    run = run_analyze(args.game)
     steered = "bob" if args.side == "alice" else "alice"
-    print(f"game {report.game_id!r}, side {args.side}_steers_{steered}: "
+    print(f"game {run.spec.id!r}, side {args.side}_steers_{steered}: "
           f"relations on {steered.title()}'s system")
-    for rel in getattr(report, args.side).relations:
+    for rel in getattr(run.report, args.side).relations:
         x, a = rel.pair
         weights = [
             f"{w:.6g}*P({b}|{y})"

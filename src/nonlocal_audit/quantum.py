@@ -108,9 +108,10 @@ class OptimalSolution:
 
     ``residual`` is the value of the game's closed-form characteristic
     polynomial at the solution (only for the catalog tables of a game that
-    has one, else None). ``upper_bound`` is the certified upper bound on the
-    game's quantum value from ``optimize_planar`` (None on other routes); by
-    Jordan's lemma it bounds every 2x2x2x2 strategy, in any dimension
+    has one, else None). ``search`` is the ``PlanarSearch`` that
+    ``optimize_planar`` ran (None on other routes); its ``upper`` is the
+    certified upper bound on the game's quantum value, which by Jordan's
+    lemma bounds every 2x2x2x2 strategy, in any dimension
     (``docs/report-schema.md``).
     """
 
@@ -118,7 +119,7 @@ class OptimalSolution:
     value: float
     angles: PlanarAngles | None
     residual: float | None
-    upper_bound: float | None = None
+    search: PlanarSearch | None = None
 
 
 def planar_measurement(theta) -> np.ndarray:
@@ -554,7 +555,8 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     best vertex by one candidate step per round, at most a first cell's
     half-width, pi / 16; each angle is reduced mod 2 pi, its
     sign dropped, and the solution recomputed from the complex Bell
-    operator. Its ``upper_bound`` is the bound the search certified, at
+    operator. Its ``search`` is the branch-and-bound record with ``upper``
+    raised to at least the value: the bound the search certified, at
     most GAP_TOL above the value unless a cap stopped the search; a capped
     search logs a warning on the ``nonlocal_audit`` logger with its solve
     count and the bound's excess over the value. Only 2-input/2-output games
@@ -575,7 +577,7 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     # non-negative representative of each
     alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))
     solution = _planar_solution(spec, alpha1, beta1)
-    upper = max(search.upper, solution.value)
+    search = replace(search, upper=max(search.upper, solution.value))
     if search.capped:
         # imported here: at start-up it would cost every command ~4 ms and 0.5 MiB
         import logging
@@ -583,8 +585,8 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
         logging.getLogger("nonlocal_audit").warning(
             "planar search on game %r capped after %d solves in %d rounds; "
             "its bound is %.3g above the value",
-            spec.id, search.cells, search.rounds, upper - solution.value)
-    return replace(solution, upper_bound=upper)
+            spec.id, search.cells, search.rounds, search.upper - solution.value)
+    return replace(solution, search=search)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .classical import DeterministicStrategy, classical_value
 from .errors import UnknownGameError
 from .games import GAME_IDS, GameSpec, builtin_game, load_game, matches_catalog
 from .quantum import (
@@ -35,13 +36,14 @@ from .uncertainty import FineGrainedRelation
 
 @dataclass(frozen=True)
 class AnalysisRun:
-    """Everything one ``analyze`` invocation computed; the audit itself is ``report``."""
+    """One record per ``analyze`` stage; ``classical`` is ``classical_value``'s triple."""
 
     game_ref: str
     source: str
     spec: GameSpec
     method: str
     solution: OptimalSolution
+    classical: tuple[float, list[DeterministicStrategy], int]
     report: CorrespondenceReport
     wall_time_seconds: float
 
@@ -79,10 +81,14 @@ def best_known_solution(spec: GameSpec) -> tuple[str, OptimalSolution]:
 
 
 def run_analyze(game_ref: str) -> AnalysisRun:
-    """classical value -> optimal strategy -> relations -> steering -> verdict."""
+    """optimal strategy -> classical value -> relations -> steering -> verdict.
+
+    A game no quantum route covers is refused before its strategies are enumerated.
+    """
     started = time.perf_counter()
     spec, source = resolve_game(game_ref)
     method, solution = best_known_solution(spec)
+    classical = classical_value(spec)
     report = correspondence_verdict(spec, solution.strategy)
     return AnalysisRun(
         game_ref=game_ref,
@@ -90,6 +96,7 @@ def run_analyze(game_ref: str) -> AnalysisRun:
         spec=spec,
         method=method,
         solution=solution,
+        classical=classical,
         report=report,
         wall_time_seconds=time.perf_counter() - started,
     )
@@ -100,16 +107,15 @@ def run_analyze(game_ref: str) -> AnalysisRun:
 # ---------------------------------------------------------------------------
 
 
-def tagged_values(spec: GameSpec, normalized: float, uniform: bool) -> list[dict]:
+def tagged_values(spec: GameSpec, normalized: float) -> list[dict]:
     """A normalized game value plus its conventional rescalings.
 
-    Uniform-input binary games (``uniform``, from ``spec.is_uniform()``)
-    also quote ``times4`` (the raw Bell sum for 2x2 games); weighted-predicate
-    games quote ``raw_sum``. Both equal the normalized value times the
-    number of input pairs.
+    Uniform-input games (``spec.is_uniform()``) also quote it times the number
+    of input pairs: ``times4``, the raw Bell sum, on binary 2x2-input games,
+    else ``raw_sum``.
     """
     values = [{"convention": "normalized", "value": normalized}]
-    if uniform:
+    if spec.is_uniform():
         scale = float(spec.n_x * spec.n_y)
         tag = "times4" if (spec.binary_predicate and scale == 4.0) else "raw_sum"
         values.append({"convention": tag, "value": normalized * scale})
@@ -171,14 +177,14 @@ def run_document(run: AnalysisRun) -> dict:
     spec = run.spec
     solution = run.solution
     angles = solution.angles
-    upper = solution.upper_bound
+    search = solution.search
     residual = solution.residual
+    omega_c, maximizers, maximizer_count = run.classical
     report = run.report
     sides = (("alice_steers_bob", report.alice), ("bob_steers_alice", report.bob))
-    uniform = spec.is_uniform()
 
     def tagged(normalized: float) -> list[dict]:
-        return [{**t, "value": _real(t["value"])} for t in tagged_values(spec, normalized, uniform)]
+        return [{**t, "value": _real(t["value"])} for t in tagged_values(spec, normalized)]
 
     return {
         "tool": {"name": "nonlocal-audit", "version": __version__},
@@ -191,16 +197,14 @@ def run_document(run: AnalysisRun) -> dict:
             "binary_predicate": spec.binary_predicate,
         },
         "classical": {
-            "value": tagged(report.omega_c),
-            "maximizer_count": report.maximizer_count,
-            "maximizers": [
-                {"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in report.classical_maximizers
-            ],
+            "value": tagged(omega_c),
+            "maximizer_count": maximizer_count,
+            "maximizers": [{"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in maximizers],
         },
         "quantum": {
             "method": run.method,
             "value": tagged(solution.value),
-            "omega_q_upper": None if upper is None else _real(upper),
+            "omega_q_upper": None if search is None else _real(search.upper),
             "angles": None
             if angles is None
             else {"alpha": [_real(a) for a in angles.alpha],
@@ -215,7 +219,7 @@ def run_document(run: AnalysisRun) -> dict:
             "passes": report.alice.ns_passes,
         },
         "verdict": {
-            "omega_c": tagged(report.omega_c),
+            "omega_c": tagged(omega_c),
             "omega_q": tagged(report.omega_q),
             "up_bound": _real(report.alice.up_bound),
             "correspondence_holds": report.correspondence_holds,
@@ -275,11 +279,10 @@ def steering_lines(report: CorrespondenceReport) -> list[str]:
 
 def render_text(run: AnalysisRun) -> str:
     report = run.report
-    uniform = run.spec.is_uniform()
     lines = [
         f"nonlocal-audit {__version__}: analysis of game {run.spec.id!r} ({run.source})",
-        f"classical value  : {_values_line(tagged_values(run.spec, report.omega_c, uniform))}",
-        f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value, uniform))}"
+        f"classical value  : {_values_line(tagged_values(run.spec, run.classical[0]))}",
+        f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value))}"
         f"  [method: {run.method}]",
     ]
     if run.solution.angles is not None:
@@ -288,8 +291,8 @@ def render_text(run: AnalysisRun) -> str:
             f"planar angles    : alpha = ({a.alpha[0]:.9g}, {a.alpha[1]:.9g})"
             f"  beta = ({a.beta[0]:.9g}, {a.beta[1]:.9g})"
         )
-    if run.solution.upper_bound is not None:
-        lines.append(f"certified bound  : {run.solution.upper_bound:.9g} (normalized)")
+    if run.solution.search is not None:
+        lines.append(f"certified bound  : {run.solution.search.upper:.9g} (normalized)")
     if run.solution.residual is not None:
         lines.append(f"charpoly residual: {run.solution.residual:.3e}")
     lines.append(f"uncertainty bound: {report.alice.up_bound:.9g} (normalized)")

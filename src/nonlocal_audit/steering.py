@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .classical import DeterministicStrategy, classical_value
 from .errors import AmbiguousDegenerateError, DimensionMismatchError
 from .games import GameSpec, swap_parties
 from .quantum import QuantumStrategy, quantum_game_value, swap_strategy
@@ -219,19 +218,15 @@ def _side_audit(spec: GameSpec, strategy: QuantumStrategy) -> SideAudit:
 class CorrespondenceReport:
     """Whether the game value is pinned by the uncertainty relations alone.
 
-    ``alice`` is Alice steering Bob and ``bob`` Bob steering Alice, each a
-    ``SideAudit``; ``correspondence_holds`` requires full saturation on at
-    least one side. The JSON report reads ``no_signaling_certain_states``
-    and ``verdict.up_bound`` from ``alice``; ``bob``'s own figures are not
-    printed yet. The classical maximizers (the first
-    ``MAX_LISTED_MAXIMIZERS``, and their exact ``maximizer_count``) and both
-    sides are the ones the verdict was computed from.
+    It audits one strategy only: ``omega_q`` is the value that strategy
+    achieves, and the game's classical value takes no part. ``alice`` is
+    Alice steering Bob and ``bob`` Bob steering Alice, each a ``SideAudit``;
+    ``correspondence_holds`` requires full saturation on at least one side.
+    The JSON report reads ``no_signaling_certain_states`` and
+    ``verdict.up_bound`` from ``alice``; ``bob``'s own figures are not
+    printed yet.
     """
 
-    game_id: str
-    omega_c: float
-    classical_maximizers: list[DeterministicStrategy]
-    maximizer_count: int
     omega_q: float
     alice: SideAudit
     bob: SideAudit
@@ -239,22 +234,17 @@ class CorrespondenceReport:
 
 
 def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> CorrespondenceReport:
-    """Assemble the full audit for one strategy.
+    """Assemble the steering audit for one strategy.
 
     The report records the value this strategy achieves; optimality of the
     strategy is the caller's responsibility. The strategy is validated once,
     before anything is computed (``DimensionMismatchError``).
     """
     _check_strategy(strategy)
-    omega_c, maximizers, maximizer_count = classical_value(spec)
     alice = _side_audit(spec, strategy)
     # Bob steering Alice is Alice steering Bob in the game with the parties exchanged
     bob = _side_audit(swap_parties(spec), swap_strategy(strategy))
     return CorrespondenceReport(
-        game_id=spec.id,
-        omega_c=omega_c,
-        classical_maximizers=maximizers,
-        maximizer_count=maximizer_count,
         omega_q=quantum_game_value(spec, strategy),
         alice=alice,
         bob=bob,

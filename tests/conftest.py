@@ -69,6 +69,15 @@ def random_weighted_case(seed: int) -> tuple[na.GameSpec, na.QuantumStrategy]:
     return spec, random_strategy(rng, d_a, d_b, n_x, n_y)
 
 
+def wide_binary_game(seed: int = 0) -> na.GameSpec:
+    """A uniform binary game with 24 inputs per party: 2^48 classical strategy
+    pairs, beyond ``ENUMERATION_GUARD``, and outside the planar family."""
+    rng = np.random.default_rng([32, seed])
+    predicate = (rng.random((24, 24, 2, 2)) < 0.5).astype(float)
+    return na.GameSpec(id="wide-24x24", predicate=predicate,
+                       input_dist=np.full((24, 24), 1.0 / 576))
+
+
 def perfbench_modules():
     """The benchmark's ``workloads`` and ``oracles`` modules, imported without writing
     under perfbench/."""

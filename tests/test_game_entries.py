@@ -156,6 +156,24 @@ def test_entries_read_as_the_reference_loop_reads_them(case):
     assert _outcome(game_from_dict, doc) == _outcome(reference_game, doc)
 
 
+EDGE_SHAPE = (2, 3, 2, 3)
+
+
+@pytest.mark.parametrize("key, n, i", [
+    (key, n, i) for key, n in zip("xyab", EDGE_SHAPE) for i in (-1, n)
+])
+def test_index_one_step_past_its_range_is_refused(key, n, i):
+    # The draws above seldom put an index at either edge of its range; each
+    # edge on each axis is refused here by name, with its range.
+    entry = {"x": 0, "y": 0, "a": 0, "b": 0, "v": 1.0, key: i}
+    doc = {"id": "edge", "inputs": [2, 3], "outputs": [2, 3],
+           "pi": [[1.0 / 6] * 3 for _ in range(2)], "predicate": [entry],
+           "binary_predicate": False}
+    with pytest.raises(ValidationError) as refusal:
+        game_from_dict(doc)
+    assert refusal.value.violations == [f"predicate[0].{key}: {i} is not an index in [0, {n})"]
+
+
 REPEATED_V = ('{"id": "repeat", "inputs": [1, 1], "outputs": [1, 1], "pi": [[1.0]], '
               '"predicate": [{"x": 0, "y": 0, "a": 0, "b": 0, "v": 1%s}]}')
 

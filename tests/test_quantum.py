@@ -25,7 +25,6 @@ from nonlocal_audit.quantum import (
     _search_kernel,
     _top_eigenvalues,
     _trig,
-    branch_and_bound,
     scaled_bell_charpoly_g1,
     scaled_bell_charpoly_g2,
 )
@@ -326,7 +325,7 @@ class TestOptimizePlanar:
         # lambda_max is 3/4 all along beta1 = 0, so the open cells along that
         # ridge double every round; within MAX_CELLS they close, and the
         # certified gap is within GAP_TOL (about 3.4e-10).
-        assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL
+        assert 0.0 <= solution.search.upper - solution.value <= GAP_TOL
 
 
 def widening_game() -> na.GameSpec:
@@ -377,12 +376,6 @@ def flip_symmetric_games(seed: int, count: int = 4) -> list[na.GameSpec]:
         predicate[:, :, 1] = predicate[:, :, 0, ::-1]  # V(1 - a, 1 - b) = V(a, b)
         games.append(dataclasses.replace(spec, id=f"flip-{spec.id}", predicate=predicate))
     return games
-
-
-def planar_search(spec: na.GameSpec):
-    """``branch_and_bound`` on the game's kernel, as ``optimize_planar`` runs it."""
-    kernel = _planar_kernel(spec)
-    return branch_and_bound(_search_kernel(spec, kernel), *_curvature_bounds(kernel)[:2])
 
 
 class TestPlanarKernel:
@@ -510,7 +503,7 @@ class TestPlanarKernel:
     def test_quarter_grid_holds_full_maximum(self):
         # The search covers only [0, pi]^2; its bound still covers the torus.
         for spec in self.GAMES:
-            search = planar_search(spec)
+            search = na.optimize_planar(spec).search
             full = torus_grid_max(spec, 121)
             assert search.upper >= full - 1e-12
             assert search.value >= full - 1e-3  # the best vertex, before polishing
@@ -528,7 +521,7 @@ class TestCertificate:
 
     def test_gap_certified(self, solutions):
         for spec, solution in solutions:
-            assert 0.0 <= solution.upper_bound - solution.value <= GAP_TOL, spec.id
+            assert 0.0 <= solution.search.upper - solution.value <= GAP_TOL, spec.id
 
     def test_bounds_reach_omega_c(self, solutions):
         # The planar family holds every deterministic strategy (angles 0 or
@@ -536,12 +529,12 @@ class TestCertificate:
         # then the bound covers the deterministic Jordan blocks too.
         for spec, solution in solutions:
             omega_c = na.classical_value(spec)[0]
-            assert solution.upper_bound >= omega_c, spec.id
+            assert solution.search.upper >= omega_c, spec.id
             assert solution.value >= omega_c - GAP_TOL, spec.id
 
     def test_upper_bound_covers_torus_grid(self, solutions):
         for spec, solution in solutions:
-            assert solution.upper_bound >= torus_grid_max(spec), spec.id
+            assert solution.search.upper >= torus_grid_max(spec), spec.id
 
     def test_polish_reaches_closed_form(self, solutions):
         for spec, solution in solutions[1:3]:
@@ -567,7 +560,8 @@ class TestCertificate:
         # every round until the cap stops the search.
         spec = ridge_game()
         monkeypatch.setattr(quantum, "MAX_CELLS", 4096)
-        search = planar_search(spec)
+        solution = na.optimize_planar(spec)
+        search = solution.search
         assert search.capped
         # one solve per lattice point: the (_FIRST_CELLS + 1)^2 first
         # vertices, then each split's new points, solved once where cells
@@ -576,8 +570,7 @@ class TestCertificate:
         first = (quantum._FIRST_CELLS + 1) ** 2
         assert search.cells <= first + (search.rounds - 1) * 4096
         assert search.upper >= torus_grid_max(spec, 65) - 1e-12
-        solution = na.optimize_planar(spec)
-        assert solution.upper_bound >= solution.value
+        assert search.upper >= solution.value
 
     def test_capped_search_logs_a_warning(self, caplog):
         # Alice's input 1 is never asked, so K_a = 0 and lambda_max is flat in
@@ -588,23 +581,23 @@ class TestCertificate:
             predicate[entry] = 1.0
         spec = na.GameSpec(id="flat", predicate=predicate,
                            input_dist=np.array([[0.5, 0.5], [0.0, 0.0]]))
-        search = planar_search(spec)
-        assert search.capped
         with caplog.at_level(logging.WARNING, logger="nonlocal_audit"):
             solution = na.optimize_planar(spec)
             na.optimize_planar(na.builtin_game("chsh"))
+        search = solution.search
+        assert search.capped
         [record] = caplog.records
         assert (record.name, record.levelno) == ("nonlocal_audit", logging.WARNING)
         message = record.getMessage()
         assert f"after {search.cells} solves" in message
-        excess = solution.upper_bound - solution.value
+        excess = search.upper - solution.value
         assert excess > GAP_TOL and f"{excess:.3g} above the value" in message
 
     def test_ridge_maxima_certified(self):
         # Along a ridge the open cells double every round; below MAX_CELLS
         # both ridge games still close uncapped, after about 66 thousand solves.
         for spec in (widening_game(), ridge_game()):
-            search = planar_search(spec)
+            search = na.optimize_planar(spec).search
             assert not search.capped, spec.id
             assert 0.0 <= search.upper - search.value <= 0.5 * GAP_TOL, spec.id
             assert search.upper >= torus_grid_max(spec, 65) - 1e-12, spec.id
@@ -615,7 +608,7 @@ class TestCertificate:
         # search solves each lattice point once, and ``cells`` counts those
         # solves (317 to 708 on these games).
         for game_id in self.GAMES:
-            search = planar_search(na.builtin_game(game_id))
+            search = na.optimize_planar(na.builtin_game(game_id)).search
             assert not search.capped
             assert search.cells < 1000
 
@@ -625,7 +618,7 @@ class TestCertificate:
         # cells per axis; a looser bound closes fewer cells and solves more.
         specs = [*(na.builtin_game(game_id) for game_id in self.GAMES),
                  *(game_from_dict(doc) for doc in planar_sweep_games().values())]
-        assert sum(planar_search(spec).cells for spec in specs) <= 5055
+        assert sum(na.optimize_planar(spec).search.cells for spec in specs) <= 5055
 
     def test_search_solves_each_lattice_point_once(self, monkeypatch):
         # A lattice point's angles are its integer index times the spacing,
@@ -641,7 +634,7 @@ class TestCertificate:
         for spec in (*(na.builtin_game(game_id) for game_id in self.GAMES),
                      *random_weighted_games(73, count=2)):
             solved.clear()
-            search = planar_search(spec)
+            search = na.optimize_planar(spec).search
             assert len(solved) == len(set(solved)) == search.cells, spec.id
 
 

@@ -20,7 +20,7 @@ from nonlocal_audit.errors import AmbiguousDegenerateError
 from nonlocal_audit.games import game_to_dict
 from nonlocal_audit.report import _real, run_document
 
-from conftest import OMEGA_Q_G1, perfbench_modules
+from conftest import OMEGA_Q_G1, perfbench_modules, wide_binary_game
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,7 +74,7 @@ def _reference_classical_stdout(path) -> str:
 class TestRunAnalyze:
     def test_g1_summary(self, g1_run):
         assert g1_run.method == "closed_form"
-        assert g1_run.report.omega_c == 0.5
+        assert g1_run.classical[0] == 0.5
         assert abs(g1_run.solution.value - OMEGA_Q_G1) <= 1e-10
         assert abs(g1_run.solution.value - 0.544598646541) <= 1e-9
         assert not g1_run.report.correspondence_holds
@@ -82,7 +82,7 @@ class TestRunAnalyze:
     def test_cglmp_summary(self, cglmp_run):
         assert cglmp_run.method == "fixed_catalog_strategy"
         assert cglmp_run.report.correspondence_holds
-        assert 4.0 * cglmp_run.report.omega_c == 6.0
+        assert 4.0 * cglmp_run.classical[0] == 6.0
 
     def test_each_stage_computed_once(self, monkeypatch):
         calls = []
@@ -104,6 +104,16 @@ class TestRunAnalyze:
             ("fine_grained_relations", "g1"),
             ("fine_grained_relations", "g1:swapped"),
         ]
+
+    def test_planar_refusal_comes_before_classical_enumeration(self, tmp_path, capsys):
+        # The strategy stage runs first: a game that no quantum route covers
+        # is refused as such, not for its 2^48 classical strategy pairs.
+        path = tmp_path / "wide.json"
+        na.save_game(wide_binary_game(), path)
+        assert main(["analyze", str(path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: game 'wide-24x24' is 24x24 inputs / 2x2 outputs; "
+            "the planar family covers 2x2x2x2\n")
 
     def test_unknown_game_raises(self):
         from nonlocal_audit.errors import UnknownGameError

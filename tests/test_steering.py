@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit.errors import AmbiguousDegenerateError, DimensionMismatchError
+from nonlocal_audit.errors import AmbiguousDegenerateError, DimensionMismatchError, TooLargeError
 
-from conftest import planar_strategy, random_strategy
+from conftest import planar_strategy, random_strategy, wide_binary_game
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -229,13 +229,27 @@ class TestCorrespondenceVerdict:
         report = na.correspondence_verdict(g1_spec, g1_solution.strategy)
         assert not report.correspondence_holds
         assert report.alice.up_bound > report.omega_q
-        assert report.omega_c == 0.5
+        assert na.classical_value(g1_spec)[0] == 0.5
         assert not report.alice.ns_passes
 
     def test_g2(self, g2_spec, g2_solution):
         report = na.correspondence_verdict(g2_spec, g2_solution.strategy)
         assert not report.correspondence_holds
         assert report.alice.up_bound > report.omega_q
+
+    def test_needs_no_classical_value(self):
+        # The verdict audits one strategy: a game too wide to enumerate its
+        # classical strategies still gets its report, in about 10 ms.
+        spec = wide_binary_game()
+        with pytest.raises(TooLargeError):
+            na.classical_value(spec)
+        rng = np.random.default_rng(32)
+        meas_a, meas_b = na.planar_measurement(rng.uniform(-math.pi, math.pi, (2, 24)))
+        state = na.eig_hermitian(na.bell_operator(spec, meas_a, meas_b)).max_eigenvector
+        strategy = na.QuantumStrategy(state=state, meas_a=meas_a, meas_b=meas_b)
+        report = na.correspondence_verdict(spec, strategy)
+        assert abs(report.omega_q - na.quantum_game_value(spec, strategy)) <= 1e-12
+        assert len(report.alice.verdicts) == len(report.bob.verdicts) == 48
 
     def test_chsh(self, chsh_spec, chsh_solution):
         report = na.correspondence_verdict(chsh_spec, chsh_solution.strategy)

@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 96 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 100 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -17,12 +17,17 @@ json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
 ``analyze --format json`` on ``INTEGER_WEIGHTS``, a 2x2x2x2 game file whose
 weights are JSON integers and whose entries run in reverse table order, and
 ``classical`` on ``REPEATED_KEY``, a game file refused (exit 2) since an
-entry repeats its key ``v``.
+entry repeats its key ``v``; ``analyze --format json``, ``analyze --format
+text`` and ``quantum`` on ``CAPPED_SEARCH``, whose planar search a cap
+stops, so its bound and the logged warning are checked; and ``analyze
+--format json`` on ``WIDE_GAME``, which the planar route refuses (exit 2)
+before its classical strategies, too many to enumerate, are counted.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
 drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
 ``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and the
-``EMPTY_SIZES``, ``INTEGER_WEIGHTS`` and ``REPEATED_KEY`` documents,
+``EMPTY_SIZES``, ``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``
+and ``WIDE_GAME`` documents,
 written under ``.perfbench_work/`` in the checkout root; the program is
 the one in the checkout's ``src/``.
 
@@ -71,6 +76,17 @@ INTEGER_WEIGHTS = {
 # is written as text, since a dict cannot hold a key twice.
 REPEATED_KEY = ('{"id": "repeated-key", "inputs": [1, 1], "outputs": [1, 1], "pi": [[1.0]], '
                 '"predicate": [{"x": 0, "y": 0, "a": 0, "b": 0, "v": 1, "v": 0}]}')
+# A binary 2x2x2x2 game whose Alice never gets input 1: lambda_max is flat
+# in alpha1 at its maximum 1/2, the open cells along alpha1 double every
+# round, and MAX_CELLS stops the search with a bound above the value.
+CAPPED_SEARCH = {
+    "id": "capped-search", "inputs": [2, 2], "outputs": [2, 2],
+    "pi": [[0.5, 0.5], [0.0, 0.0]],
+    "predicate": [{"x": x, "y": y, "a": a, "b": b, "v": 1.0}
+                  for x, y, a, b in ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0))],
+}
+# A binary game with 24 inputs per party: not 2x2x2x2, and 2^48 strategy pairs.
+WIDE_GAME = workloads._binary_game(np.random.default_rng(0), "wide-binary-24x24", 24, 24, 2, 2)
 # Seed of the four generated games on which classical_value enumerates
 # Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
 # afterwards: one plain binary game, one on which every pair ties, one
@@ -168,6 +184,16 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     path = workloads.WORK / "games" / "repeated-key.json"
     path.write_text(REPEATED_KEY)
     out.append(("classical-repeated-key", ["classical", str(path)]))
+    path = workloads.WORK / "games" / "capped-search.json"
+    path.write_text(json.dumps(CAPPED_SEARCH))
+    out += [
+        ("analyze-capped-search", ["analyze", str(path), "--format", "json"]),
+        ("analyze-text-capped-search", ["analyze", str(path), "--format", "text"]),
+        ("quantum-capped-search", ["quantum", str(path)]),
+    ]
+    path = workloads.WORK / "games" / "wide-binary-24x24.json"
+    path.write_text(json.dumps(WIDE_GAME))
+    out.append(("analyze-wide-binary-24x24", ["analyze", str(path), "--format", "json"]))
     return out
 
 
