@@ -11,16 +11,18 @@ every combination of its near-best replies, are then rescored term by term
 maximizers are exactly those of scoring every strategy pair one by one.
 
 The candidate pairs are expanded and rescored in blocks of
-``BLOCK_LABELS`` labels (rows times the two sides' inputs), keeping one
-score per pair. The maximizers are counted exactly, and only the first
-``MAX_LISTED_MAXIMIZERS`` of them, in lexicographic ``(f_a, f_b)`` order,
-become Python tuples. So memory grows with the candidate pairs, not with
-the candidate pairs times the inputs: a 10x10 game on which all 2^20 pairs
-tie peaks at about 13 MiB.
+``BLOCK_LABELS`` labels (rows times the two sides' inputs), in two passes:
+the first finds the value, the second counts the pairs within ``TIE_ATOL``
+of it and lists the first ``MAX_LISTED_MAXIMIZERS``, in lexicographic
+``(f_a, f_b)`` order, as Python tuples. So the rescoring holds one block at
+a time, whatever the number of candidate pairs: a 10x10 or an 11x12 game on
+which every pair ties peaks at under 12 MiB, at the cost of rescoring
+every block but the first twice.
 
 ``ENUMERATION_GUARD`` bounds the score table of the enumerated side
-(functions times the other side's inputs times its outputs) and the number
-of candidate pairs, and so the time spent rescoring.
+(functions times the other side's inputs times its outputs), and so its
+memory, and the number of candidate pairs, which bounds only the time
+spent rescoring.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import TooLargeError
 from .games import GameSpec
 
+# Bounds the enumerated side's score table (memory) and the candidate pairs (time).
 ENUMERATION_GUARD = 10_000_000
 TIE_ATOL = 1e-12
 # Candidate band, relative to the largest attainable |score| (at least 1):
@@ -140,32 +143,32 @@ def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy],
             rows[:, reply_at + j] = tied_first.take(t + j * n_reply)
         return rows
 
-    # Rescore the pairs a block at a time, keeping one score per pair.
+    def scored(start: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = pairs(np.arange(start, min(start + block, n_pairs)))
+        return rows, _scores(spec, rows[:, :spec.n_x], rows[:, spec.n_x:])
+
+    # Rescore a block at a time, first for the value, then to count and list
+    # the maximizers; the first block is kept, so one block is rescored once.
+    # With Bob's functions enumerated the pairs are not in (f_a, f_b) order,
+    # so each block's maximizers are merged by a sort.
     block = max(1, BLOCK_LABELS // (n_in + n_rest))
     starts = range(0, n_pairs, block)
-    exact = np.empty(n_pairs)
+    first = scored(0)
+    value = max([first[1].max(), *(scored(start)[1].max() for start in starts[1:])])
+    count = 0
+    listed = first[0][:0]
     for start in starts:
-        rows = pairs(np.arange(start, min(start + block, n_pairs)))
-        exact[start:start + block] = _scores(spec, rows[:, :spec.n_x], rows[:, spec.n_x:])
-    value = exact.max()
-    hit = exact >= value - TIE_ATOL
-    del exact
-    # Gather the first maximizers block by block; the last block's rows are
-    # still at hand. With Bob's functions enumerated the pairs are not in
-    # (f_a, f_b) order, so each block's maximizers are merged by a sort.
-    listed = rows[:0]
-    for start in starts:
-        k = np.flatnonzero(hit[start:start + block])
-        if not swap:
-            k = k[:MAX_LISTED_MAXIMIZERS - len(listed)]
-        listed = np.concatenate([listed, rows[k] if start == starts[-1] else pairs(start + k)])
+        rows, scores = first if start == 0 else scored(start)
+        k = np.flatnonzero(scores >= value - TIE_ATOL)
+        count += len(k)
         if swap:
+            listed = np.concatenate([listed, rows[k]])
             listed = listed[np.lexsort(listed.T[::-1])[:MAX_LISTED_MAXIMIZERS]]
-        elif len(listed) == MAX_LISTED_MAXIMIZERS:
-            break
+        else:
+            listed = np.concatenate([listed, rows[k[:MAX_LISTED_MAXIMIZERS - len(listed)]]])
     # zip builds each function's tuple from the label columns, and
     # tuple.__new__ each pair, without a Python-level call
     f_a = zip(*listed[:, :spec.n_x].T.tolist())
     f_b = zip(*listed[:, spec.n_x:].T.tolist())
     maximizers = list(map(partial(tuple.__new__, DeterministicStrategy), zip(f_a, f_b)))
-    return value, maximizers, int(np.count_nonzero(hit))
+    return value, maximizers, count

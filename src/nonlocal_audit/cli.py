@@ -22,13 +22,14 @@ from .errors import (
     ValidationError,
 )
 from .games import catalog
+from .quantum import best_known_solution
 from .report import (
-    best_known_solution,
     fmt_fixed,
     render_report,
     resolve_game,
     run_analyze,
     steering_lines,
+    tagged_values,
 )
 
 USAGE_ERRORS = (
@@ -60,8 +61,8 @@ def _cmd_classical(args) -> int:
     spec, _ = resolve_game(args.game)
     value, maximizers, count = classical_value(spec)
     print(f"game {spec.id!r}: omega_c = {value:.12g} (normalized)")
-    if spec.is_uniform():
-        print(f"raw sum over input pairs: {value * spec.n_x * spec.n_y:.12g}")
+    for raw in tagged_values(spec, value)[1:]:  # uniform games only
+        print(f"raw sum over input pairs: {raw['value']:.12g}")
     if count > len(maximizers):
         print(f"maximizers listed: the first {len(maximizers)} in lexicographic (f_a, f_b) order")
     print(f"{count} maximizing deterministic strategies:")
@@ -74,10 +75,10 @@ def _cmd_classical(args) -> int:
 
 def _cmd_quantum(args) -> int:
     spec, _ = resolve_game(args.game)
-    method, solution = best_known_solution(spec)
-    print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{method}]")
-    if spec.is_uniform():
-        print(f"raw sum over input pairs: {solution.value * spec.n_x * spec.n_y:.12g}")
+    solution = best_known_solution(spec)
+    print(f"game {spec.id!r}: omega_q = {solution.value:.12g} (normalized) [{solution.method}]")
+    for raw in tagged_values(spec, solution.value)[1:]:
+        print(f"raw sum over input pairs: {raw['value']:.12g}")
     if solution.search is not None:
         print(f"certified upper bound: {solution.search.upper:.12g}")
     if solution.angles is not None:

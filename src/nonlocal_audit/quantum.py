@@ -4,7 +4,8 @@ Covers the planar-qubit measurement family for 2-input/2-output games
 (sufficient for extremal quantum correlations in that scenario), Bell
 operator construction, eigenvalue-based two-angle optimization, exact
 closed-form optima for the catalog games ``g1`` and ``g2``, and the fixed
-qutrit strategy for ``cglmp``.
+qutrit strategy for ``cglmp``. ``best_known_solution`` picks the route for
+a game, and the ``OptimalSolution`` it returns names it.
 
 For fixed measurements the best state is the top eigenvector of the Bell
 operator, so the planar search space is just the two free angles
@@ -106,6 +107,9 @@ def swap_strategy(strategy: QuantumStrategy) -> QuantumStrategy:
 class OptimalSolution:
     """Best strategy found for a game, with the value and diagnostics.
 
+    ``method`` names the route that built it: ``closed_form``
+    (``closed_form_optimum``), ``planar_search`` (``optimize_planar``) or
+    ``fixed_catalog_strategy`` (``cglmp_strategy``, in ``best_known_solution``).
     ``residual`` is the value of the game's closed-form characteristic
     polynomial at the solution (only for the catalog tables of a game that
     has one, else None). ``search`` is the ``PlanarSearch`` that
@@ -119,6 +123,7 @@ class OptimalSolution:
     value: float
     angles: PlanarAngles | None
     residual: float | None
+    method: str
     search: PlanarSearch | None = None
 
 
@@ -220,8 +225,11 @@ def closed_form_angles(game_id: str) -> tuple[float, float]:
     return alpha1, alpha1
 
 
-def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolution:
-    """The top eigenvector of the Bell operator at planar angles (0, alpha1), (0, beta1).
+def _planar_solution(
+    spec: GameSpec, alpha1: float, beta1: float, method: str
+) -> OptimalSolution:
+    """The top eigenvector of the Bell operator at planar angles (0, alpha1), (0, beta1),
+    as route ``method`` reports it.
 
     The residual is the closed-form characteristic polynomial at 4x the value
     (the scaled operator's eigenvalue), set only when the tables are those of
@@ -239,13 +247,14 @@ def _planar_solution(spec: GameSpec, alpha1: float, beta1: float) -> OptimalSolu
         value=value,
         angles=angles,
         residual=residual,
+        method=method,
     )
 
 
 def closed_form_optimum(game_id: str) -> OptimalSolution:
     """Exact-radical optimal strategy for the catalog game g1 or g2, with its
     charpoly residual."""
-    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id))
+    return _planar_solution(builtin_game(game_id), *closed_form_angles(game_id), "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +585,7 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
     alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))
-    solution = _planar_solution(spec, alpha1, beta1)
+    solution = _planar_solution(spec, alpha1, beta1, "planar_search")
     search = replace(search, upper=max(search.upper, solution.value))
     if search.capped:
         # imported here: at start-up it would cost every command ~4 ms and 0.5 MiB
@@ -619,3 +628,22 @@ def cglmp_strategy() -> QuantumStrategy:
     alice = np.array([_fourier_measurement(1, t) for t in (0.0, math.pi / 3.0)])
     bob = np.array([_fourier_measurement(-1, t) for t in (-math.pi / 6.0, math.pi / 6.0)])
     return QuantumStrategy(state=state, meas_a=alice, meas_b=bob)
+
+
+def best_known_solution(spec: GameSpec) -> OptimalSolution:
+    """Pick the strategy source: closed form, fixed catalog strategy, or planar optimizer.
+
+    Closed forms and the fixed qutrit strategy only apply to games whose
+    tables match the catalog entry; a file-loaded variant that merely
+    reuses a catalog id goes through the optimizer, which refuses games
+    that are not 2x2x2x2 with ``NotPlanarApplicableError``. The solution's
+    ``method`` names the route taken.
+    """
+    if closed_form_available(spec):
+        return closed_form_optimum(spec.id)
+    if matches_catalog(spec, "cglmp"):
+        strategy = cglmp_strategy()
+        value = quantum_game_value(spec, strategy)
+        return OptimalSolution(strategy=strategy, value=value, angles=None, residual=None,
+                               method="fixed_catalog_strategy")
+    return optimize_planar(spec)

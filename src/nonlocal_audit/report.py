@@ -21,15 +21,8 @@ import numpy as np
 from . import __version__
 from .classical import DeterministicStrategy, classical_value
 from .errors import UnknownGameError
-from .games import GAME_IDS, GameSpec, builtin_game, load_game, matches_catalog
-from .quantum import (
-    OptimalSolution,
-    cglmp_strategy,
-    closed_form_available,
-    closed_form_optimum,
-    optimize_planar,
-    quantum_game_value,
-)
+from .games import GAME_IDS, GameSpec, builtin_game, load_game
+from .quantum import OptimalSolution, best_known_solution
 from .steering import CorrespondenceReport, SteeringVerdict, correspondence_verdict
 from .uncertainty import FineGrainedRelation
 
@@ -41,7 +34,6 @@ class AnalysisRun:
     game_ref: str
     source: str
     spec: GameSpec
-    method: str
     solution: OptimalSolution
     classical: tuple[float, list[DeterministicStrategy], int]
     report: CorrespondenceReport
@@ -61,25 +53,6 @@ def resolve_game(game_ref: str) -> tuple[GameSpec, str]:
     )
 
 
-def best_known_solution(spec: GameSpec) -> tuple[str, OptimalSolution]:
-    """Pick the strategy source: closed form, fixed catalog strategy, or planar optimizer.
-
-    Closed forms and the fixed qutrit strategy only apply to games whose
-    tables match the catalog entry; a file-loaded variant that merely
-    reuses a catalog id goes through the optimizer, which refuses games
-    that are not 2x2x2x2 with ``NotPlanarApplicableError``.
-    """
-    if closed_form_available(spec):
-        return "closed_form", closed_form_optimum(spec.id)
-    if matches_catalog(spec, "cglmp"):
-        strategy = cglmp_strategy()
-        value = quantum_game_value(spec, strategy)
-        return "fixed_catalog_strategy", OptimalSolution(
-            strategy=strategy, value=value, angles=None, residual=None
-        )
-    return "planar_search", optimize_planar(spec)
-
-
 def run_analyze(game_ref: str) -> AnalysisRun:
     """optimal strategy -> classical value -> relations -> steering -> verdict.
 
@@ -87,14 +60,13 @@ def run_analyze(game_ref: str) -> AnalysisRun:
     """
     started = time.perf_counter()
     spec, source = resolve_game(game_ref)
-    method, solution = best_known_solution(spec)
+    solution = best_known_solution(spec)
     classical = classical_value(spec)
     report = correspondence_verdict(spec, solution.strategy)
     return AnalysisRun(
         game_ref=game_ref,
         source=source,
         spec=spec,
-        method=method,
         solution=solution,
         classical=classical,
         report=report,
@@ -202,7 +174,7 @@ def run_document(run: AnalysisRun) -> dict:
             "maximizers": [{"f_a": list(s.f_a), "f_b": list(s.f_b)} for s in maximizers],
         },
         "quantum": {
-            "method": run.method,
+            "method": solution.method,
             "value": tagged(solution.value),
             "omega_q_upper": None if search is None else _real(search.upper),
             "angles": None
@@ -283,7 +255,7 @@ def render_text(run: AnalysisRun) -> str:
         f"nonlocal-audit {__version__}: analysis of game {run.spec.id!r} ({run.source})",
         f"classical value  : {_values_line(tagged_values(run.spec, run.classical[0]))}",
         f"quantum value    : {_values_line(tagged_values(run.spec, run.solution.value))}"
-        f"  [method: {run.method}]",
+        f"  [method: {run.solution.method}]",
     ]
     if run.solution.angles is not None:
         a = run.solution.angles

@@ -104,33 +104,6 @@ class SteeringVerdict:
     trivial_relation: bool | None
 
 
-def _verdicts(
-    relations: list[FineGrainedRelation], assemblage: Assemblage
-) -> list[SteeringVerdict]:
-    verdicts = []
-    for rel in relations:
-        x, a = rel.pair
-        state = assemblage.normalized_state(x, a)
-        achieved = 0.0
-        if state is not None:
-            mass = rel.weight_mass if rel.weight_mass > 0.0 else 1.0
-            achieved = float(np.real(np.trace(state @ rel.operator))) / mass
-        gap = rel.xi_normalized - achieved
-        verdicts.append(
-            SteeringVerdict(
-                pair=rel.pair,
-                probability=float(assemblage.probabilities[x, a]),
-                xi=rel.xi_normalized,
-                achieved=achieved,
-                gap=gap,
-                saturated=state is not None and bool(gap <= SATURATION_ATOL),
-                vacuous=state is None,
-                trivial_relation=rel.trivial,
-            )
-        )
-    return verdicts
-
-
 def certain_state_assemblage(
     relations: list[FineGrainedRelation], reference: Assemblage
 ) -> Assemblage:
@@ -192,16 +165,35 @@ class SideAudit:
 
 
 def _side_audit(spec: GameSpec, strategy: QuantumStrategy) -> SideAudit:
-    """Alice steering Bob, for a validated strategy."""
+    """Alice steering Bob, for a validated strategy; one pass over the relations."""
     relations = fine_grained_relations(spec, strategy.meas_b)
     assemblage = _assemblage(strategy)
-    verdicts = _verdicts(relations, assemblage)
-    ns_deviation = certain_state_assemblage(relations, assemblage).no_signaling_deviation()
     pi_a = spec.pi_a()
+    verdicts = []
     up_bound = 0.0
     for rel in relations:
         x, a = rel.pair
-        up_bound += float(pi_a[x] * assemblage.probabilities[x, a] * rel.xi)
+        probability = assemblage.probabilities[x, a]
+        state = assemblage.normalized_state(x, a)
+        achieved = 0.0
+        if state is not None:
+            mass = rel.weight_mass if rel.weight_mass > 0.0 else 1.0
+            achieved = float(np.real(np.trace(state @ rel.operator))) / mass
+        gap = rel.xi_normalized - achieved
+        verdicts.append(
+            SteeringVerdict(
+                pair=rel.pair,
+                probability=float(probability),
+                xi=rel.xi_normalized,
+                achieved=achieved,
+                gap=gap,
+                saturated=state is not None and bool(gap <= SATURATION_ATOL),
+                vacuous=state is None,
+                trivial_relation=rel.trivial,
+            )
+        )
+        up_bound += float(pi_a[x] * probability * rel.xi)
+    ns_deviation = certain_state_assemblage(relations, assemblage).no_signaling_deviation()
     live = [v for v in verdicts if not v.vacuous]
     return SideAudit(
         relations=relations,

@@ -311,7 +311,8 @@ def test_ten_by_ten_tie_memory_peak():
     assert count == 2**20
     assert value == strategy_value(spec, maximizers[0])
     assert maximizers[-1] == ((0,) * 10, tuple(int(b) for b in f"{999:010b}"))
-    assert peak <= 32 * 2**20
+    # two passes over 21 blocks hold one block's scores at a time, not one per pair
+    assert peak <= 14 * 2**20
 
 
 def test_wide_tie_memory_peak():

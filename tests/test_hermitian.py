@@ -15,7 +15,7 @@ from nonlocal_audit.errors import (
 )
 
 from nonlocal_audit.games import game_from_dict
-from nonlocal_audit.report import best_known_solution
+from nonlocal_audit.quantum import best_known_solution
 
 from conftest import (
     OMEGA_Q_G1,
@@ -196,7 +196,7 @@ def test_eig_matches_bloch_oracle_on_planar_operator(g1_spec):
 def _relation_stacks(name: str):
     """Each side's relations and their (pairs, d, d) operator stack, at the best known strategy."""
     spec = game_from_dict(PLANAR_SWEEP[name]) if name in PLANAR_SWEEP else na.builtin_game(name)
-    strategy = best_known_solution(spec)[1].strategy
+    strategy = best_known_solution(spec).strategy
     for side_spec, side_strategy in ((spec, strategy),
                                      (na.swap_parties(spec), na.swap_strategy(strategy))):
         relations = na.fine_grained_relations(side_spec, side_strategy.meas_b)

@@ -19,7 +19,7 @@ import pytest
 
 import nonlocal_audit as na
 from nonlocal_audit.games import game_from_dict
-from nonlocal_audit.report import best_known_solution
+from nonlocal_audit.quantum import best_known_solution
 
 from conftest import planar_sweep_games, random_weighted_case
 
@@ -31,7 +31,7 @@ def _case(name: str) -> tuple[na.GameSpec, na.QuantumStrategy]:
     if name.startswith("random-"):
         return random_weighted_case(int(name.removeprefix("random-")))
     spec = game_from_dict(PLANAR_SWEEP[name]) if name in PLANAR_SWEEP else na.builtin_game(name)
-    return spec, best_known_solution(spec)[1].strategy
+    return spec, best_known_solution(spec).strategy
 
 
 def _assert_same_relations(mine, theirs):
@@ -87,13 +87,13 @@ def test_counter_examples_do_not_depend_on_labels(game_id):
     # fails with the same classical value and, on each side, the no-signaling
     # outcome of the side it maps to: the other side when the parties swap.
     spec = na.builtin_game(game_id)
-    closed = na.correspondence_verdict(spec, best_known_solution(spec)[1].strategy)
+    closed = na.correspondence_verdict(spec, best_known_solution(spec).strategy)
     omega_c = na.classical_value(spec)[0]
     assert not closed.correspondence_holds
     for labels in itertools.product(range(2), repeat=7):
         relabeled = _relabeled(spec, labels)
-        method, solution = best_known_solution(relabeled)
-        assert method == "planar_search", labels
+        solution = best_known_solution(relabeled)
+        assert solution.method == "planar_search", labels
         report = na.correspondence_verdict(relabeled, solution.strategy)
         assert abs(report.omega_q - closed.omega_q) <= 1e-12, labels
         assert na.classical_value(relabeled)[0] == omega_c, labels

@@ -25,10 +25,10 @@ from nonlocal_audit.quantum import (
     _search_kernel,
     _top_eigenvalues,
     _trig,
+    best_known_solution,
     scaled_bell_charpoly_g1,
     scaled_bell_charpoly_g2,
 )
-from nonlocal_audit.report import best_known_solution
 
 from conftest import (
     CGLMP_RAW_QUANTUM,
@@ -255,10 +255,28 @@ class TestClosedForms:
         closed = na.closed_form_optimum(variant.id)
         assert abs(closed.value - OMEGA_Q_G1) <= 1e-12
         assert abs(closed.residual) <= 1e-9
-        method, solution = best_known_solution(variant)
-        assert method == "planar_search"
+        solution = best_known_solution(variant)
+        assert solution.method == "planar_search"
         assert abs(solution.value - OMEGA_Q_CHSH) <= 1e-9
         assert solution.residual is None
+
+
+class TestRoutes:
+    def test_each_route_names_itself(self, tmp_path, chsh_spec):
+        # the route that builds a solution sets its method, whoever calls it
+        assert na.closed_form_optimum("g1").method == "closed_form"
+        assert best_known_solution(na.builtin_game("g1")).method == "closed_form"
+        planar = na.optimize_planar(na.builtin_game("g1"))
+        assert planar.method == "planar_search"
+        assert abs(planar.residual) <= 1e-8
+        cglmp = best_known_solution(na.builtin_game("cglmp"))
+        assert cglmp.method == "fixed_catalog_strategy"
+        assert cglmp.angles is None and cglmp.residual is None and cglmp.search is None
+        path = tmp_path / "chsh.json"
+        na.save_game(chsh_spec, path)
+        loaded = best_known_solution(na.load_game(path))
+        assert loaded.method == "planar_search"
+        assert loaded.search is not None
 
 
 class TestOptimizePlanar:

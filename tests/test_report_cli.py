@@ -73,14 +73,14 @@ def _reference_classical_stdout(path) -> str:
 
 class TestRunAnalyze:
     def test_g1_summary(self, g1_run):
-        assert g1_run.method == "closed_form"
+        assert g1_run.solution.method == "closed_form"
         assert g1_run.classical[0] == 0.5
         assert abs(g1_run.solution.value - OMEGA_Q_G1) <= 1e-10
         assert abs(g1_run.solution.value - 0.544598646541) <= 1e-9
         assert not g1_run.report.correspondence_holds
 
     def test_cglmp_summary(self, cglmp_run):
-        assert cglmp_run.method == "fixed_catalog_strategy"
+        assert cglmp_run.solution.method == "fixed_catalog_strategy"
         assert cglmp_run.report.correspondence_holds
         assert 4.0 * cglmp_run.classical[0] == 6.0
 
@@ -125,7 +125,7 @@ class TestRunAnalyze:
         path = tmp_path / "mychsh.json"
         na.save_game(chsh_spec, path)
         run = na.run_analyze(str(path))
-        assert run.method == "planar_search"
+        assert run.solution.method == "planar_search"
         assert abs(run.solution.value - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-7
         assert run.report.correspondence_holds
 
@@ -140,7 +140,7 @@ class TestRunAnalyze:
         path = tmp_path / "variant.json"
         na.save_game(variant, path)
         run = na.run_analyze(str(path))
-        assert run.method == "planar_search"
+        assert run.solution.method == "planar_search"
         assert abs(run.solution.value - (2.0 + math.sqrt(2.0)) / 4.0) <= 1e-7
 
     def test_residual_only_for_catalog_tables(self, tmp_path, chsh_spec):
@@ -159,7 +159,7 @@ class TestRunAnalyze:
         path = tmp_path / "same-g1.json"
         na.save_game(g1_spec, path)
         run = na.run_analyze(str(path))
-        assert run.method == "closed_form"
+        assert run.solution.method == "closed_form"
 
 
 class TestJsonReport:

@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 100 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 102 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -21,13 +21,14 @@ entry repeats its key ``v``; ``analyze --format json``, ``analyze --format
 text`` and ``quantum`` on ``CAPPED_SEARCH``, whose planar search a cap
 stops, so its bound and the logged warning are checked; and ``analyze
 --format json`` on ``WIDE_GAME``, which the planar route refuses (exit 2)
-before its classical strategies, too many to enumerate, are counted.
+before its classical strategies, too many to enumerate, are counted; and
+``analyze --format json`` on the two ``CENSUS_CLASSES`` game files.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
 drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
 ``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and the
-``EMPTY_SIZES``, ``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``
-and ``WIDE_GAME`` documents,
+``EMPTY_SIZES``, ``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``,
+``WIDE_GAME`` and ``CENSUS_CLASSES`` documents,
 written under ``.perfbench_work/`` in the checkout root; the program is
 the one in the checkout's ``src/``.
 
@@ -87,6 +88,12 @@ CAPPED_SEARCH = {
 }
 # A binary game with 24 inputs per party: not 2x2x2x2, and 2^48 strategy pairs.
 WIDE_GAME = workloads._binary_game(np.random.default_rng(0), "wide-binary-24x24", 24, 24, 2, 2)
+# Two binary 2x2x2x2 games with uniform pi, coded as sum V(a,b|x,y)
+# 2^(8x+4y+2a+b): the least codes of two relabeling classes outside the
+# catalog with a quantum advantage, omega_q = 1/2 + (sqrt 2 - 1)/8 and
+# 3/4 + (sqrt 2 - 1)/8, found by the planar search; the correspondence
+# fails on both steering sides.
+CENSUS_CLASSES = (5166, 7614)
 # Seed of the four generated games on which classical_value enumerates
 # Bob's response functions (n_b**n_y < n_a**n_x) and sorts the pairs
 # afterwards: one plain binary game, one on which every pair ties, one
@@ -110,6 +117,12 @@ def _integer_weighted_game(rng, name, n_x, n_y, n_a, n_b) -> dict:
     predicate = rng.integers(0, 3, size=(n_x, n_y, n_a, n_b)).astype(float)
     pi = rng.integers(1, 4, size=(n_x, n_y)).astype(float)
     return workloads._document(name, n_x, n_y, n_a, n_b, pi / pi.sum(), predicate, False)
+
+
+def census_game(code: int) -> dict:
+    predicate = ((code >> np.arange(16)) & 1).reshape(2, 2, 2, 2).astype(float)
+    return workloads._document(f"census-{code}", 2, 2, 2, 2, np.full((2, 2), 0.25), predicate,
+                               True)
 
 
 def swap_games() -> list:
@@ -194,6 +207,10 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
     path = workloads.WORK / "games" / "wide-binary-24x24.json"
     path.write_text(json.dumps(WIDE_GAME))
     out.append(("analyze-wide-binary-24x24", ["analyze", str(path), "--format", "json"]))
+    for code in CENSUS_CLASSES:
+        path = workloads.WORK / "games" / f"census-{code}.json"
+        path.write_text(json.dumps(census_game(code)))
+        out.append((f"analyze-census-{code}", ["analyze", str(path), "--format", "json"]))
     return out
 
 
