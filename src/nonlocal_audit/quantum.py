@@ -76,22 +76,25 @@ class QuantumStrategy:
         ]
         if violations:
             return violations
+        # each check reads "not deviation <= tol", which NaN fails
         d = self.d_a * self.d_b
         if self.state.shape != (d,):
             violations.append(f"state: shape {self.state.shape} != ({d},)")
-        elif abs(np.linalg.norm(self.state) - 1.0) > STATE_NORM_ATOL:
+        elif not abs(np.linalg.norm(self.state) - 1.0) <= STATE_NORM_ATOL:
             violations.append("state: not normalized")
         for label, meas in parties:
-            hermitian = np.abs(meas - meas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-            idempotent = np.linalg.norm(meas @ meas - meas, axis=(-2, -1))
-            complete = np.linalg.norm(meas.sum(axis=1) - np.eye(meas.shape[-1]), axis=(-2, -1))
+            with np.errstate(invalid="ignore"):  # inf entries give NaN deviations, refused below
+                hermitian = np.abs(meas - meas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+                idempotent = np.linalg.norm(meas @ meas - meas, axis=(-2, -1))
+                complete = np.linalg.norm(meas.sum(axis=1) - np.eye(meas.shape[-1]),
+                                          axis=(-2, -1))
             for x in range(meas.shape[0]):
                 for k in range(meas.shape[1]):
-                    if hermitian[x, k] > PROJECTOR_ATOL:
+                    if not hermitian[x, k] <= PROJECTOR_ATOL:
                         violations.append(f"{label}[{x}]: projector {k}: not Hermitian")
-                    if idempotent[x, k] > PROJECTOR_ATOL:
+                    if not idempotent[x, k] <= PROJECTOR_ATOL:
                         violations.append(f"{label}[{x}]: projector {k}: not idempotent")
-                if complete[x] > PROJECTOR_ATOL:
+                if not complete[x] <= PROJECTOR_ATOL:
                     violations.append(f"{label}[{x}]: projectors do not sum to the identity")
         return violations
 
@@ -147,11 +150,16 @@ def planar_measurements(angles: PlanarAngles) -> tuple[np.ndarray, np.ndarray]:
     return meas[:len(angles.alpha)], meas[len(angles.alpha):]
 
 
-def bell_operator(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> np.ndarray:
-    """B = sum_{x,y} pi(x,y) sum_{a,b} V(a,b|x,y) Pi^x_a (x) Pi^y_b."""
+def _check_counts(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> None:
+    """Refuse projector arrays whose (inputs, outputs) differ from the game's."""
     if (meas_a.shape[:2], meas_b.shape[:2]) != ((spec.n_x, spec.n_a), (spec.n_y, spec.n_b)):
         raise DimensionMismatchError(f"projector arrays with (inputs, outputs) {meas_a.shape[:2]} "
                                      f"and {meas_b.shape[:2]} do not match the game")
+
+
+def bell_operator(spec: GameSpec, meas_a: np.ndarray, meas_b: np.ndarray) -> np.ndarray:
+    """B = sum_{x,y} pi(x,y) sum_{a,b} V(a,b|x,y) Pi^x_a (x) Pi^y_b."""
+    _check_counts(spec, meas_a, meas_b)
     d = meas_a.shape[-1] * meas_b.shape[-1]
     op = np.einsum("xyab,xaij,ybkl->ikjl", spec.weights, meas_a, meas_b)
     return op.reshape(d, d)
@@ -161,6 +169,7 @@ def correlation_table(spec: GameSpec, strategy: QuantumStrategy) -> np.ndarray:
     """P(a,b|x,y) = <psi| Pi^x_a (x) Pi^y_b |psi>, indexed [x, y, a, b]."""
     if len(strategy.meas_a) != spec.n_x or len(strategy.meas_b) != spec.n_y:
         raise DimensionMismatchError("one measurement per input is required")
+    _check_counts(spec, strategy.meas_a, strategy.meas_b)
     psi = strategy.state.reshape(strategy.d_a, strategy.d_b)
     table = np.einsum("ik,xaij,ybkl,jl->xyab", psi.conj(), strategy.meas_a, strategy.meas_b, psi)
     return table.real
@@ -285,19 +294,30 @@ _POLISH_ROUNDS = 60
 _STEP_TOL = 1e-10
 
 
+def _projector_terms() -> np.ndarray:
+    """A planar projector (I +- (cos t X - sin t Y))/2 as its terms against f = (1, cos,
+    sin), shape (2, 2, 3, 2, 2): [input, output, term u, row, column], with phase 0
+    on input 0 and in the frame rotated by exp(-i pi X/4), which keeps X and maps Y
+    to Z."""
+    eye, pauli_x, pauli_z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    terms = np.zeros((2, 2, 3, 2, 2))
+    for a, sign in enumerate((1.0, -1.0)):
+        terms[0, a, 0] = 0.5 * (eye + sign * pauli_x)
+        terms[1, a] = 0.5 * np.stack([eye, sign * pauli_x, -sign * pauli_z])
+    return terms
+
+
+_PROJECTOR_TERMS = _projector_terms()
+
+
 def _planar_kernel(spec: GameSpec) -> np.ndarray:
     """Real symmetric M[u, v], shape (3, 3, 4, 4), with B(alpha1, beta1) unitarily
     equivalent to sum_{u,v} f_u(alpha1) f_v(beta1) M[u, v], f = (1, cos, sin).
 
-    A planar projector is (I +- (cos t X - sin t Y))/2; both qubits are taken
-    in the frame rotated by exp(-i pi X/4), which keeps X and maps Y to Z.
+    Both qubits are taken in ``_PROJECTOR_TERMS``' rotated frame.
     """
-    eye, pauli_x, pauli_z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    coeffs = np.zeros((2, 2, 3, 2, 2))  # [input, output, term u, row, column]
-    for a, sign in enumerate((1.0, -1.0)):
-        coeffs[0, a, 0] = 0.5 * (eye + sign * pauli_x)
-        coeffs[1, a] = 0.5 * np.stack([eye, sign * pauli_x, -sign * pauli_z])
-    kernel = np.einsum("xyab,xauij,ybvkl->uvikjl", spec.weights, coeffs, coeffs)
+    terms = _PROJECTOR_TERMS
+    kernel = np.einsum("xyab,xauij,ybvkl->uvikjl", spec.weights, terms, terms)
     return kernel.reshape(3, 3, 4, 4)
 
 
@@ -515,18 +535,11 @@ def refine_planar(
     after _POLISH_ROUNDS rounds. Returns (alpha1, beta1, value).
     """
     kernel = _planar_kernel(spec)
-    return _polish(kernel, _curvature_bounds(kernel)[2], alpha1, beta1, halfwidth)
-
-
-def _polish(
-    kernel: np.ndarray, curvature: float, alpha1: float, beta1: float, halfwidth: float
-) -> tuple[float, float, float]:
-    """``refine_planar`` on a built kernel, with K = K_aa + 2 K_ab + K_bb from it:
-    one candidate step per round, halved at most _HALVINGS times, else g / K."""
     point = np.array([alpha1, beta1], dtype=float)
     value, grad, hess = _planar_jet(kernel, *point)
     for _ in range(_POLISH_ROUNDS):
-        if curvature == 0.0 or not grad.any():
+        # K = 0 needs no stop of its own: every angle-dependent M[u, v], so g, is then 0
+        if not grad.any():
             break
         step = grad
         if hess is not None and hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
@@ -538,7 +551,7 @@ def _polish(
                 break
             step = 0.5 * step
         else:
-            step = grad / curvature
+            step = grad / _curvature_bounds(kernel)[2]
             step *= min(1.0, halfwidth / np.abs(step).max())
             trial = _planar_jet(kernel, *(point + step))
         point = point + step
@@ -560,16 +573,15 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
     lambda_max at its corners and per-axis curvature bounds K_a, K_b (0.15 to
     0.75 thousand solves per game, in closed form on the kernel's two parity
     blocks where the game's weights are invariant under flipping both
-    outputs); ``refine_planar``'s ascent, on the same kernel, polishes its
-    best vertex by one candidate step per round, at most a first cell's
-    half-width, pi / 16; each angle is reduced mod 2 pi, its
-    sign dropped, and the solution recomputed from the complex Bell
-    operator. Its ``search`` is the branch-and-bound record with ``upper``
-    raised to at least the value: the bound the search certified, at
-    most GAP_TOL above the value unless a cap stopped the search; a capped
-    search logs a warning on the ``nonlocal_audit`` logger with its solve
-    count and the bound's excess over the value. Only 2-input/2-output games
-    are supported.
+    outputs); ``refine_planar`` polishes its best vertex by one candidate
+    step per round, at most a first cell's half-width, pi / 16; each angle
+    is reduced mod 2 pi, its sign dropped, and the solution recomputed from
+    the complex Bell operator. Its ``search`` is the branch-and-bound record
+    with ``upper`` raised to at least the value: the bound the search
+    certified, at most GAP_TOL above the value unless a cap stopped the
+    search; a capped search logs a warning on the ``nonlocal_audit`` logger
+    with its solve count and the bound's excess over the value. Only
+    2-input/2-output games are supported.
     """
     if not (spec.n_x == 2 and spec.n_y == 2 and spec.n_a == 2 and spec.n_b == 2):
         raise NotPlanarApplicableError(
@@ -577,11 +589,9 @@ def optimize_planar(spec: GameSpec) -> OptimalSolution:
             f"{spec.n_a}x{spec.n_b} outputs; the planar family covers 2x2x2x2"
         )
     kernel = _planar_kernel(spec)
-    k_a, k_b, polish_curvature = _curvature_bounds(kernel)
-    search = branch_and_bound(_search_kernel(spec, kernel), k_a, k_b)
-    alpha1, beta1, _ = _polish(
-        kernel, polish_curvature, search.alpha1, search.beta1, math.pi / (2 * _FIRST_CELLS)
-    )
+    search = branch_and_bound(_search_kernel(spec, kernel), *_curvature_bounds(kernel)[:2])
+    halfwidth = math.pi / (2 * _FIRST_CELLS)
+    alpha1, beta1, _ = refine_planar(spec, search.alpha1, search.beta1, halfwidth)
     # sign flips of either angle are local X conjugations; pick the
     # non-negative representative of each
     alpha1, beta1 = (abs(math.remainder(t, 2.0 * math.pi)) for t in (alpha1, beta1))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AmbiguousDegenerateError, DimensionMismatchError
 from .games import GameSpec, swap_parties
-from .quantum import QuantumStrategy, quantum_game_value, swap_strategy
+from .quantum import QuantumStrategy, _check_counts, quantum_game_value, swap_strategy
 from .uncertainty import FineGrainedRelation, fine_grained_relations
 
 SATURATION_ATOL = 1e-6
@@ -230,9 +230,11 @@ def correspondence_verdict(spec: GameSpec, strategy: QuantumStrategy) -> Corresp
 
     The report records the value this strategy achieves; optimality of the
     strategy is the caller's responsibility. The strategy is validated once,
-    before anything is computed (``DimensionMismatchError``).
+    before anything is computed, and its (inputs, outputs) must be the
+    game's (``DimensionMismatchError`` for either).
     """
     _check_strategy(strategy)
+    _check_counts(spec, strategy.meas_a, strategy.meas_b)
     alice = _side_audit(spec, strategy)
     # Bob steering Alice is Alice steering Bob in the game with the parties exchanged
     bob = _side_audit(swap_parties(spec), swap_strategy(strategy))

@@ -74,6 +74,13 @@ class TestKron:
         assert is_hermitian(kron(a, b))
 
 
+class TestIsHermitian:
+    def test_non_square_and_empty(self):
+        assert not is_hermitian(np.zeros((2, 3)))
+        assert not is_hermitian(np.zeros(4))
+        assert is_hermitian(np.zeros((0, 2, 2)))
+
+
 class TestEigHermitian:
     def test_pauli_z_spectrum(self):
         eig = na.eig_hermitian(SIGMA_Z)

@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 102 commands in-process through ``nonlocal_audit.cli.main`` and writes
+Runs 105 commands in-process through ``nonlocal_audit.cli.main`` and writes
 one file per command into OUTDIR, holding its argv, exit code, stdout and
 stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
 games: ``analyze --format json``, ``analyze --format text``,
@@ -22,13 +22,15 @@ text`` and ``quantum`` on ``CAPPED_SEARCH``, whose planar search a cap
 stops, so its bound and the logged warning are checked; and ``analyze
 --format json`` on ``WIDE_GAME``, which the planar route refuses (exit 2)
 before its classical strategies, too many to enumerate, are counted; and
-``analyze --format json`` on the two ``CENSUS_CLASSES`` game files.
+``analyze --format json`` on the two ``CENSUS_CLASSES`` game files and on
+the three ``polish_start_games``, whose planar polish starts on flat ground
+or on a ridge.
 Game files are the benchmark's own inputs,
 ``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
 drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
 ``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and the
 ``EMPTY_SIZES``, ``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``,
-``WIDE_GAME`` and ``CENSUS_CLASSES`` documents,
+``WIDE_GAME``, ``CENSUS_CLASSES`` and ``polish_start_games`` documents,
 written under ``.perfbench_work/`` in the checkout root; the program is
 the one in the checkout's ``src/``.
 
@@ -125,6 +127,27 @@ def census_game(code: int) -> dict:
                                True)
 
 
+def polish_start_games() -> list[dict]:
+    """Three 2x2x2x2 games with uniform pi on which the planar polish starts where
+    lambda_max does not curve: ``all-win``, where every answer wins, so B = I, K = 0
+    and the gradient is 0; ``widening``, whose lambda_max is 3/4 all along beta1 = 0;
+    and ``ridge``, in which Bob's input and output never matter, so lambda_max is
+    constant along beta1. The last two are the tests' ``widening_game`` and
+    ``ridge_game``."""
+    widening = np.zeros((2, 2, 2, 2))
+    for entry in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1),
+                  (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)):
+        widening[entry] = 1.0
+    ridge = np.zeros((2, 2, 2, 2))
+    ridge[0, :, 0, :] = 1.0
+    ridge[:, :, 1, :] = 0.5
+    pi = np.full((2, 2), 0.25)
+    return [workloads._document(name, 2, 2, 2, 2, pi, predicate, binary)
+            for name, predicate, binary in (("all-win", np.ones((2, 2, 2, 2)), True),
+                                            ("widening", widening, True),
+                                            ("ridge", ridge, False))]
+
+
 def swap_games() -> list:
     rng = np.random.default_rng(SWAP_GAMES_SEED)
     plain, ties = "classical-swap-7x5", "classical-swap-ties-6x4"
@@ -211,6 +234,10 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
         path = workloads.WORK / "games" / f"census-{code}.json"
         path.write_text(json.dumps(census_game(code)))
         out.append((f"analyze-census-{code}", ["analyze", str(path), "--format", "json"]))
+    for doc in polish_start_games():
+        path = workloads.WORK / "games" / f"{doc['id']}.json"
+        path.write_text(json.dumps(doc))
+        out.append((f"analyze-{doc['id']}", ["analyze", str(path), "--format", "json"]))
     return out
 
 
