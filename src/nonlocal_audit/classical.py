@@ -16,8 +16,10 @@ the first finds the value, the second counts the pairs within ``TIE_ATOL``
 of it and lists the first ``MAX_LISTED_MAXIMIZERS``, in lexicographic
 ``(f_a, f_b)`` order, as Python tuples. So the rescoring holds one block at
 a time, whatever the number of candidate pairs: a 10x10 or an 11x12 game on
-which every pair ties peaks at under 12 MiB, at the cost of rescoring
-every block but the first twice.
+which every pair ties peaks at under 12 MiB. The second pass skips the
+blocks below the value; with Alice's functions enumerated it also counts,
+from the first pass, a block that tops at the value once the list is
+full, so a tie game's pairs are rescored once each.
 
 ``ENUMERATION_GUARD`` bounds the score table of the enumerated side
 (functions times the other side's inputs times its outputs), and so its
@@ -149,15 +151,28 @@ def classical_value(spec: GameSpec) -> tuple[float, list[DeterministicStrategy],
 
     # Rescore a block at a time, first for the value, then to count and list
     # the maximizers; the first block is kept, so one block is rescored once.
-    # With Bob's functions enumerated the pairs are not in (f_a, f_b) order,
-    # so each block's maximizers are merged by a sort.
+    # The first pass keeps each block's top score and its pairs within
+    # TIE_ATOL of it: a block below the value is skipped, and one that tops
+    # at the value is counted without its rows once the list is full. With
+    # Bob's functions enumerated the pairs are not in (f_a, f_b) order, so
+    # each block's maximizers are merged by a sort and its rows are needed.
     block = max(1, BLOCK_LABELS // (n_in + n_rest))
     starts = range(0, n_pairs, block)
     first = scored(0)
-    value = max([first[1].max(), *(scored(start)[1].max() for start in starts[1:])])
+    tops = []
+    for start in starts:
+        scores = first[1] if start == 0 else scored(start)[1]
+        top = scores.max()
+        tops.append((top, np.count_nonzero(scores >= top - TIE_ATOL)))
+    value = max(top for top, _ in tops)
     count = 0
     listed = first[0][:0]
-    for start in starts:
+    for start, (top, n_top) in zip(starts, tops):
+        if top < value - TIE_ATOL:
+            continue
+        if not swap and len(listed) == MAX_LISTED_MAXIMIZERS and top == value:
+            count += n_top
+            continue
         rows, scores = first if start == 0 else scored(start)
         k = np.flatnonzero(scores >= value - TIE_ATOL)
         count += len(k)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal numeric failure or standard output closed
-by its reader, 2 usage or input error. The argument parser is built once
-per process and reused by every call of ``main``.
+by its reader, 2 usage or input error: argparse's, a ``UsageError`` or an
+``OSError``. The argument parser is built once per process and reused by
+every call of ``main``.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import os
 import sys
 
 from .classical import classical_value
-from .errors import (
-    NonlocalAuditError,
-    NotPlanarApplicableError,
-    ParseError,
-    TooLargeError,
-    UnknownGameError,
-    ValidationError,
-)
+from .errors import NonlocalAuditError, UsageError
 from .games import catalog
 from .quantum import best_known_solution
 from .report import (
@@ -30,14 +24,6 @@ from .report import (
     run_analyze,
     steering_lines,
     tagged_values,
-)
-
-USAGE_ERRORS = (
-    UnknownGameError,
-    ParseError,
-    ValidationError,
-    TooLargeError,
-    NotPlanarApplicableError,
 )
 
 
@@ -196,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonlocalAuditError as exc:

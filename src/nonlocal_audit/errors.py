@@ -19,15 +19,19 @@ class DimensionMismatchError(NonlocalAuditError):
     """Operands have incompatible dimensions."""
 
 
-class UnknownGameError(NonlocalAuditError):
+class UsageError(NonlocalAuditError):
+    """Base class of the refusals of bad input: the command line exits 2."""
+
+
+class UnknownGameError(UsageError):
     """Requested id is not in the built-in catalog."""
 
 
-class ParseError(NonlocalAuditError):
+class ParseError(UsageError):
     """Game file is not readable or not valid JSON."""
 
 
-class ValidationError(NonlocalAuditError):
+class ValidationError(UsageError):
     """Game data violates a structural invariant.
 
     ``violations`` lists one human-readable message per offending field.
@@ -38,7 +42,7 @@ class ValidationError(NonlocalAuditError):
         super().__init__("; ".join(self.violations))
 
 
-class TooLargeError(NonlocalAuditError):
+class TooLargeError(UsageError):
     """The classical computation would exceed ``ENUMERATION_GUARD``.
 
     The guard bounds the best-response score table of the enumerated side
@@ -48,7 +52,7 @@ class TooLargeError(NonlocalAuditError):
     """
 
 
-class NotPlanarApplicableError(NonlocalAuditError):
+class NotPlanarApplicableError(UsageError):
     """Planar-qubit optimization only covers 2-input/2-output games."""
 
 

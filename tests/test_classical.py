@@ -295,8 +295,8 @@ def _all_tie_game(game_id, n, seed):
 
 
 def test_tie_heavy_memory_peak():
-    # 2^16 strategy pairs all tie: one score per pair is kept, no buffer of
-    # pairs times inputs, and only the listed pairs become tuples
+    # 2^16 strategy pairs all tie: one block's scores are held at a time, no
+    # buffer of pairs times inputs, and only the listed pairs become tuples
     spec, expected_value = _all_tie_game("ties-8x8", 8, 8)
     (value, maximizers, count), peak = _traced_peak(spec)
     assert count == 2**16
@@ -311,8 +311,22 @@ def test_ten_by_ten_tie_memory_peak():
     assert count == 2**20
     assert value == strategy_value(spec, maximizers[0])
     assert maximizers[-1] == ((0,) * 10, tuple(int(b) for b in f"{999:010b}"))
-    # two passes over 21 blocks hold one block's scores at a time, not one per pair
+    # the first pass over 21 blocks holds one block's scores at a time, not
+    # one per pair; the second rescores none, since the first block fills the list
     assert peak <= 14 * 2**20
+
+
+def test_tie_game_rescores_each_pair_once(monkeypatch):
+    spec, _ = _all_tie_game("ties-10x10", 10, 20)
+    rows = []
+
+    def counted(spec, f_a, f_b):
+        rows.append(len(f_a))
+        return _scores(spec, f_a, f_b)
+
+    monkeypatch.setattr(classical, "_scores", counted)
+    assert na.classical_value(spec)[2] == 2**20
+    assert sum(rows) == 2**20
 
 
 def test_wide_tie_memory_peak():

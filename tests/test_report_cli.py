@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nonlocal_audit as na
-from nonlocal_audit import cli, steering
+from nonlocal_audit import cli, errors, steering
 from nonlocal_audit.classical import MAX_LISTED_MAXIMIZERS
 from nonlocal_audit.cli import main
 from nonlocal_audit.errors import AmbiguousDegenerateError
@@ -427,6 +427,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "internal numeric failure: steered state is orthogonal to the certain space\n")
+
+    @pytest.mark.parametrize("cls", [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.NonlocalAuditError)
+    ], ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_error_class(self, capsys, monkeypatch, cls):
+        def failing(spec):
+            raise cls(["bad game"]) if cls is errors.ValidationError else cls("bad game")
+
+        refusal = cls.__name__ in ("UsageError", "UnknownGameError", "ParseError",
+                                   "ValidationError", "TooLargeError",
+                                   "NotPlanarApplicableError")
+        assert issubclass(cls, errors.UsageError) == refusal
+        monkeypatch.setattr(cli, "classical_value", failing)
+        assert main(["classical", "g1"]) == (2 if refusal else 1)
+        prefix = "error" if refusal else "internal numeric failure"
+        assert capsys.readouterr() == ("", f"{prefix}: bad game\n")
 
     def test_unknown_game_exit_code(self, capsys):
         assert main(["analyze", "nosuchgame"]) == 2

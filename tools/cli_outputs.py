@@ -1,38 +1,28 @@
 """Write the command-line outputs that a refactor must keep byte-identical.
 
-Runs 105 commands in-process through ``nonlocal_audit.cli.main`` and writes
-one file per command into OUTDIR, holding its argv, exit code, stdout and
-stderr. On each of the 4 catalog games and the 8 generated ``planar_sweep``
-games: ``analyze --format json``, ``analyze --format text``,
-``uncertainty --side alice`` and ``--side bob``, ``steer`` and
-``quantum``; the text report's ``wall time`` line is written as
-``WALL_TIME``, since its seconds differ from run to run. On the 2
-``flip_symmetric_games``: ``analyze --format json``, ``analyze --format
-text`` and ``quantum``. On the 5
-``classical_scaling`` games and the 4 ``swap_games``: ``classical``. On
-``classical-4x4x3``, which no quantum route covers: ``analyze --format
-json``, whose refusal (exit 2) is checked too. Then ``list-games``, and
-``analyze --format json`` on the 4 ``EMPTY_SIZES`` game files, each refused
-(exit 2) with an empty input or output set. Last, ``classical`` and
-``analyze --format json`` on ``INTEGER_WEIGHTS``, a 2x2x2x2 game file whose
-weights are JSON integers and whose entries run in reverse table order, and
-``classical`` on ``REPEATED_KEY``, a game file refused (exit 2) since an
-entry repeats its key ``v``; ``analyze --format json``, ``analyze --format
-text`` and ``quantum`` on ``CAPPED_SEARCH``, whose planar search a cap
-stops, so its bound and the logged warning are checked; and ``analyze
---format json`` on ``WIDE_GAME``, which the planar route refuses (exit 2)
-before its classical strategies, too many to enumerate, are counted; and
-``analyze --format json`` on the two ``CENSUS_CLASSES`` game files and on
-the three ``polish_start_games``, whose planar polish starts on flat ground
-or on a ridge.
-Game files are the benchmark's own inputs,
-``perfbench/workloads.generate(workload, 0)``, the ``swap_games``,
-drawn with the benchmark's generators from seed ``SWAP_GAMES_SEED``, the
-``flip_symmetric_games``, drawn from seed ``FLIP_GAMES_SEED``, and the
-``EMPTY_SIZES``, ``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``,
-``WIDE_GAME``, ``CENSUS_CLASSES`` and ``polish_start_games`` documents,
-written under ``.perfbench_work/`` in the checkout root; the program is
-the one in the checkout's ``src/``.
+Runs every command in-process through ``nonlocal_audit.cli.main`` and
+writes one file per command into OUTDIR, holding its argv, exit code,
+stdout and stderr. The rule: seven views on each catalog id and on each
+game file of ``documents()``, then ``list-games`` once. The views, and the
+file each writes, are ``analyze --format json`` (``analyze-NAME``),
+``analyze --format text`` (``analyze-text-NAME``), ``uncertainty --side
+alice`` and ``--side bob`` (``uncertainty-NAME-alice``, ``-bob``),
+``steer`` (``steer-NAME``), ``quantum`` (``quantum-NAME``) and
+``classical`` (``classical-NAME``). A refusal (exit 2) is written like any
+other output; the text report's ``wall time`` line is written as
+``WALL_TIME``, since its seconds differ from run to run. With the 4
+catalog ids and 32 game files that makes 253 files. The tool stops before
+writing anything if two commands would write the same file.
+
+The game files, written as ``.perfbench_work/games/NAME.json`` in the
+checkout root: the benchmark's own inputs,
+``perfbench/workloads.generate(workload, 0)`` for ``planar_sweep`` and
+``classical_scaling``; the ``swap_games``, drawn with the benchmark's
+generators from seed ``SWAP_GAMES_SEED``; the ``flip_symmetric_games``,
+drawn from seed ``FLIP_GAMES_SEED``; and the ``EMPTY_SIZES``,
+``INTEGER_WEIGHTS``, ``REPEATED_KEY``, ``CAPPED_SEARCH``, ``WIDE_GAME``,
+``CENSUS_CLASSES`` and ``polish_start_games`` documents, each described
+where it is defined. The program is the one in the checkout's ``src/``.
 
 Usage, with this file copied into each checkout:
 
@@ -48,6 +38,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -148,25 +139,20 @@ def polish_start_games() -> list[dict]:
                                             ("ridge", ridge, False))]
 
 
-def swap_games() -> list:
+def swap_games() -> list[dict]:
     rng = np.random.default_rng(SWAP_GAMES_SEED)
-    plain, ties = "classical-swap-7x5", "classical-swap-ties-6x4"
-    weighted = "classical-swap-weighted-5x4"
-    wide = "classical-swap-wide-ties-16x2"
     return [
-        workloads.Input(plain, "classical", game=workloads._binary_game(rng, plain, 7, 5, 2, 2)),
-        workloads.Input(ties, "classical", game=workloads._tie_heavy_game(rng, ties, 6, 4)),
-        workloads.Input(weighted, "classical",
-                        game=_integer_weighted_game(rng, weighted, 5, 4, 3, 2)),
-        workloads.Input(wide, "classical", game=workloads._tie_heavy_game(rng, wide, 16, 2)),
+        workloads._binary_game(rng, "classical-swap-7x5", 7, 5, 2, 2),
+        workloads._tie_heavy_game(rng, "classical-swap-ties-6x4", 6, 4),
+        _integer_weighted_game(rng, "classical-swap-weighted-5x4", 5, 4, 3, 2),
+        workloads._tie_heavy_game(rng, "classical-swap-wide-ties-16x2", 16, 2),
     ]
 
 
-def flip_symmetric_games() -> list:
+def flip_symmetric_games() -> list[dict]:
     rng = np.random.default_rng(FLIP_GAMES_SEED)
     games = []
     for k in range(2):
-        name = f"planar-flip-symmetric-{k}"
         high = np.round(rng.uniform(0.8, 1.0, (2, 2)), 3)
         low = np.round(rng.uniform(0.0, 0.2, (2, 2)), 3)
         odd = (1, 1) if k == 0 else (0, 1)  # the pair that weighs unequal outputs higher
@@ -174,21 +160,33 @@ def flip_symmetric_games() -> list:
         predicate = np.empty((2, 2, 2, 2))
         predicate[:, :, 0, 0] = predicate[:, :, 1, 1] = high
         predicate[:, :, 0, 1] = predicate[:, :, 1, 0] = low
-        doc = workloads._document(name, 2, 2, 2, 2, workloads._planar_pi(rng), predicate, False)
-        games.append(workloads.Input(name, "analyze", game=doc))
+        games.append(workloads._document(f"planar-flip-symmetric-{k}", 2, 2, 2, 2,
+                                         workloads._planar_pi(rng), predicate, False))
     return games
 
 
-def commands(game_ids) -> list[tuple[str, list[str]]]:
-    """(file name, argv) of every command, with the game files written."""
-    planar = [i for i in workloads.generate("planar_sweep", 0) if i.game is not None]
-    scaling = workloads.generate("classical_scaling", 0)
-    swapped = swap_games()
-    symmetric = flip_symmetric_games()
-    workloads.write_inputs(planar + scaling + swapped + symmetric)
-    games = [(g, g) for g in game_ids] + sorted((i.name, i.ref) for i in planar)
+def documents() -> list[tuple[str, dict | str]]:
+    """(name, document or its text) of every game file."""
+    docs = [i.game for workload in ("planar_sweep", "classical_scaling")
+            for i in workloads.generate(workload, 0) if i.game is not None]
+    docs += swap_games() + flip_symmetric_games()
+    docs += [{"id": name, "inputs": inputs, "outputs": outputs,
+              "pi": [[0.25, 0.25], [0.25, 0.25]], "predicate": []}
+             for name, (inputs, outputs) in EMPTY_SIZES.items()]
+    docs += [INTEGER_WEIGHTS, CAPPED_SEARCH, WIDE_GAME, *map(census_game, CENSUS_CLASSES),
+             *polish_start_games()]
+    return [(doc["id"], doc) for doc in docs] + [("repeated-key", REPEATED_KEY)]
+
+
+def game_path(name: str) -> Path:
+    return workloads.WORK / "games" / f"{name}.json"
+
+
+def commands(game_ids, names) -> list[tuple[str, list[str]]]:
+    """(file name, argv) of every command: the seven views of each catalog id
+    and of each named game file, then ``list-games``."""
     out = []
-    for name, ref in games:
+    for name, ref in [(g, g) for g in game_ids] + [(n, str(game_path(n))) for n in names]:
         out += [
             (f"analyze-{name}", ["analyze", ref, "--format", "json"]),
             (f"analyze-text-{name}", ["analyze", ref, "--format", "text"]),
@@ -196,49 +194,9 @@ def commands(game_ids) -> list[tuple[str, list[str]]]:
             (f"uncertainty-{name}-bob", ["uncertainty", ref, "--side", "bob"]),
             (f"steer-{name}", ["steer", ref]),
             (f"quantum-{name}", ["quantum", ref]),
+            (f"classical-{name}", ["classical", ref]),
         ]
-    for i in symmetric:
-        out += [
-            (f"analyze-{i.name}", ["analyze", i.ref, "--format", "json"]),
-            (f"analyze-text-{i.name}", ["analyze", i.ref, "--format", "text"]),
-            (f"quantum-{i.name}", ["quantum", i.ref]),
-        ]
-    out += [(f"classical-{i.name}", ["classical", i.ref]) for i in scaling + swapped]
-    refused = next(i for i in scaling if i.name == "classical-4x4x3")
-    out.append((f"analyze-{refused.name}", ["analyze", refused.ref, "--format", "json"]))
-    out.append(("list-games", ["list-games"]))
-    for name, (inputs, outputs) in EMPTY_SIZES.items():
-        path = workloads.WORK / "games" / f"{name}.json"
-        path.write_text(json.dumps({"id": name, "inputs": inputs, "outputs": outputs,
-                                    "pi": [[0.25, 0.25], [0.25, 0.25]], "predicate": []}))
-        out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
-    name = INTEGER_WEIGHTS["id"]
-    path = workloads.WORK / "games" / f"{name}.json"
-    path.write_text(json.dumps(INTEGER_WEIGHTS))
-    out.append((f"classical-{name}", ["classical", str(path)]))
-    out.append((f"analyze-{name}", ["analyze", str(path), "--format", "json"]))
-    path = workloads.WORK / "games" / "repeated-key.json"
-    path.write_text(REPEATED_KEY)
-    out.append(("classical-repeated-key", ["classical", str(path)]))
-    path = workloads.WORK / "games" / "capped-search.json"
-    path.write_text(json.dumps(CAPPED_SEARCH))
-    out += [
-        ("analyze-capped-search", ["analyze", str(path), "--format", "json"]),
-        ("analyze-text-capped-search", ["analyze", str(path), "--format", "text"]),
-        ("quantum-capped-search", ["quantum", str(path)]),
-    ]
-    path = workloads.WORK / "games" / "wide-binary-24x24.json"
-    path.write_text(json.dumps(WIDE_GAME))
-    out.append(("analyze-wide-binary-24x24", ["analyze", str(path), "--format", "json"]))
-    for code in CENSUS_CLASSES:
-        path = workloads.WORK / "games" / f"census-{code}.json"
-        path.write_text(json.dumps(census_game(code)))
-        out.append((f"analyze-census-{code}", ["analyze", str(path), "--format", "json"]))
-    for doc in polish_start_games():
-        path = workloads.WORK / "games" / f"{doc['id']}.json"
-        path.write_text(json.dumps(doc))
-        out.append((f"analyze-{doc['id']}", ["analyze", str(path), "--format", "json"]))
-    return out
+    return out + [("list-games", ["list-games"])]
 
 
 def main(argv: list[str]) -> int:
@@ -246,12 +204,21 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     outdir = Path(argv[0]).resolve()
-    outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)  # game paths in the outputs are relative to the checkout root
     na = workloads.import_program()
     from nonlocal_audit import cli
 
-    for name, args in commands(na.GAME_IDS):
+    docs = documents()
+    todo = commands(na.GAME_IDS, [name for name, _ in docs])
+    clashes = sorted(name for name, n in Counter(name for name, _ in todo).items() if n > 1)
+    if clashes:
+        print(f"more than one command would write {', '.join(clashes)}", file=sys.stderr)
+        return 2
+    (workloads.WORK / "games").mkdir(parents=True, exist_ok=True)
+    for name, doc in docs:
+        game_path(name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, args in todo:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(args)
